@@ -112,22 +112,24 @@ class EnergyMatrix:
         return self._rows[l - 1][j - 1][k - 1]
 
 
+def _prefixes(p):
+    """prefixes[j][k-1] is column_prefix(factor j+1, k), for k = 1..beta_j."""
+    return [[column_prefix(b, k) for k in range(1, b.width() + 1)] for b in p.factors]
+
+
+def _energy_row(p, a, l, prefixes):
+    """E[l][j][k] for every j and k of level a: one sweep of the carrier u_l^(a)."""
+    _, carriers = carrier_sweep(p, a, l)
+    return [[energy_H(TensorPair(u, b)) for b in row] for u, row in zip(carriers, prefixes)]
+
+
 def energy_matrix(p, a, l_max):
     """Computes E[l][j][k] for l = 1..l_max over the whole path."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    betas = [b.width() for b in p.factors]
-    rows = []
-    for l in range(1, l_max + 1):
-        _, carriers = carrier_sweep(p, a, l)
-        row = []
-        for j, b in enumerate(p.factors):
-            u = carriers[j]
-            row.append(
-                [energy_H(TensorPair(u, column_prefix(b, k))) for k in range(1, betas[j] + 1)]
-            )
-        rows.append(row)
-    return EnergyMatrix(a, l_max, betas, rows)
+    prefixes = _prefixes(p)
+    rows = [_energy_row(p, a, l, prefixes) for l in range(1, l_max + 1)]
+    return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
 
 class LocalEnergyDistribution:
@@ -174,45 +176,28 @@ class LocalEnergyDistribution:
         )
 
 
-def _energy_row(p, a, l, betas):
-    # E[l][.][.] flattened in column order, one carrier sweep
-    _, carriers = carrier_sweep(p, a, l)
-    out = []
-    for j, b in enumerate(p.factors):
-        u = carriers[j]
-        for k in range(1, betas[j] + 1):
-            out.append(energy_H(TensorPair(u, column_prefix(b, k))))
-    return out
-
-
 def local_energy_distribution(p):
     """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row."""
     betas = [b.width() for b in p.factors]
     alphas = [b.n_rows for b in p.factors]
     columns = [(j + 1, k) for j in range(len(betas)) for k in range(1, betas[j] + 1)]
-    # column index of (j, k-1), or None when k = 1
-    prev_col = []
-    for j in range(len(betas)):
-        for k in range(1, betas[j] + 1):
-            prev_col.append(len(prev_col) - 1 if k > 1 else None)
+    prefixes = _prefixes(p)
     cap = 1 + sum(a * b for a, b in zip(alphas, betas))
     tables = []
     for a in range(1, p.rank_n + 1):
         rows = []
-        e_prev = [0] * len(columns)
+        d_prev = [0] * len(columns)
         for l in range(1, cap + 1):
-            e_cur = _energy_row(p, a, l, betas)
-            row = []
-            for c in range(len(columns)):
-                d_cur = e_cur[c] - (e_cur[prev_col[c]] if prev_col[c] is not None else 0)
-                d_prev = e_prev[c] - (e_prev[prev_col[c]] if prev_col[c] is not None else 0)
-                row.append(d_cur - d_prev)
+            # differences in k first (E[l][j][0] = 0), flattened in column order
+            e_cur = _energy_row(p, a, l, prefixes)
+            d_cur = [e - prev for es in e_cur for prev, e in zip([0] + es, es)]
+            row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if any(x < 0 for x in row):
                 raise AssertionError("negative local energy entry")
             rows.append(row)
             if not any(row):
                 break
-            e_prev = e_cur
+            d_prev = d_cur
         else:
             raise AssertionError("no all-zero row within %d rows" % cap)
         tables.append(rows)

@@ -156,7 +156,7 @@ RowTrace = namedtuple("RowTrace", ["flat_index", "level", "columns"])
 
 
 class RemovalTrace:
-    """Diagnostic record of phi_inverse: per removed row, per produced column,
+    """Diagnostic record of phi_inverse_trace: per removed row, per produced column,
     the transport steps with letters, removed boxes and state snapshots."""
 
     __slots__ = ("rows",)
@@ -268,35 +268,38 @@ def _micro_step(state, i, col_x, quantum_pos=None):
     return letter, removed
 
 
-def _remove_row(state, level, pos):
+def _remove_row(state, level, pos, traced):
     """Dismantles one quantum row box by box, right to left.
 
-    Returns (factor tableau in B^{level+1, s}, per-column trace steps).
-    Letters of each box form the leftmost empty column, top to bottom.
+    Returns (factor tableau in B^{level+1, s}, per-column trace steps); the
+    steps, with a state snapshot after each micro-step, are only recorded
+    when traced, else None. Letters of each box form the leftmost empty
+    column, top to bottom.
     """
     a = level
     s = state.nu[level][pos][0]
     columns = []
-    col_traces = []
+    col_traces = [] if traced else None
     for _ in range(s):
         col_x = state.nu[level][pos][0]
-        letters = {}
+        column = [None] * (a + 1)
         steps = []
         for i in range(a, -1, -1):
             if i == a:
                 letter, removed = _micro_step(state, i, col_x, quantum_pos=pos)
             else:
                 letter, removed = _micro_step(state, i, 1)
-            letters[i] = letter
-            steps.append(TraceStep(i, letter, removed, state.snapshot()))
+            column[i] = letter
+            if traced:
+                steps.append(TraceStep(i, letter, removed, state.snapshot()))
         if state.temp_level is not None:
             raise AssertionError("transported box left behind")
-        column = [letters[i] for i in range(a + 1)]
         for t in range(a):
             if column[t] >= column[t + 1]:
                 raise AssertionError("reconstructed column is not strictly increasing")
         columns.append(column)
-        col_traces.append(steps)
+        if traced:
+            col_traces.append(steps)
     if state.nu[level][pos][0] != 0:
         raise AssertionError("quantum row not exhausted")
     del state.nu[level][pos]
@@ -330,42 +333,63 @@ def _check_valid(rc):
         raise ValueError("invalid rigged configuration: " + "; ".join(problems))
 
 
-def phi_inverse_trace(rc, order=None):
-    """phi_inverse with its full diagnostic trace; returns (Path, RemovalTrace)."""
-    _check_valid(rc)
+def _remove_rows(rc, order, traces=None):
+    """The box-removal driver: removes the quantum rows of a valid rc in the
+    given order of flat indices; returns (factors in removal order, remaining
+    state). Appends one RowTrace per row to traces when it is a list."""
     rows = rc.quantum_rows()
-    if order is None:
-        order = default_order(rc)
-    order = [int(x) for x in order]
-    if sorted(order) != list(range(len(rows))):
-        raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
     state = _State(rc)
     produced = []
-    traces = []
     for flat in order:
         level = rows[flat][1]
         pos = state.position(level, flat)
-        tab, col_traces = _remove_row(state, level, pos)
+        tab, col_traces = _remove_row(state, level, pos, traces is not None)
         produced.append(tab)
-        traces.append(RowTrace(flat, level, col_traces))
-    return Path(rc.rank_n, tuple(reversed(produced))), RemovalTrace(traces)
+        if traces is not None:
+            traces.append(RowTrace(flat, level, col_traces))
+    return produced, state
+
+
+def _phi_inverse(rc, order, traces):
+    _check_valid(rc)
+    n_rows = len(rc.quantum_rows())
+    if order is None:
+        order = default_order(rc)
+    order = [int(x) for x in order]
+    if sorted(order) != list(range(n_rows)):
+        raise ValueError("order must be a permutation of 0..%d" % (n_rows - 1))
+    produced, state = _remove_rows(rc, order, traces)
+    left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
+    if left:
+        raise ValueError(
+            "rigged configuration is outside the image of phi: boxes of mu remain "
+            "after the last quantum row is removed (%s)" % "; ".join(left)
+        )
+    return Path(rc.rank_n, tuple(reversed(produced)))
+
+
+def phi_inverse_trace(rc, order=None):
+    """phi_inverse with its full diagnostic trace; returns (Path, RemovalTrace)."""
+    traces = []
+    path = _phi_inverse(rc, order, traces)
+    return path, RemovalTrace(traces)
 
 
 def phi_inverse(rc, order=None):
-    """Reconstructs the path; the first removed row gives the rightmost factor."""
-    path, _ = phi_inverse_trace(rc, order)
-    return path
+    """Reconstructs the path; the first removed row gives the rightmost factor.
+
+    Raises ValueError when boxes of mu are left once every quantum row is
+    removed: such a configuration is not the image of any path.
+    """
+    return _phi_inverse(rc, order, None)
 
 
 def remove_row(rc, flat_index):
     """Removes a single quantum row; returns (factor tableau, remaining rc)."""
     _check_valid(rc)
-    rows = rc.quantum_rows()
-    if not 0 <= flat_index < len(rows):
+    if not 0 <= flat_index < len(rc.quantum_rows()):
         raise ValueError("no quantum row %d" % flat_index)
-    state = _State(rc)
-    level = rows[flat_index][1]
-    tab, _ = _remove_row(state, level, state.position(level, flat_index))
+    (tab,), state = _remove_rows(rc, [flat_index])
     return tab, _to_rc(state, rc)
 
 

@@ -65,9 +65,17 @@ class AffineElement:
         return "AffineElement(%r, mode=%d)" % (self.tableau, self.mode)
 
 
+def _product_rows(p):
+    # (right <- row(left)) as lists; the letters of left are already checked
+    # against the alphabet that right shares
+    rows = p.right.to_lists()
+    kernels.insert_word(rows, row_word(p.left))
+    return rows
+
+
 def product_tableau(p):
     """(right <- row(left))."""
-    return insert_word(p.right, row_word(p.left))
+    return Tableau(p.rank_n, _product_rows(p))
 
 
 def _sum_shape(p):
@@ -81,10 +89,9 @@ def _sum_shape(p):
 
 def energy_H(p):
     """Number of product-tableau cells outside the sum of the two shapes."""
-    prod = product_tableau(p)
     bound = _sum_shape(p)
     h = 0
-    for i, row in enumerate(prod.rows):
+    for i, row in enumerate(_product_rows(p)):
         cap = bound[i] if i < len(bound) else 0
         if len(row) > cap:
             h += len(row) - cap
@@ -128,9 +135,8 @@ def apply_R(p):
     if r == 0 or rp == 0:
         # empty factor: R is the flip
         return TensorPair(p.right, p.left)
-    prod = product_tableau(p)
-    order = _peel_strips(prod.shape, r, s, rp, sp)
-    rows = prod.to_lists()
+    rows = _product_rows(p)
+    order = _peel_strips([len(row) for row in rows], r, s, rp, sp)
     ejected = []
     for i, j in order:
         if j != len(rows[i]) - 1:

@@ -137,6 +137,17 @@ class TestPhiVerbs:
         assert code == 3
         assert "error:" in err
 
+    def test_out_of_image_rc_is_semantic_error(self):
+        # valid as an unrestricted configuration, but a box of mu outlives
+        # every quantum row, so no path maps to it
+        code, out, err = cli(
+            "phi-inverse", stdin='{"n":1,"nu":[[1]],"mu":[{"rows":[[5,-9]]}]}'
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestLedVerb:
     def test_text_matches_golden(self):

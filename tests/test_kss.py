@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kssbij.evolution import Path, local_energy_distribution, total_energy
@@ -261,3 +261,25 @@ class TestRoundTrip:
         rc = phi_energy(p)
         assert validate(rc, "unrestricted") == []
         assert phi_inverse(rc) == p
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_configurations(self, data):
+        # reverse direction: phi_inverse rejects rc, or phi maps its path back to rc
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        nu = [
+            data.draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2))
+            for _ in range(n)
+        ]
+        row = st.tuples(
+            st.integers(min_value=1, max_value=3), st.integers(min_value=-3, max_value=2)
+        )
+        mu = [data.draw(st.lists(row, max_size=3)) for _ in range(n)]
+        rc = RiggedConfiguration(n, nu, mu)
+        assume(validate(rc, "unrestricted") == [])
+        try:
+            p = phi_inverse(rc)
+        except ValueError:
+            return
+        assert phi_energy(p) == rc
+        assert phi_inverse_trace(rc)[0] == p

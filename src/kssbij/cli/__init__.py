@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 malformed input (with location), 3 semantic
-violation (with the violations listed). verify exits 1 when a suite fails.
+violation (with the violations listed), 4 internal error (an invariant of
+the library failed; a bug, not bad input). verify exits 1 when a suite fails.
 """
 
 import argparse
@@ -234,6 +235,9 @@ def run(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 def main():

@@ -29,7 +29,10 @@ from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 
 class Report:
-    """Per-suite case and failure counts plus wall time."""
+    """Per-suite case and failure counts and wall times, plus the total time.
+
+    results holds (name, cases, failures, elapsed seconds) per suite.
+    """
 
     def __init__(self, results, elapsed):
         self.results = results
@@ -37,11 +40,11 @@ class Report:
 
     @property
     def total_cases(self):
-        return sum(c for _, c, _ in self.results)
+        return sum(c for _, c, _, _ in self.results)
 
     @property
     def total_failures(self):
-        return sum(len(f) for _, _, f in self.results)
+        return sum(len(f) for _, _, f, _ in self.results)
 
     @property
     def ok(self):
@@ -49,9 +52,10 @@ class Report:
 
     def render(self):
         lines = []
-        for name, cases, failures in self.results:
+        for name, cases, failures, elapsed in self.results:
             lines.append(
-                "%-26s cases=%-7d failures=%d" % (name, cases, len(failures))
+                "%-26s cases=%-7d failures=%-4d %.2fs"
+                % (name, cases, len(failures), elapsed)
             )
             for msg in failures[:10]:
                 lines.append("    %s" % msg)
@@ -66,8 +70,13 @@ class Report:
     def to_json(self):
         return {
             "suites": [
-                {"name": name, "cases": cases, "failures": failures}
-                for name, cases, failures in self.results
+                {
+                    "name": name,
+                    "cases": cases,
+                    "failures": failures,
+                    "elapsed_seconds": round(elapsed, 3),
+                }
+                for name, cases, failures, elapsed in self.results
             ],
             "total_cases": self.total_cases,
             "total_failures": self.total_failures,
@@ -385,6 +394,7 @@ def run_verify(max_n=2, max_l=3, max_s=2, suites=None):
     for name, fn in SUITES:
         if name not in chosen:
             continue
+        t0 = time.perf_counter()
         cases, failures = fn(max_n, max_l, max_s)
-        results.append((name, cases, failures))
+        results.append((name, cases, failures, time.perf_counter() - t0))
     return Report(results, time.perf_counter() - start)

@@ -8,9 +8,14 @@ form the local energy distribution.
 Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 (left and right are reversed between a factor and its table columns; the
 conversion lives here).
+
+Sweeps and energies run on row tuples through the memoized R and H of
+`rmatrix` (LRU caches of `rmatrix.CACHE_SIZE` = 256 entries each); carriers
+and R images become tableaux without re-validation, since their rows come
+from the validated path.
 """
 
-from kssbij.rmatrix import TensorPair, apply_R, energy_H
+from kssbij.rmatrix import TensorPair, _energy, _image, apply_R
 from kssbij.tableaux import Tableau, highest_element
 
 
@@ -69,20 +74,30 @@ def carrier_pass(u, b):
     return image.left, image.right
 
 
+def _sweep_rows(p, a, l):
+    # carrier_sweep on row tuples
+    u = highest_element(a, l, p.rank_n).rows
+    carriers = [u]
+    out = []
+    for b in p.factors:
+        b2, u = _image(u, b.rows)
+        out.append(b2)
+        carriers.append(u)
+    return out, carriers
+
+
 def carrier_sweep(p, a, l):
     """Threads the carrier u_l^(a) through the whole path.
 
     Returns (new_factors, carriers) where carriers[j] is the carrier after
     passing the first j factors (carriers[0] is the initial highest element).
     """
-    u = highest_element(a, l, p.rank_n)
-    carriers = [u]
-    out = []
-    for b in p.factors:
-        b2, u = carrier_pass(u, b)
-        out.append(b2)
-        carriers.append(u)
-    return out, carriers
+    n = p.rank_n
+    out, carriers = _sweep_rows(p, a, l)
+    return (
+        [Tableau._trusted(n, rows) for rows in out],
+        [Tableau._trusted(n, rows) for rows in carriers],
+    )
 
 
 def time_evolution(p, a, l):
@@ -113,14 +128,17 @@ class EnergyMatrix:
 
 
 def _prefixes(p):
-    """prefixes[j][k-1] is column_prefix(factor j+1, k), for k = 1..beta_j."""
-    return [[column_prefix(b, k) for k in range(1, b.width() + 1)] for b in p.factors]
+    """prefixes[j][k-1] holds the rows of column_prefix(factor j+1, k), for k = 1..beta_j."""
+    return [
+        [tuple(row[-k:] for row in b.rows) for k in range(1, b.width() + 1)]
+        for b in p.factors
+    ]
 
 
 def _energy_row(p, a, l, prefixes):
     """E[l][j][k] for every j and k of level a: one sweep of the carrier u_l^(a)."""
-    _, carriers = carrier_sweep(p, a, l)
-    return [[energy_H(TensorPair(u, b)) for b in row] for u, row in zip(carriers, prefixes)]
+    _, carriers = _sweep_rows(p, a, l)
+    return [[_energy(u, b) for b in row] for u, row in zip(carriers, prefixes)]
 
 
 def energy_matrix(p, a, l_max):
@@ -206,7 +224,5 @@ def local_energy_distribution(p):
 
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
-    _, carriers = carrier_sweep(p, a, l)
-    return sum(
-        energy_H(TensorPair(carriers[j], b)) for j, b in enumerate(p.factors)
-    )
+    _, carriers = _sweep_rows(p, a, l)
+    return sum(_energy(u, b.rows) for u, b in zip(carriers, p.factors))

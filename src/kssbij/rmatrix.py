@@ -3,10 +3,22 @@
 The R image of b (x) b' is the unique pair bt' (x) bt with
 (b' <- row(b)) = (bt <- row(bt')); it is computed by peeling vertical strips
 off the product tableau and undoing their insertions.
+
+R and H are pure functions of the two factors' rows, so both are computed on
+row tuples and memoized, each in an LRU cache of CACHE_SIZE (256) entries;
+the public functions wrap the cached results in tableaux. The R image is
+built without re-validating its rows: they come from factors that were
+checked when they were built.
 """
 
+from functools import lru_cache
+
 from kssbij import kernels
-from kssbij.tableaux import Cell, Tableau, empty_tableau, insert_word, row_word
+from kssbij.tableaux import Tableau
+
+# Entries kept by each of the R and H caches. The bound keeps memory flat on
+# workloads whose pairs rarely repeat (carrier sweeps over random paths).
+CACHE_SIZE = 256
 
 
 class TensorPair:
@@ -65,37 +77,36 @@ class AffineElement:
         return "AffineElement(%r, mode=%d)" % (self.tableau, self.mode)
 
 
-def _product_rows(p):
+def _product_rows(left, right):
     # (right <- row(left)) as lists; the letters of left are already checked
     # against the alphabet that right shares
-    rows = p.right.to_lists()
-    kernels.insert_word(rows, row_word(p.left))
+    rows = [list(row) for row in right]
+    kernels.insert_word(rows, [x for row in reversed(left) for x in row])
     return rows
 
 
 def product_tableau(p):
     """(right <- row(left))."""
-    return Tableau(p.rank_n, _product_rows(p))
+    return Tableau(p.rank_n, _product_rows(p.left.rows, p.right.rows))
 
 
-def _sum_shape(p):
-    # coordinate-wise sum of the two rectangular shapes
-    r, s = p.left.n_rows, p.left.width()
-    rp, sp = p.right.n_rows, p.right.width()
-    return tuple(
-        (s if i < r else 0) + (sp if i < rp else 0) for i in range(max(r, rp))
-    )
+@lru_cache(maxsize=CACHE_SIZE)
+def _energy(left, right):
+    # cells of the product tableau outside the coordinate-wise sum of the
+    # two rectangular shapes
+    r, s = len(left), len(left[0]) if left else 0
+    rp, sp = len(right), len(right[0]) if right else 0
+    h = 0
+    for i, row in enumerate(_product_rows(left, right)):
+        cap = (s if i < r else 0) + (sp if i < rp else 0)
+        if len(row) > cap:
+            h += len(row) - cap
+    return h
 
 
 def energy_H(p):
     """Number of product-tableau cells outside the sum of the two shapes."""
-    bound = _sum_shape(p)
-    h = 0
-    for i, row in enumerate(_product_rows(p)):
-        cap = bound[i] if i < len(bound) else 0
-        if len(row) > cap:
-            h += len(row) - cap
-    return h
+    return _energy(p.left.rows, p.right.rows)
 
 
 def _peel_strips(shape, r, s, r_strip, n_strips):
@@ -128,33 +139,43 @@ def _peel_strips(shape, r, s, r_strip, n_strips):
     return order
 
 
-def apply_R(p):
-    """The combinatorial R image of the pair, as a TensorPair."""
-    r, s = p.left.n_rows, p.left.width()
-    rp, sp = p.right.n_rows, p.right.width()
-    if r == 0 or rp == 0:
+@lru_cache(maxsize=CACHE_SIZE)
+def _image(left, right):
+    # the R image (left', right') of left (x) right, all rows as tuples
+    if not left or not right:
         # empty factor: R is the flip
-        return TensorPair(p.right, p.left)
-    rows = _product_rows(p)
+        return right, left
+    r, s = len(left), len(left[0])
+    rp, sp = len(right), len(right[0])
+    rows = _product_rows(left, right)
     order = _peel_strips([len(row) for row in rows], r, s, rp, sp)
     ejected = []
     for i, j in order:
         if j != len(rows[i]) - 1:
             raise AssertionError("strip cell is not a corner")
         ejected.append(kernels.inverse_bump(rows, i))
-    left_new = insert_word(empty_tableau(p.rank_n), list(reversed(ejected)))
-    right_new = Tableau(p.rank_n, rows)
-    if left_new.shape != p.right.shape or right_new.shape != p.left.shape:
+    left_new = []
+    kernels.insert_word(left_new, reversed(ejected))
+    if [len(row) for row in left_new] != [sp] * rp or [len(row) for row in rows] != [s] * r:
         raise AssertionError("R image has wrong shapes")
-    return TensorPair(left_new, right_new)
+    return tuple(map(tuple, left_new)), tuple(map(tuple, rows))
+
+
+def apply_R(p):
+    """The combinatorial R image of the pair, as a TensorPair."""
+    left, right = _image(p.left.rows, p.right.rows)
+    n = p.rank_n
+    return TensorPair(Tableau._trusted(n, left), Tableau._trusted(n, right))
 
 
 def apply_affine_R(x, y):
     """Affine R: modes shift by the energy of the classical pair."""
     pair = TensorPair(x.tableau, y.tableau)
-    h = energy_H(pair)
-    image = apply_R(pair)
+    left, right = pair.left.rows, pair.right.rows
+    h = _energy(left, right)
+    left_new, right_new = _image(left, right)
+    n = pair.rank_n
     return (
-        AffineElement(image.left, y.mode - h),
-        AffineElement(image.right, x.mode + h),
+        AffineElement(Tableau._trusted(n, left_new), y.mode - h),
+        AffineElement(Tableau._trusted(n, right_new), x.mode + h),
     )

@@ -45,6 +45,15 @@ class Tableau:
         object.__setattr__(self, "rank_n", rank_n)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, rank_n, rows):
+        """Internal constructor that skips validation; rows must be a tuple of
+        tuples derived from tableaux that were already validated."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rank_n", rank_n)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
@@ -64,7 +73,7 @@ class Tableau:
         return len(self.rows[0]) if self.rows else 0
 
     def is_rectangular(self):
-        return all(len(r) == self.width() for r in self.rows)
+        return len(set(map(len, self.rows))) <= 1
 
     def is_empty(self):
         return not self.rows

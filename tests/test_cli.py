@@ -6,6 +6,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
+from kssbij import kss
 from kssbij.cli import run
 from kssbij.cli.codec import (
     decode_led,
@@ -19,6 +20,7 @@ from kssbij.cli.codec import (
 )
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import phi_energy
+from kssbij.rmatrix import TensorPair
 from kssbij.tableaux import Tableau
 
 GOLDEN = FsPath(__file__).parent / "golden"
@@ -276,6 +278,7 @@ class TestVerifyVerb:
         assert payload["suites"][0]["name"] == "yang-baxter"
         assert payload["suites"][0]["failures"] == []
         assert payload["suites"][0]["cases"] > 0
+        assert payload["suites"][0]["elapsed_seconds"] >= 0
 
     def test_unknown_suite(self):
         code, _, _ = cli("verify", "--suite", "nope")
@@ -305,6 +308,70 @@ class TestErrorPaths:
     def test_missing_file(self):
         code, _, err = cli("phi", "/no/such/file.json")
         assert code == 2
+
+    def test_internal_error_has_own_exit_code(self, monkeypatch):
+        def broken(p):
+            raise AssertionError("malformed complement")
+
+        monkeypatch.setattr(kss, "phi_energy", broken)
+        code, out, err = cli("phi", str(GOLDEN / "path_3factor.json"))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: malformed complement")
+        assert "Traceback" not in err
+
+
+class TestBoundaryValidation:
+    """Validation happens at the public constructors and the codec; inputs
+    that break the tableau or pair rules are semantic errors (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (("led",), '{"n":2,"factors":[[[2,1]]]}', "not weakly increasing"),
+            (("led",), '{"n":2,"factors":[[[1,1],[1,2]]]}', "not strictly increasing"),
+            (("phi",), '{"n":1,"factors":[[[0]]]}', "outside alphabet"),
+            (("led",), '{"n":2,"factors":[[[1,1],[2]]]}', "rectangular"),
+            (("tableau-insert", "--letters", "1"), '{"n":1,"rows":[[3]]}', "outside alphabet"),
+            (
+                ("rmatrix",),
+                '[{"n":2,"rows":[[1]]},{"n":2,"rows":[[1],[1]]}]',
+                "not strictly increasing",
+            ),
+            (
+                ("energy",),
+                '[{"n":2,"rows":[[1,1],[2]]},{"n":2,"rows":[[1]]}]',
+                "rectangular",
+            ),
+            (
+                ("rmatrix",),
+                '[{"n":1,"rows":[[1]]},{"n":2,"rows":[[1]]}]',
+                "different alphabets",
+            ),
+        ],
+    )
+    def test_cli_rejects(self, argv, stdin, message):
+        code, out, err = cli(*argv, stdin=stdin)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: decode_tableau({"n": 2, "rows": [[2, 1]]}),
+            lambda: decode_tableau({"n": 2, "rows": [[1], [1]]}),
+            lambda: decode_path({"n": 1, "factors": [[[3]]]}),
+            lambda: decode_path({"n": 2, "factors": [[[1, 1], [2]]]}),
+            lambda: Path(2, [Tableau(2, [[1, 1], [2]])]),
+            lambda: Path(2, [Tableau(2, [[1]]), Tableau(1, [[1]])]),
+            lambda: TensorPair(Tableau(2, [[1]]), Tableau(2, [[1, 1], [2]])),
+        ],
+    )
+    def test_library_rejects(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestCodec:

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from kssbij import rmatrix
+from kssbij.cli.harness import run_verify, shape_menu
 from kssbij.rmatrix import (
     AffineElement,
     TensorPair,
@@ -129,6 +131,36 @@ class TestYangBaxter:
                 AffineElement(c, 0),
             )
             assert _yb_left(start) == _yb_right(start)
+
+
+class TestCaches:
+    def test_cached_equals_uncached_while_evicting(self):
+        # every pair on the shape menu for n <= 2, s <= 2, forward then
+        # backward: more pairs than the caches hold
+        pairs = []
+        for n in (1, 2):
+            pairs.extend(_all_pairs(n, shape_menu(n, 2)))
+        assert len(pairs) > rmatrix.CACHE_SIZE
+        rmatrix._image.cache_clear()
+        rmatrix._energy.cache_clear()
+        for p in pairs + pairs[::-1]:
+            rows = (p.left.rows, p.right.rows)
+            assert rmatrix._image(*rows) == rmatrix._image.__wrapped__(*rows)
+            assert rmatrix._energy(*rows) == rmatrix._energy.__wrapped__(*rows)
+            image = apply_R(p)
+            assert apply_R(image) == p
+            assert energy_H(image) == energy_H(p)
+        for cached in (rmatrix._image, rmatrix._energy):
+            info = cached.cache_info()
+            assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
+            assert info.misses > rmatrix.CACHE_SIZE
+
+    def test_bounded_after_verify(self):
+        run_verify(1, 2, 1)
+        for cached in (rmatrix._image, rmatrix._energy):
+            info = cached.cache_info()
+            assert isinstance(info.maxsize, int)
+            assert info.currsize <= info.maxsize
 
 
 def _all_pairs(n, shapes):

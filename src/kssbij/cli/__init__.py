@@ -90,7 +90,7 @@ def cmd_phi(args):
     p = codec.decode_path(_read_json(args))
     rc = kss.phi_energy(p)
     if args.check_roundtrip and kss.phi_inverse(rc) != p:
-        raise ValueError("round trip failed: phi_inverse(phi(p)) differs from p")
+        raise AssertionError("round trip failed: phi_inverse(phi(p)) differs from p")
     return _emit(args, codec.encode_rc(rc), render.render_rc(rc))
 
 

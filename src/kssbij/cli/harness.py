@@ -1,14 +1,26 @@
-"""Exhaustive invariant suites over small enumerated families.
+"""Invariant checks, each run on a family given as data.
 
-Families (per rank n up to the bound):
-  chains — all paths in B^{1,1} tensored L times, L up to max_l;
-  pairs  — all two-factor paths over the shape menu {(r,s): r <= n, s <= max_s}.
+Each check_* takes its family as an iterable and returns (cases, failure
+descriptions). `verify` binds each to its families in SUITES: for every rank
+n up to the bound, chains (paths in B^{1,1} tensored L times, L <= max_l) and
+pairs (two-factor paths over the shape menu r <= n, s <= max_s). Criteria
+5-10 of the acceptance gate run the same checks on its families A and B:
 
-Each suite returns (cases, failure descriptions); the report is deterministic.
+  check_yang_baxter           verify: shape-menu triples; gate, rmatrix tests:
+                              n = 2 triples of shapes (1,1), (1,2), (2,1)
+  check_involutivity          verify: pairs
+  check_swapping_pairs        verify: highest pairs, highest u past two-letter
+                              v; gate: highest pairs with r, s <= 3, n = 3
+  check_energy_padding        verify: single factors; gate: A and B
+  check_two_letter_reduction  verify: widths s = s'; gate: widths s, s' <= 3
+  check_energy_equals_q, check_round_trip, check_linearization
+                              verify: chains and pairs; gate: A and B
+  check_removal_order         verify: 2-3 factors, i < j; gate: A and B, i != j
 """
 
 import time
-from itertools import product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 from kssbij.evolution import Path, carrier_sweep, time_evolution, total_energy
 from kssbij.kss import (
@@ -101,188 +113,147 @@ def pair_paths(n, max_s):
     menu = shape_menu(n, max_s)
     sets = {shape: list(enumerate_kr(shape[0], shape[1], n)) for shape in menu}
     for s1, s2 in product(menu, repeat=2):
-        for b1 in sets[s1]:
-            for b2 in sets[s2]:
-                yield Path(n, (b1, b2))
+        for b1, b2 in product(sets[s1], sets[s2]):
+            yield Path(n, (b1, b2))
 
 
 def family_paths(max_n, max_l, max_s):
-    """Yields (n, path) over both families, deterministic order."""
+    """The chains and pairs of every rank up to max_n, deterministic order."""
     for n in range(1, max_n + 1):
-        for p in chain_paths(n, max_l):
-            yield n, p
-        for p in pair_paths(n, max_s):
-            yield n, p
+        yield from chain_paths(n, max_l)
+        yield from pair_paths(n, max_s)
+
+
+def affine_triples(n, shape_triples, modes):
+    """Affine triples over all elements of each shape triple, one per mode triple."""
+    shape_triples = list(shape_triples)
+    pools = {sh: list(enumerate_kr(*sh, n)) for sh in set().union(*shape_triples)}
+    for shapes in shape_triples:
+        elements = product(*(pools[sh] for sh in shapes))
+        for (b1, b2, b3), (m1, m2, m3) in product(elements, modes):
+            yield AffineElement(b1, m1), AffineElement(b2, m2), AffineElement(b3, m3)
+
+
+def highest_pairs(n, menu):
+    """(u, v) for every ordered pair of shapes in menu, u and v highest."""
+    for (r1, s1), (r2, s2) in product(menu, repeat=2):
+        yield highest_element(r1, s1, n), highest_element(r2, s2, n)
+
+
+def two_letter(n, a, s):
+    """Elements of B^{a+1,s} whose top a rows are highest and whose bottom row
+    uses only the letters a+1 and a+2."""
+    top = [[i] * s for i in range(1, a + 1)]
+    bottoms = ([a + 1] * c + [a + 2] * (s - c) for c in range(s, -1, -1))
+    return [Tableau(n, top + [bottom]) for bottom in bottoms]
+
+
+def _bottom_row(v):
+    # the bottom row of a two-letter element, re-read over {1, 2}
+    a = v.n_rows - 1
+    return Tableau(1, [[x - a for x in v.rows[-1]]])
 
 
 def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
 
-def suite_yang_baxter(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        menu = shape_menu(n, max_s)
-        sets = {shape: list(enumerate_kr(shape[0], shape[1], n)) for shape in menu}
-        for sh in product(menu, repeat=3):
-            for b1, b2, b3 in product(sets[sh[0]], sets[sh[1]], sets[sh[2]]):
-                for modes in ((0, 0, 0), (5, 3, 1)):
-                    cases += 1
-                    x = AffineElement(b1, modes[0])
-                    y = AffineElement(b2, modes[1])
-                    z = AffineElement(b3, modes[2])
-                    if _yb_left(x, y, z) != _yb_right(x, y, z):
-                        failures.append(
-                            "yang-baxter mismatch n=%d %r %r %r modes=%r"
-                            % (n, b1, b2, b3, modes)
-                        )
+def check_yang_baxter(triples):
+    """The affine R satisfies the Yang-Baxter equation on each triple x (x) y (x) z:
+    (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R)."""
+    cases, failures = 0, []
+    for x, y, z in triples:
+        cases += 1
+        a, b = apply_affine_R(x, y)
+        b, c = apply_affine_R(b, z)
+        a, b = apply_affine_R(a, b)
+        e, f = apply_affine_R(y, z)
+        d, e = apply_affine_R(x, e)
+        e, f = apply_affine_R(e, f)
+        if (a, b, c) != (d, e, f):
+            failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
     return cases, failures
 
 
-def _yb_left(x, y, z):
-    # (R x 1)(1 x R)(R x 1)
-    x, y = apply_affine_R(x, y)
-    y, z = apply_affine_R(y, z)
-    x, y = apply_affine_R(x, y)
-    return x, y, z
+def check_involutivity(pairs):
+    """R is an involution on each pair, and H is invariant under it."""
+    cases, failures = 0, []
+    for pair in pairs:
+        cases += 1
+        image = apply_R(pair)
+        if apply_R(image) != pair:
+            failures.append("R not involutive on %r" % (pair,))
+        elif energy_H(image) != energy_H(pair):
+            failures.append("H changed under R on %r" % (pair,))
+    return cases, failures
 
 
-def _yb_right(x, y, z):
-    # (1 x R)(R x 1)(1 x R)
-    y, z = apply_affine_R(y, z)
-    x, y = apply_affine_R(x, y)
-    y, z = apply_affine_R(y, z)
-    return x, y, z
+def check_swapping_pairs(pairs):
+    """H(u (x) v) = 0 and R(u (x) v) = v (x) u for each (u, v)."""
+    cases, failures = 0, []
+    for u, v in pairs:
+        cases += 1
+        pair = TensorPair(u, v)
+        if energy_H(pair) != 0:
+            failures.append("H != 0 on %r" % (pair,))
+        elif apply_R(pair) != TensorPair(v, u):
+            failures.append("R does not swap %r" % (pair,))
+    return cases, failures
 
 
-def suite_involutivity(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        for p in pair_paths(n, max_s):
+def check_energy_padding(items):
+    """Padding a path with a highest u on either side keeps every E_l^(a),
+    l up to stabilization + 1, and H(b (x) u) = 0 for every factor b.
+    items: (path, pads), one case per pad u."""
+    cases, failures = 0, []
+    for p, pads in items:
+        n = p.rank_n
+        levels, horizon = range(1, n + 1), range(1, _stabilization_l(p) + 2)
+        base = {(a, l): total_energy(p, a, l) for a in levels for l in horizon}
+        for u in pads:
             cases += 1
-            pair = TensorPair(p.factors[0], p.factors[1])
-            image = apply_R(pair)
-            back = apply_R(image)
-            if back != pair:
-                failures.append("R not involutive on %r" % (pair,))
-            elif energy_H(image) != energy_H(pair):
-                failures.append("H changed under R on %r" % (pair,))
+            left, right = Path(n, (u,) + p.factors), Path(n, p.factors + (u,))
+            for (a, l), e in base.items():
+                if total_energy(left, a, l) != e or total_energy(right, a, l) != e:
+                    failures.append(
+                        "padding with %r changed E_%d^(%d) for %r" % (u, l, a, p)
+                    )
+                    break
+            else:
+                if any(energy_H(TensorPair(b, u)) != 0 for b in p.factors):
+                    failures.append("H(b (x) %r) != 0 for a factor b of %r" % (u, p))
     return cases, failures
 
 
-def suite_energy_zero_highest(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        menu = shape_menu(n, max_s)
-        for (r1, s1), (r2, s2) in product(menu, repeat=2):
-            cases += 1
-            u = highest_element(r1, s1, n)
-            v = highest_element(r2, s2, n)
-            pair = TensorPair(u, v)
-            if energy_H(pair) != 0:
-                failures.append("H(u (x) u') != 0 for %r" % (pair,))
-            elif apply_R(pair) != TensorPair(v, u):
-                failures.append("R does not swap highest pair %r" % (pair,))
+def check_two_letter_reduction(pairs):
+    """For two-letter v, w of one height, H(v (x) w) and R(v (x) w) reduce to
+    the pair of their bottom rows; R moves w's top rows to the left factor and
+    v's to the right one."""
+    cases, failures = 0, []
+    for v, w in pairs:
+        cases += 1
+        pair = TensorPair(v, w)
+        small = TensorPair(_bottom_row(v), _bottom_row(w))
+        if energy_H(pair) != energy_H(small):
+            failures.append("H reduction failed on %r" % (pair,))
+            continue
+        big, little = apply_R(pair), apply_R(small)
+        if (
+            _bottom_row(big.left) != little.left
+            or _bottom_row(big.right) != little.right
+            or big.left.rows[:-1] != w.rows[:-1]
+            or big.right.rows[:-1] != v.rows[:-1]
+        ):
+            failures.append("R reduction failed on %r" % (pair,))
     return cases, failures
 
 
-def suite_energy_padding(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        menu = shape_menu(n, max_s)
-        elements = [b for shape in menu for b in enumerate_kr(shape[0], shape[1], n)]
-        pads = [(a, k) for a in range(1, n + 1) for k in range(1, max_s + 1)]
-        for b in elements:
-            p = Path(n, (b,))
-            horizon = _stabilization_l(p) + 1
-            base = {
-                (r, l): total_energy(p, r, l)
-                for r in range(1, n + 1)
-                for l in range(1, horizon + 1)
-            }
-            for a, k in pads:
-                u = highest_element(a, k, n)
-                left = Path(n, (u, b))
-                right = Path(n, (b, u))
-                cases += 1
-                bad = False
-                for (r, l), e in base.items():
-                    if total_energy(left, r, l) != e or total_energy(right, r, l) != e:
-                        failures.append(
-                            "padding changed E_%d^(%d) for %r with u_%d^(%d)"
-                            % (l, r, b, k, a)
-                        )
-                        bad = True
-                        break
-                if not bad and energy_H(TensorPair(b, u)) != 0:
-                    failures.append("H(v (x) u_%d^(%d)) != 0 for %r" % (k, a, b))
-    return cases, failures
-
-
-def _two_letter_family(n, a, s):
-    """Elements of B^{a+1,s} whose top a rows are highest and whose bottom row
-    uses only the letters a+1 and a+2."""
-    out = []
-    for c in range(s, -1, -1):
-        rows = [[i] * s for i in range(1, a + 1)]
-        rows.append([a + 1] * c + [a + 2] * (s - c))
-        out.append(Tableau(n, rows))
-    return out
-
-
-def _bottom_as_rank1(v, a):
-    row = [x - a for x in v.rows[-1]]
-    return Tableau(1, [row])
-
-
-def suite_two_letter_reduction(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n in range(2, max_n + 1):
-        for a in range(1, n):
-            for s in range(1, max_s + 1):
-                fam = _two_letter_family(n, a, s)
-                for v, w in product(fam, repeat=2):
-                    cases += 1
-                    pair = TensorPair(v, w)
-                    small = TensorPair(_bottom_as_rank1(v, a), _bottom_as_rank1(w, a))
-                    if energy_H(pair) != energy_H(small):
-                        failures.append("H reduction failed on %r" % (pair,))
-                        continue
-                    big = apply_R(pair)
-                    little = apply_R(small)
-                    if (
-                        _bottom_as_rank1(big.left, a) != little.left
-                        or _bottom_as_rank1(big.right, a) != little.right
-                        or big.left.rows[:-1] != v.rows[:-1]
-                        or big.right.rows[:-1] != w.rows[:-1]
-                    ):
-                        failures.append("R reduction failed on %r" % (pair,))
-                for v in fam:
-                    for k in range(1, n + 1):
-                        if k == a + 1:
-                            continue
-                        for l in range(1, max_l + 1):
-                            cases += 1
-                            u = highest_element(k, l, n)
-                            pair = TensorPair(u, v)
-                            if energy_H(pair) != 0:
-                                failures.append("H(u (x) v) != 0 on %r" % (pair,))
-                            elif apply_R(pair) != TensorPair(v, u):
-                                failures.append("u did not commute past %r" % (v,))
-    return cases, failures
-
-
-def suite_energy_equals_q(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n, p in family_paths(max_n, max_l, max_s):
+def check_energy_equals_q(paths):
+    """E_l^(a)(p) = Q_l^(a)(phi(p)) for every level a and l up to stabilization."""
+    cases, failures = 0, []
+    for p in paths:
         rc = phi_energy(p)
-        for a in range(1, n + 1):
+        for a in range(1, p.rank_n + 1):
             for l in range(1, _stabilization_l(p) + 1):
                 cases += 1
                 if total_energy(p, a, l) != q_l(rc, a, l):
@@ -292,76 +263,148 @@ def suite_energy_equals_q(max_n, max_l, max_s):
     return cases, failures
 
 
-def suite_round_trip(max_n, max_l, max_s):
-    cases = 0
-    failures = []
+def check_round_trip(paths):
+    """phi_inverse(phi(p)) = p, and phi is injective on the family. phi_inverse
+    validates phi(p) first; its ValueError is a failure."""
+    cases, failures = 0, []
     seen = {}
-    for n, p in family_paths(max_n, max_l, max_s):
+    for p in paths:
         cases += 1
         rc = phi_energy(p)
-        back = phi_inverse(rc)
+        try:
+            back = phi_inverse(rc)
+        except ValueError as exc:
+            failures.append("phi_inverse rejected phi(%r): %s" % (p, exc))
+            continue
         if back != p:
             failures.append("round trip failed for %r" % (p,))
             continue
-        key = (
-            n,
-            tuple(p.shapes()),
-            tuple(tuple(level) for level in rc.nu),
-            tuple(tuple(sorted(level)) for level in rc.mu),
-        )
-        if key in seen and seen[key] != p:
-            failures.append("phi not injective: %r and %r collide" % (seen[key], p))
-        seen[key] = p
+        # configurations compare by rank, quantum space and riggings
+        first = seen.setdefault((tuple(p.shapes()), rc), p)
+        if first != p:
+            failures.append("phi not injective: %r and %r collide" % (first, p))
     return cases, failures
+
+
+def check_removal_order(items):
+    """Removing quantum rows i and j of phi(p) in either order gives factor
+    pairs related by R. items: (path, i, j); consecutive items of one path
+    share its phi."""
+    cases, failures = 0, []
+    for p, group in groupby(items, key=itemgetter(0)):
+        rc = phi_energy(p)
+        for _, i, j in group:
+            cases += 1
+            if not removal_order_equivalence(rc, i, j):
+                failures.append(
+                    "removal order swap (%d,%d) failed for %r" % (i, j, p)
+                )
+    return cases, failures
+
+
+def check_linearization(items):
+    """Box-ball updates act on riggings as r += min(l, row length) whenever the
+    shifted configuration is still valid; otherwise the soliton exits the
+    finite path, certified by the carrier coming back loaded. items: (path,
+    a, l); consecutive items of one path share its phi. Returns (cases,
+    failures, loaded sweeps)."""
+    cases = loaded = 0
+    failures = []
+    for p, group in groupby(items, key=itemgetter(0)):
+        rc = phi_energy(p)
+        for _, a, l in group:
+            cases += 1
+            shifted = linearized_image(rc, a, l)
+            _, carriers = carrier_sweep(p, a, l)
+            clean = carriers[-1] == highest_element(a, l, p.rank_n)
+            valid = not validate(shifted, "unrestricted")
+            loaded += not clean
+            if clean != valid:
+                state = "clean despite invalid" if clean else "loaded despite valid"
+                failures.append("carrier %s shift: T_%d^(%d) %r" % (state, l, a, p))
+            elif valid and phi_energy(time_evolution(p, a, l)) != shifted:
+                failures.append("T_%d^(%d) did not linearize for %r" % (l, a, p))
+    return cases, failures, loaded
+
+
+def suite_yang_baxter(max_n, max_l, max_s):
+    modes = ((0, 0, 0), (5, 3, 1))
+    return check_yang_baxter(
+        t
+        for n in range(1, max_n + 1)
+        for t in affine_triples(n, product(shape_menu(n, max_s), repeat=3), modes)
+    )
+
+
+def suite_involutivity(max_n, max_l, max_s):
+    pairs = (p for n in range(1, max_n + 1) for p in pair_paths(n, max_s))
+    return check_involutivity(TensorPair(*p.factors) for p in pairs)
+
+
+def suite_energy_zero_highest(max_n, max_l, max_s):
+    return check_swapping_pairs(
+        uv
+        for n in range(1, max_n + 1)
+        for uv in highest_pairs(n, shape_menu(n, max_s))
+    )
+
+
+def suite_energy_padding(max_n, max_l, max_s):
+    def items(n):
+        pads = [highest_element(a, k, n) for a, k in shape_menu(n, max_s)]
+        for r, s in shape_menu(n, max_s):
+            for b in enumerate_kr(r, s, n):
+                yield Path(n, (b,)), pads
+
+    return check_energy_padding(it for n in range(1, max_n + 1) for it in items(n))
+
+
+def suite_two_letter_reduction(max_n, max_l, max_s):
+    # the reductions, then highest elements of other heights commuting past v
+    fams = [
+        (n, a, two_letter(n, a, s))
+        for n in range(2, max_n + 1)
+        for a in range(1, n)
+        for s in range(1, max_s + 1)
+    ]
+    reductions = check_two_letter_reduction(
+        vw for _, _, fam in fams for vw in product(fam, repeat=2)
+    )
+    commuting = check_swapping_pairs(
+        (highest_element(k, l, n), v)
+        for n, a, fam in fams
+        for v in fam
+        for k in range(1, n + 1)
+        if k != a + 1
+        for l in range(1, max_l + 1)
+    )
+    return reductions[0] + commuting[0], reductions[1] + commuting[1]
+
+
+def suite_energy_equals_q(max_n, max_l, max_s):
+    return check_energy_equals_q(family_paths(max_n, max_l, max_s))
+
+
+def suite_round_trip(max_n, max_l, max_s):
+    return check_round_trip(family_paths(max_n, max_l, max_s))
 
 
 def suite_removal_order(max_n, max_l, max_s):
-    cases = 0
-    failures = []
-    for n, p in family_paths(max_n, max_l, max_s):
-        if len(p.factors) < 2 or len(p.factors) > 3:
-            continue
-        rc = phi_energy(p)
-        rows = rc.quantum_rows()
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                cases += 1
-                if not removal_order_equivalence(rc, i, j):
-                    failures.append(
-                        "removal order swap (%d,%d) failed for %r" % (i, j, p)
-                    )
-    return cases, failures
+    return check_removal_order(
+        (p, i, j)
+        for p in family_paths(max_n, max_l, max_s)
+        if 2 <= len(p) <= 3
+        for i, j in combinations(range(len(p)), 2)
+    )
 
 
 def suite_evolution_linearization(max_n, max_l, max_s):
-    """Box-ball updates act on riggings as r += min(l, row length) whenever the
-    shifted configuration is still valid; otherwise the soliton exits the
-    finite path, certified by the carrier coming back loaded."""
-    cases = 0
-    failures = []
-    for n, p in family_paths(max_n, max_l, max_s):
-        rc = phi_energy(p)
-        for a in range(1, n + 1):
-            for l in range(1, max_l + 1):
-                cases += 1
-                shifted = linearized_image(rc, a, l)
-                _, carriers = carrier_sweep(p, a, l)
-                clean = carriers[-1] == highest_element(a, l, n)
-                if not validate(shifted, "unrestricted"):
-                    if phi_energy(time_evolution(p, a, l)) != shifted:
-                        failures.append(
-                            "T_%d^(%d) did not linearize for %r" % (l, a, p)
-                        )
-                    elif not clean:
-                        failures.append(
-                            "carrier loaded despite valid shift: T_%d^(%d) %r"
-                            % (l, a, p)
-                        )
-                elif clean:
-                    failures.append(
-                        "carrier clean despite invalid shift: T_%d^(%d) %r"
-                        % (l, a, p)
-                    )
+    cases, failures, _ = check_linearization(
+        (p, a, l)
+        for p in family_paths(max_n, max_l, max_s)
+        for a in range(1, p.rank_n + 1)
+        for l in range(1, max_l + 1)
+    )
     return cases, failures
 
 

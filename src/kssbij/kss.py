@@ -84,7 +84,11 @@ def extract_groups(led, a):
 
 
 def compute_rigging(p, led, group):
-    """Rigging of one group: shape contribution plus windowed table sums."""
+    """Rigging of one group: shape contribution plus windowed table sums.
+
+    The window, the columns (j, k) up to the endpoint, is a prefix of
+    led.columns, which is in lexicographic order.
+    """
     a = group.level
     mu_s = group.cardinality
     j_s, k_s = group.endpoint
@@ -96,17 +100,10 @@ def compute_rigging(p, led, group):
             shape_part += min(mu_s, beta)
         elif j == j_s:
             shape_part += min(mu_s, k_s)
-    table_part = 0
-    for jj, kk in led.columns:
-        if (jj, kk) > (j_s, k_s):
-            continue
-        for l in range(1, mu_s + 1):
-            if a > 1:
-                table_part += led.epsilon(a - 1, l, jj, kk)
-            table_part -= 2 * led.epsilon(a, l, jj, kk)
-            if a < p.rank_n:
-                table_part += led.epsilon(a + 1, l, jj, kk)
-    return shape_part + table_part
+    width = led.columns.index(group.endpoint) + 1
+    # w[b]: the first mu_s rows of table b inside the window; 0 off levels 1..n
+    w = [0] + [sum(sum(r[:width]) for r in rows[:mu_s]) for rows in led.tables] + [0]
+    return shape_part + w[a - 1] - 2 * w[a] + w[a + 1]
 
 
 def quantum_space_of(p):

@@ -6,34 +6,32 @@ as constants next to the criterion they guard. Families:
   family A: all paths in B^{1,1} tensor L, L <= 4, n <= 2
   family B: all paths in B^{1,2} (x) B^{2,1} and B^{2,2} (x) B^{1,1}
             for n in {2, 3} (two-row factors need n >= 2)
+
+Criteria 5-10 run the invariant checks of kssbij.cli.harness, the ones that
+`verify` runs, on these families and assert that they report no failure.
 """
 
 import itertools
 import time
 
-from kssbij.evolution import (
-    Path,
-    carrier_sweep,
-    energy_matrix,
-    local_energy_distribution,
-    time_evolution,
-    total_energy,
+from kssbij.cli.harness import (
+    affine_triples,
+    check_energy_equals_q,
+    check_energy_padding,
+    check_linearization,
+    check_removal_order,
+    check_round_trip,
+    check_swapping_pairs,
+    check_two_letter_reduction,
+    check_yang_baxter,
+    highest_pairs,
+    shape_menu,
+    two_letter,
 )
-from kssbij.kss import (
-    linearized_image,
-    phi_energy,
-    phi_inverse,
-    phi_inverse_trace,
-    removal_order_equivalence,
-)
-from kssbij.rigged import RiggedConfiguration, q_l, vacancy, validate
-from kssbij.rmatrix import (
-    AffineElement,
-    TensorPair,
-    apply_R,
-    apply_affine_R,
-    energy_H,
-)
+from kssbij.evolution import Path, local_energy_distribution
+from kssbij.kss import phi_energy, phi_inverse_trace
+from kssbij.rigged import RiggedConfiguration, vacancy, validate
+from kssbij.rmatrix import TensorPair, apply_R, energy_H
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 MS = 1e-3
@@ -92,7 +90,7 @@ def family_a():
         cells = list(enumerate_kr(1, 1, n))
         for length in (1, 2, 3, 4):
             for combo in itertools.product(cells, repeat=length):
-                yield n, Path(n, list(combo))
+                yield Path(n, list(combo))
 
 
 def family_b():
@@ -101,7 +99,7 @@ def family_b():
             lefts = list(enumerate_kr(*left, n))
             rights = list(enumerate_kr(*right, n))
             for a, b in itertools.product(lefts, rights):
-                yield n, Path(n, [a, b])
+                yield Path(n, [a, b])
 
 
 def families():
@@ -110,10 +108,6 @@ def families():
 
 
 FAMILY_SIZE = 326  # 30 + 120 paths in A, 18 + 60 + 18 + 80 in B
-
-
-def stabilization(p):
-    return sum(s for _, s in p.shapes()) + 1
 
 
 def test_criterion_01_r_matrix_example():
@@ -204,84 +198,73 @@ def test_criterion_04_box_removal_example():
 
 def test_criterion_05_round_trip():
     def work():
-        count = 0
-        for n, p in families():
-            rc = phi_energy(p)
-            assert validate(rc, "unrestricted") == [], p
-            assert phi_inverse(rc) == p, p
-            count += 1
-        assert count == FAMILY_SIZE
+        # phi_inverse validates phi(p) before it removes a box
+        cases, failures = check_round_trip(families())
+        assert failures == []
+        assert cases == FAMILY_SIZE
 
     elapsed = _once(work)
     assert elapsed < ROUND_TRIP_LIMIT
 
 
 def test_criterion_06_energy_equals_q():
-    for n, p in families():
-        rc = phi_energy(p)
-        for a in range(1, n + 1):
-            for l in range(1, stabilization(p) + 1):
-                assert total_energy(p, a, l) == q_l(rc, a, l), (p, a, l)
+    cases, failures = check_energy_equals_q(families())
+    assert failures == []
+    assert cases > 0
 
 
 def test_criterion_07_yang_baxter():
     def work():
         shapes = ((1, 1), (1, 2), (2, 1))
-        pools = {rs: list(enumerate_kr(*rs, 2)) for rs in shapes}
-        for s1, s2, s3 in itertools.product(shapes, repeat=3):
-            for b1, b2, b3 in itertools.product(pools[s1], pools[s2], pools[s3]):
-                for modes in ((0, 0, 0), (5, 3, 1)):
-                    start = tuple(
-                        AffineElement(b, d)
-                        for b, d in zip((b1, b2, b3), modes)
-                    )
-                    assert _yb_left(start) == _yb_right(start), start
+        triples = affine_triples(
+            2, itertools.product(shapes, repeat=3), ((0, 0, 0), (5, 3, 1))
+        )
+        cases, failures = check_yang_baxter(triples)
+        assert failures == []
+        assert cases == 2 * (3 + 6 + 3) ** 3
 
     elapsed = _once(work)
     assert elapsed < YANG_BAXTER_LIMIT
 
 
 def test_criterion_08_energy_identities():
-    # highest pairs carry no energy
-    for r, s, rp, sp in itertools.product((1, 2, 3), repeat=4):
-        p = TensorPair(highest_element(r, s, 3), highest_element(rp, sp, 3))
-        assert energy_H(p) == 0
+    # highest pairs carry no energy, and R swaps them
+    cases, failures = check_swapping_pairs(highest_pairs(3, shape_menu(3, 3)))
+    assert failures == []
+    assert cases == 81
 
     # padding with a highest factor leaves every total energy unchanged
-    for n, p in families():
-        for r, k in ((1, 1), (1, 2), (min(2, n), 1)):
-            u = highest_element(r, k, n)
-            left = Path(n, [u] + list(p.factors))
-            right = Path(n, list(p.factors) + [u])
-            for a in range(1, n + 1):
-                for l in range(1, stabilization(p) + 1):
-                    want = total_energy(p, a, l)
-                    assert total_energy(left, a, l) == want, (p, r, k, a, l)
-                    assert total_energy(right, a, l) == want, (p, r, k, a, l)
+    pads = {
+        n: [highest_element(r, k, n) for r, k in ((1, 1), (1, 2), (min(2, n), 1))]
+        for n in (1, 2, 3)
+    }
+    cases, failures = check_energy_padding((p, pads[p.rank_n]) for p in families())
+    assert failures == []
+    assert cases == 3 * FAMILY_SIZE
 
     # pairs built from highest rows over a two-letter bottom alphabet carry
-    # exactly the energy of their bottom rows read as one-row tableaux
-    checked = 0
-    for n in (2, 3):
-        for a in range(1, n):
-            for s, sp in itertools.product((1, 2, 3), repeat=2):
-                for v in _two_letter(n, a, s):
-                    for vp in _two_letter(n, a, sp):
-                        big = energy_H(TensorPair(v, vp))
-                        small = energy_H(
-                            TensorPair(_bottom_row(v, a), _bottom_row(vp, a))
-                        )
-                        assert big == small, (v, vp)
-                        checked += 1
+    # exactly the energy, and the R image, of their bottom rows read as
+    # one-row tableaux
+    checked, failures = check_two_letter_reduction(
+        (v, w)
+        for n in (2, 3)
+        for a in range(1, n)
+        for s, sp in itertools.product((1, 2, 3), repeat=2)
+        for v, w in itertools.product(two_letter(n, a, s), two_letter(n, a, sp))
+    )
+    assert failures == []
     assert checked > 100
 
 
 def test_criterion_09_removal_order_swaps():
-    for n, p in families():
-        rc = phi_energy(p)
-        rows = sum(len(level) for level in rc.nu)
-        for i, j in itertools.permutations(range(rows), 2):
-            assert removal_order_equivalence(rc, i, j), (p, i, j)
+    # phi(p) has one quantum row per factor of p
+    cases, failures = check_removal_order(
+        (p, i, j)
+        for p in families()
+        for i, j in itertools.permutations(range(len(p)), 2)
+    )
+    assert failures == []
+    assert cases > 0
 
 
 def test_criterion_10_evolution_linearization():
@@ -290,59 +273,21 @@ def test_criterion_10_evolution_linearization():
     # content across the right edge and the identity provably cannot hold
     # (iterating it would grow riggings without bound on a finite state
     # space). Both directions are asserted: clean sweeps must linearize
-    # exactly, and every deviation must be certified by a loaded carrier.
-    eligible = escapes = 0
-    for n, p in families():
-        for a in range(1, n + 1):
-            for l in (1, 2, 3):
-                rc = phi_energy(p)
-                shifted = linearized_image(rc, a, l)
-                _, carriers = carrier_sweep(p, a, l)
-                clean = carriers[-1] == highest_element(a, l, n)
-                well_formed = validate(shifted, "unrestricted") == []
-                evolved = phi_energy(time_evolution(p, a, l))
-                if clean:
-                    assert well_formed, (p, a, l)
-                    assert evolved == shifted, (p, a, l)
-                    eligible += 1
-                else:
-                    assert not well_formed, (p, a, l)
-                    assert evolved != shifted, (p, a, l)
-                    escapes += 1
+    # exactly, and every loaded sweep must have an invalid shifted
+    # configuration. For a loaded sweep, evolved != shifted follows: the
+    # evolved path lies in the same family (A and B hold every element of
+    # their factor shapes, so time evolution keeps them inside), and
+    # criterion 5 shows that phi of every path of the family is valid.
+    cases, failures, escapes = check_linearization(
+        (p, a, l)
+        for p in families()
+        for a in range(1, p.rank_n + 1)
+        for l in (1, 2, 3)
+    )
+    assert failures == []
+    eligible = cases - escapes
     assert eligible > 0 and escapes > 0
-    total = eligible + escapes
     print(
-        f"\nlinearization: {eligible}/{total} clean sweeps linearized exactly,"
+        f"\nlinearization: {eligible}/{cases} clean sweeps linearized exactly,"
         f" {escapes} loaded-carrier sweeps certified"
     )
-
-
-def _two_letter(n, a, s):
-    # top a rows highest, bottom row over {a+1, a+2}
-    for low in range(s + 1):
-        top = [[i + 1] * s for i in range(a)]
-        bottom = [a + 1] * low + [a + 2] * (s - low)
-        yield Tableau(n, top + [bottom])
-
-
-def _bottom_row(v, a):
-    # bottom row re-read over {1, 2}
-    return Tableau(1, [[x - a for x in v.rows[-1]]])
-
-
-def _r01(t):
-    x, y = apply_affine_R(t[0], t[1])
-    return (x, y, t[2])
-
-
-def _r12(t):
-    x, y = apply_affine_R(t[1], t[2])
-    return (t[0], x, y)
-
-
-def _yb_left(t):
-    return _r01(_r12(_r01(t)))
-
-
-def _yb_right(t):
-    return _r12(_r01(_r12(t)))

@@ -18,6 +18,7 @@ from kssbij.cli.codec import (
     encode_rc,
     encode_tableau,
 )
+from kssbij.cli.harness import run_verify
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import phi_energy
 from kssbij.rmatrix import TensorPair
@@ -284,6 +285,26 @@ class TestVerifyVerb:
         code, _, _ = cli("verify", "--suite", "nope")
         assert code == 2
 
+    def test_defaults_pinned(self):
+        payload = run_verify().to_json()
+        top = {"suites", "total_cases", "total_failures", "elapsed_seconds"}
+        assert set(payload) == top
+        for suite in payload["suites"]:
+            assert set(suite) == {"name", "cases", "failures", "elapsed_seconds"}
+        assert payload["total_failures"] == 0
+        assert {s["name"]: s["cases"] for s in payload["suites"]} == {
+            "yang-baxter": 11914,
+            "involutivity": 349,
+            "energy-zero-highest": 20,
+            "energy-padding": 82,
+            "two-letter-reduction": 28,
+            "energy-equals-q": 3243,
+            "round-trip": 402,
+            "removal-order": 467,
+            "evolution-linearization": 2295,
+        }
+        assert payload["total_cases"] == 18800
+
 
 class TestErrorPaths:
     def test_malformed_json_reports_location(self):
@@ -318,6 +339,17 @@ class TestErrorPaths:
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: malformed complement")
+        assert "Traceback" not in err
+
+    def test_failed_round_trip_is_internal_error(self, monkeypatch):
+        other = decode_path(json.loads((GOLDEN / "path_6factor.json").read_text()))
+        monkeypatch.setattr(kss, "phi_inverse", lambda rc: other)
+        code, out, err = cli(
+            "phi", str(GOLDEN / "path_3factor.json"), "--check-roundtrip"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: round trip failed")
         assert "Traceback" not in err
 
 

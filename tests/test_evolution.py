@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from kssbij.cli.harness import check_energy_padding
 from kssbij.evolution import (
     Path,
     carrier_pass,
@@ -118,15 +119,8 @@ class TestTotalEnergy:
         assert total_energy(EXAMPLE, 1, 3) == 3
 
     def test_padding_by_highest_factor(self):
-        for k, a in ((1, 1), (2, 1), (1, 2)):
-            u = highest_element(a, k, 4)
-            left = Path(4, [u] + list(EXAMPLE.factors))
-            right = Path(4, list(EXAMPLE.factors) + [u])
-            for lev in (1, 2, 3, 4):
-                for l in (1, 2, 3, 4):
-                    want = total_energy(EXAMPLE, lev, l)
-                    assert total_energy(left, lev, l) == want
-                    assert total_energy(right, lev, l) == want
+        pads = [highest_element(a, k, 4) for k, a in ((1, 1), (2, 1), (1, 2))]
+        assert check_energy_padding([(EXAMPLE, pads)]) == (3, [])
 
     def test_conserved_under_evolution(self):
         # conservation holds whenever the carrier returns to the highest

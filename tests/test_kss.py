@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kssbij.evolution import Path, local_energy_distribution, total_energy
+from kssbij.cli.harness import check_energy_equals_q, check_removal_order
+from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
     default_order,
@@ -17,7 +18,7 @@ from kssbij.kss import (
     remove_row,
     removal_order_equivalence,
 )
-from kssbij.rigged import RiggedConfiguration, q_l, vacancy, validate
+from kssbij.rigged import RiggedConfiguration, vacancy, validate
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 
@@ -129,10 +130,9 @@ class TestPhi:
         assert rc.nu == ((), (3,), ())
 
     def test_energy_equals_q(self):
-        rc = phi_energy(EXAMPLE)
-        for a in (1, 2, 3, 4):
-            for l in (1, 2, 3, 4, 5):
-                assert total_energy(EXAMPLE, a, l) == q_l(rc, a, l)
+        cases, failures = check_energy_equals_q([EXAMPLE])
+        assert failures == []
+        assert cases == 4 * 11  # a <= 4, l <= 10 columns + 1
 
 
 class TestPhiInverse:
@@ -219,9 +219,9 @@ class TestRemovalOrder:
             removal_order_equivalence(rc_a1(), 1, 1)
 
     def test_all_pairs_small(self):
-        rc = phi_energy(path(2, [[1], [2]], [[1, 2]], [[2]]))
-        for i, j in itertools.permutations(range(3), 2):
-            assert removal_order_equivalence(rc, i, j)
+        p = path(2, [[1], [2]], [[1, 2]], [[2]])
+        pairs = itertools.permutations(range(3), 2)
+        assert check_removal_order((p, i, j) for i, j in pairs) == (6, [])
 
 
 class TestLinearization:

@@ -3,7 +3,12 @@ import itertools
 import pytest
 
 from kssbij import rmatrix
-from kssbij.cli.harness import run_verify, shape_menu
+from kssbij.cli.harness import (
+    affine_triples,
+    check_yang_baxter,
+    run_verify,
+    shape_menu,
+)
 from kssbij.rmatrix import (
     AffineElement,
     TensorPair,
@@ -122,15 +127,10 @@ class TestAffine:
 
 class TestYangBaxter:
     def test_small_triple(self):
-        shapes = ((1, 1), (1, 2), (2, 1))
-        factors = [list(enumerate_kr(r, s, 2)) for r, s in shapes]
-        for a, b, c in itertools.product(*factors):
-            start = (
-                AffineElement(a, 0),
-                AffineElement(b, 0),
-                AffineElement(c, 0),
-            )
-            assert _yb_left(start) == _yb_right(start)
+        triples = affine_triples(2, [((1, 1), (1, 2), (2, 1))], [(0, 0, 0)])
+        cases, failures = check_yang_baxter(triples)
+        assert failures == []
+        assert cases == 3 * 6 * 3
 
 
 class TestCaches:
@@ -172,21 +172,3 @@ def _all_pairs(n, shapes):
 
 def _letters(p):
     return sorted(row_word(p.left) + row_word(p.right))
-
-
-def _r01(t):
-    x, y = apply_affine_R(t[0], t[1])
-    return (x, y, t[2])
-
-
-def _r12(t):
-    x, y = apply_affine_R(t[1], t[2])
-    return (t[0], x, y)
-
-
-def _yb_left(t):
-    return _r01(_r12(_r01(t)))
-
-
-def _yb_right(t):
-    return _r12(_r01(_r12(t)))

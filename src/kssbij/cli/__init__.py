@@ -24,11 +24,12 @@ def _read_json(args):
     return codec.parse_json(text)
 
 
-def _emit(args, payload, text):
+def _emit(args, payload, render_text):
+    # render_text() builds the text form; JSON output never calls it
     if args.format == "json":
         sys.stdout.write(codec.dump(payload))
     else:
-        print(text)
+        print(render_text())
     return 0
 
 
@@ -43,7 +44,7 @@ def cmd_tableau_insert(args):
     t = codec.decode_tableau(_read_json(args))
     letters = _parse_ints(args.letters, "--letters")
     out = tableaux.insert_word(t, letters)
-    return _emit(args, codec.encode_tableau(out), render.render_tableau(out))
+    return _emit(args, codec.encode_tableau(out), lambda: render.render_tableau(out))
 
 
 def _read_pair(args):
@@ -58,18 +59,18 @@ def _read_pair(args):
 def cmd_rmatrix(args):
     image = rmatrix.apply_R(_read_pair(args))
     payload = [codec.encode_tableau(image.left), codec.encode_tableau(image.right)]
-    return _emit(args, payload, render.render_pair(image.left, image.right))
+    return _emit(args, payload, lambda: render.render_pair(image.left, image.right))
 
 
 def cmd_energy(args):
     h = rmatrix.energy_H(_read_pair(args))
-    return _emit(args, {"H": h}, "H = %d" % h)
+    return _emit(args, {"H": h}, lambda: "H = %d" % h)
 
 
 def cmd_led(args):
     p = codec.decode_path(_read_json(args))
     led = evolution.local_energy_distribution(p)
-    return _emit(args, codec.encode_led(led), render.render_led(led))
+    return _emit(args, codec.encode_led(led), lambda: render.render_led(led))
 
 
 def cmd_bbs(args):
@@ -80,10 +81,13 @@ def cmd_bbs(args):
     for _ in range(args.steps):
         states.append(evolution.time_evolution(states[-1], args.a, args.l))
     payload = {"states": [codec.encode_path(q) for q in states]}
-    text = "\n\n".join(
-        "t=%d:\n%s" % (t, render.render_path(q)) for t, q in enumerate(states)
-    )
-    return _emit(args, payload, text)
+
+    def render_text():
+        return "\n\n".join(
+            "t=%d:\n%s" % (t, render.render_path(q)) for t, q in enumerate(states)
+        )
+
+    return _emit(args, payload, render_text)
 
 
 def cmd_phi(args):
@@ -91,14 +95,14 @@ def cmd_phi(args):
     rc = kss.phi_energy(p)
     if args.check_roundtrip and kss.phi_inverse(rc) != p:
         raise AssertionError("round trip failed: phi_inverse(phi(p)) differs from p")
-    return _emit(args, codec.encode_rc(rc), render.render_rc(rc))
+    return _emit(args, codec.encode_rc(rc), lambda: render.render_rc(rc))
 
 
 def cmd_phi_inverse(args):
     rc = codec.decode_rc(_read_json(args))
     order = _parse_ints(args.order, "--order") if args.order else None
     p = kss.phi_inverse(rc, order)
-    return _emit(args, codec.encode_path(p), render.render_path(p))
+    return _emit(args, codec.encode_path(p), lambda: render.render_path(p))
 
 
 def cmd_rc_validate(args):
@@ -128,9 +132,13 @@ def cmd_verify(args):
 def cmd_enumerate(args):
     elements = list(tableaux.enumerate_kr(args.r, args.s, args.n))
     payload = [codec.encode_tableau(t) for t in elements]
-    lines = ["%d elements of B^{%d,%d}, n=%d" % (len(elements), args.r, args.s, args.n)]
-    lines.extend(" / ".join(" ".join(map(str, row)) for row in t.rows) for t in elements)
-    return _emit(args, payload, "\n".join(lines))
+
+    def render_text():
+        lines = ["%d elements of B^{%d,%d}, n=%d" % (len(elements), args.r, args.s, args.n)]
+        lines.extend(" / ".join(" ".join(map(str, row)) for row in t.rows) for t in elements)
+        return "\n".join(lines)
+
+    return _emit(args, payload, render_text)
 
 
 def _add_common(sub, with_input=True):

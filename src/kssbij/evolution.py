@@ -6,16 +6,18 @@ path from the left; the energies collected along the way, doubly differenced,
 form the local energy distribution.
 
 Column prefixes: within a factor, the k-th prefix is its rightmost k columns
-(left and right are reversed between a factor and its table columns; the
-conversion lives here).
+(left and right are reversed between a factor and its table columns;
+`column_prefix` here and `rmatrix._sweep_step` both read prefixes this way).
 
-Sweeps and energies run on row tuples through the memoized R and H of
-`rmatrix` (LRU caches of `rmatrix.CACHE_SIZE` = 256 entries each); carriers
-and R images become tableaux without re-validation, since their rows come
-from the validated path.
+Every sweep runs on row tuples through one memoized step,
+`rmatrix._sweep_step` (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries):
+each carrier move u (x) b gives the R image b' (x) u' and the energies of u
+against every column prefix of b together. Sweeps do not use the R and H
+caches of `apply_R` and `energy_H`. Carriers and R images become tableaux
+without re-validation, since their rows come from the validated path.
 """
 
-from kssbij.rmatrix import TensorPair, _energy, _image, apply_R
+from kssbij.rmatrix import TensorPair, _sweep_step, apply_R
 from kssbij.tableaux import Tableau, highest_element
 
 
@@ -75,15 +77,20 @@ def carrier_pass(u, b):
 
 
 def _sweep_rows(p, a, l):
-    # carrier_sweep on row tuples
+    """One pass of the carrier u_l^(a) on row tuples.
+
+    Returns (out, carriers, energies): the R images of the factors, the
+    carriers as in `carrier_sweep`, and energies[j][k-1] = E[l][j+1][k] for
+    k = 1..beta_{j+1}.
+    """
     u = highest_element(a, l, p.rank_n).rows
-    carriers = [u]
-    out = []
+    out, carriers, energies = [], [u], []
     for b in p.factors:
-        b2, u = _image(u, b.rows)
+        b2, u, hs = _sweep_step(u, b.rows)
         out.append(b2)
         carriers.append(u)
-    return out, carriers
+        energies.append(hs)
+    return out, carriers, energies
 
 
 def carrier_sweep(p, a, l):
@@ -93,7 +100,7 @@ def carrier_sweep(p, a, l):
     passing the first j factors (carriers[0] is the initial highest element).
     """
     n = p.rank_n
-    out, carriers = _sweep_rows(p, a, l)
+    out, carriers, _ = _sweep_rows(p, a, l)
     return (
         [Tableau._trusted(n, rows) for rows in out],
         [Tableau._trusted(n, rows) for rows in carriers],
@@ -127,26 +134,16 @@ class EnergyMatrix:
         return self._rows[l - 1][j - 1][k - 1]
 
 
-def _prefixes(p):
-    """prefixes[j][k-1] holds the rows of column_prefix(factor j+1, k), for k = 1..beta_j."""
-    return [
-        [tuple(row[-k:] for row in b.rows) for k in range(1, b.width() + 1)]
-        for b in p.factors
-    ]
-
-
-def _energy_row(p, a, l, prefixes):
+def _energy_row(p, a, l):
     """E[l][j][k] for every j and k of level a: one sweep of the carrier u_l^(a)."""
-    _, carriers = _sweep_rows(p, a, l)
-    return [[_energy(u, b) for b in row] for u, row in zip(carriers, prefixes)]
+    return _sweep_rows(p, a, l)[2]
 
 
 def energy_matrix(p, a, l_max):
     """Computes E[l][j][k] for l = 1..l_max over the whole path."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    prefixes = _prefixes(p)
-    rows = [_energy_row(p, a, l, prefixes) for l in range(1, l_max + 1)]
+    rows = [_energy_row(p, a, l) for l in range(1, l_max + 1)]
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
 
@@ -199,7 +196,6 @@ def local_energy_distribution(p):
     betas = [b.width() for b in p.factors]
     alphas = [b.n_rows for b in p.factors]
     columns = [(j + 1, k) for j in range(len(betas)) for k in range(1, betas[j] + 1)]
-    prefixes = _prefixes(p)
     cap = 1 + sum(a * b for a, b in zip(alphas, betas))
     tables = []
     for a in range(1, p.rank_n + 1):
@@ -207,8 +203,8 @@ def local_energy_distribution(p):
         d_prev = [0] * len(columns)
         for l in range(1, cap + 1):
             # differences in k first (E[l][j][0] = 0), flattened in column order
-            e_cur = _energy_row(p, a, l, prefixes)
-            d_cur = [e - prev for es in e_cur for prev, e in zip([0] + es, es)]
+            e_cur = _energy_row(p, a, l)
+            d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if any(x < 0 for x in row):
                 raise AssertionError("negative local energy entry")
@@ -224,5 +220,4 @@ def local_energy_distribution(p):
 
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
-    _, carriers = _sweep_rows(p, a, l)
-    return sum(_energy(u, b.rows) for u, b in zip(carriers, p.factors))
+    return sum(hs[-1] for hs in _sweep_rows(p, a, l)[2])

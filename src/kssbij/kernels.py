@@ -1,8 +1,11 @@
-"""Row insertion primitives on plain list-of-lists tableaux.
+"""Row and column insertion primitives on plain list-of-lists tableaux.
 
-The single insertion kernel behind tableaux and the combinatorial R. Rows
-must be weakly increasing, lengths weakly decreasing. All functions mutate
-`rows` in place.
+The single insertion module behind tableaux and the combinatorial R. `bump`,
+`insert_word` and `inverse_bump` act on a tableau stored as its rows (weakly
+increasing, lengths weakly decreasing); `col_bump` acts on one stored as its
+columns (strictly increasing, lengths weakly decreasing), which is how the
+memoized carrier step of `rmatrix` builds its product tableaux. All functions
+mutate their tableau in place.
 """
 
 from bisect import bisect_right, bisect_left
@@ -21,6 +24,23 @@ def bump(rows, x):
         i += 1
     rows.append([x])
     return len(rows) - 1, 0
+
+
+def col_bump(cols, x):
+    """Column insertion of letter x into a tableau stored as its columns.
+
+    x bumps the smallest entry >= x of each column in turn. Column-inserting
+    a word right to left gives the tableau that row-inserting it left to
+    right does. Returns (row, col) of the new cell, 0-based.
+    """
+    for j, col in enumerate(cols):
+        i = bisect_left(col, x)
+        if i == len(col):
+            col.append(x)
+            return i, j
+        x, col[i] = col[i], x
+    cols.append([x])
+    return 0, len(cols) - 1
 
 
 def insert_word(rows, letters):

@@ -4,11 +4,16 @@ The R image of b (x) b' is the unique pair bt' (x) bt with
 (b' <- row(b)) = (bt <- row(bt')); it is computed by peeling vertical strips
 off the product tableau and undoing their insertions.
 
-R and H are pure functions of the two factors' rows, so both are computed on
-row tuples and memoized, each in an LRU cache of CACHE_SIZE (256) entries;
-the public functions wrap the cached results in tableaux. The R image is
-built without re-validating its rows: they come from factors that were
-checked when they were built.
+R and H are pure functions of the two factors' rows, so they are computed
+on row tuples and memoized, each cache an LRU of CACHE_SIZE (256) entries:
+`_image` (R) and `_energy` (H) serve `apply_R`, `energy_H` and
+`apply_affine_R`; `_sweep_step` serves the carrier sweeps of `evolution`.
+One sweep step builds the product of a carrier u and a factor b by column
+insertion, which gives H of u against every column prefix of b on the way
+and R from the last product, so a sweep never rebuilds a product per prefix.
+The public functions wrap the cached results in tableaux. R images are built
+without re-validating their rows: they come from factors that were checked
+when they were built.
 """
 
 from functools import lru_cache
@@ -90,18 +95,22 @@ def product_tableau(p):
     return Tableau(p.rank_n, _product_rows(p.left.rows, p.right.rows))
 
 
+def _excess(lengths, r, s, rp, sp):
+    # cells of a product tableau with these row lengths outside the
+    # coordinate-wise sum of the rectangular shapes (s^r) and (sp^rp)
+    h = 0
+    for i, w in enumerate(lengths):
+        cap = (s if i < r else 0) + (sp if i < rp else 0)
+        if w > cap:
+            h += w - cap
+    return h
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _energy(left, right):
-    # cells of the product tableau outside the coordinate-wise sum of the
-    # two rectangular shapes
     r, s = len(left), len(left[0]) if left else 0
     rp, sp = len(right), len(right[0]) if right else 0
-    h = 0
-    for i, row in enumerate(_product_rows(left, right)):
-        cap = (s if i < r else 0) + (sp if i < rp else 0)
-        if len(row) > cap:
-            h += len(row) - cap
-    return h
+    return _excess([len(row) for row in _product_rows(left, right)], r, s, rp, sp)
 
 
 def energy_H(p):
@@ -117,37 +126,31 @@ def _peel_strips(shape, r, s, r_strip, n_strips):
     row, in the rightmost available column. Returns cells in label order
     (each strip numbered bottom to top), 0-based (row, col).
     """
-    remaining = []
-    for i, w in enumerate(shape):
-        cap = s if i < r else 0
-        remaining.append(set(range(cap, w)))
+    # each row gives up cells from its right end, so a row's available
+    # cells are always the columns caps[i] .. ends[i] - 1
+    caps = [s if i < r else 0 for i in range(len(shape))]
+    ends = list(shape)
     order = []
     for _ in range(n_strips):
         strip = []
-        for i in range(len(shape)):
+        for i, cap in enumerate(caps):
             if len(strip) == r_strip:
                 break
-            if remaining[i]:
-                j = max(remaining[i])
-                remaining[i].remove(j)
-                strip.append((i, j))
+            if ends[i] > cap:
+                ends[i] -= 1
+                strip.append((i, ends[i]))
         if len(strip) != r_strip:
             raise AssertionError("malformed complement")
         order.extend(reversed(strip))
-    if any(remaining[i] for i in range(len(shape))):
+    if any(end > cap for end, cap in zip(ends, caps)):
         raise AssertionError("malformed complement")
     return order
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _image(left, right):
-    # the R image (left', right') of left (x) right, all rows as tuples
-    if not left or not right:
-        # empty factor: R is the flip
-        return right, left
-    r, s = len(left), len(left[0])
-    rp, sp = len(right), len(right[0])
-    rows = _product_rows(left, right)
+def _peel(rows, r, s, rp, sp):
+    # the R image (left', right') of a pair left (x) right of shapes (s^r)
+    # and (sp^rp) whose product tableau is rows (lists, consumed); the image
+    # rows come back as tuples
     order = _peel_strips([len(row) for row in rows], r, s, rp, sp)
     ejected = []
     for i, j in order:
@@ -159,6 +162,45 @@ def _image(left, right):
     if [len(row) for row in left_new] != [sp] * rp or [len(row) for row in rows] != [s] * r:
         raise AssertionError("R image has wrong shapes")
     return tuple(map(tuple, left_new)), tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _image(left, right):
+    # the R image (left', right') of left (x) right, all rows as tuples
+    if not left or not right:
+        # empty factor: R is the flip
+        return right, left
+    rows = _product_rows(left, right)
+    return _peel(rows, len(left), len(left[0]), len(right), len(right[0]))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _sweep_step(u, b):
+    """One carrier move u (x) b -> b' (x) u' on non-empty row tuples.
+
+    Returns (b', u', (H_1, ..., H_beta)) with H_k = H(u (x) prefix_k), where
+    prefix_k is the rightmost k columns of b. The product (prefix_k <- row(u))
+    is P(col(prefix_k) row(u)), so one pass gives them all: start from the
+    columns of u and column-insert the columns of b right to left, each top
+    letter first; after the k-th column read H_k off the row lengths. The
+    last product is (b <- row(u)), which is peeled for R.
+    """
+    a, l = len(u), len(u[0])
+    rb, beta = len(b), len(b[0])
+    cols = [list(col) for col in zip(*u)]
+    lengths = [l] * a  # row lengths of the product
+    energies = []
+    for k in range(1, beta + 1):
+        for row in b:
+            i, _ = kernels.col_bump(cols, row[-k])
+            if i == len(lengths):
+                lengths.append(1)
+            else:
+                lengths[i] += 1
+        energies.append(_excess(lengths, a, l, rb, k))
+    rows = [[col[i] for col in cols[:w]] for i, w in enumerate(lengths)]
+    b_new, u_new = _peel(rows, a, l, rb, beta)
+    return b_new, u_new, tuple(energies)
 
 
 def apply_R(p):

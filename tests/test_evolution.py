@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from kssbij.cli.harness import check_energy_padding
@@ -13,7 +11,7 @@ from kssbij.evolution import (
     time_evolution,
     total_energy,
 )
-from kssbij.tableaux import Tableau, empty_tableau, enumerate_kr, highest_element, row_word
+from kssbij.tableaux import Tableau, enumerate_kr, highest_element, row_word
 
 
 def path(n, *factor_rows):

@@ -1,14 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from kssbij import rmatrix
 from kssbij.cli.harness import (
     affine_triples,
+    check_involutivity,
+    check_swapping_pairs,
     check_yang_baxter,
     run_verify,
     shape_menu,
 )
+from kssbij.evolution import column_prefix
 from kssbij.rmatrix import (
     AffineElement,
     TensorPair,
@@ -55,9 +59,13 @@ class TestEnergy:
         assert energy_H(pair(2, [[2]], [[1]])) == 0
 
     def test_highest_pairs_have_zero_energy(self):
-        for r, s, rp, sp in itertools.product((1, 2, 3), repeat=4):
-            p = TensorPair(highest_element(r, s, 3), highest_element(rp, sp, 3))
-            assert energy_H(p) == 0, (r, s, rp, sp)
+        pairs = [
+            (highest_element(r, s, 3), highest_element(rp, sp, 3))
+            for r, s, rp, sp in itertools.product((1, 2, 3), repeat=4)
+        ]
+        cases, failures = check_swapping_pairs(pairs)
+        assert failures == []
+        assert cases == 81
 
     def test_right_highest_has_zero_energy(self):
         # H(v (x) u) = 0 for arbitrary rectangular v
@@ -87,8 +95,11 @@ class TestApplyR:
                     assert apply_R(p) == p
 
     def test_involutive(self):
-        for p in _all_pairs(2, ((1, 1), (1, 2), (2, 1), (2, 2))):
-            assert apply_R(apply_R(p)) == p
+        cases, failures = check_involutivity(
+            _all_pairs(2, ((1, 1), (1, 2), (2, 1), (2, 2)))
+        )
+        assert failures == []
+        assert cases > 0
 
     def test_conserves_letters(self):
         for p in _all_pairs(2, ((1, 2), (2, 2))):
@@ -133,6 +144,38 @@ class TestYangBaxter:
         assert cases == 3 * 6 * 3
 
 
+class TestSweepStep:
+    """rmatrix._sweep_step(u, b) = (b', u', (H_1, ..., H_beta)) against R and
+    H of u (x) column_prefix(b, k)."""
+
+    @staticmethod
+    def _check(p):
+        b_new, u_new, energies = rmatrix._sweep_step.__wrapped__(p.left.rows, p.right.rows)
+        image = apply_R(p)
+        assert (b_new, u_new) == (image.left.rows, image.right.rows)
+        assert energies == tuple(
+            energy_H(TensorPair(p.left, column_prefix(p.right, k)))
+            for k in range(1, p.right.width() + 1)
+        )
+
+    def test_exhaustive_small_menus(self):
+        for n in (1, 2):
+            for p in _all_pairs(n, shape_menu(n, 2)):
+                self._check(p)
+
+    def test_seeded_random_pairs(self):
+        # n <= 4, r, s <= 3
+        elements = {
+            n: [list(enumerate_kr(r, s, n)) for r, s in shape_menu(min(n, 3), 3)]
+            for n in (1, 2, 3, 4)
+        }
+        rng = random.Random(20071)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            u, b = (rng.choice(rng.choice(elements[n])) for _ in range(2))
+            self._check(TensorPair(u, b))
+
+
 class TestCaches:
     def test_cached_equals_uncached_while_evicting(self):
         # every pair on the shape menu for n <= 2, s <= 2, forward then
@@ -141,26 +184,32 @@ class TestCaches:
         for n in (1, 2):
             pairs.extend(_all_pairs(n, shape_menu(n, 2)))
         assert len(pairs) > rmatrix.CACHE_SIZE
-        rmatrix._image.cache_clear()
-        rmatrix._energy.cache_clear()
+        for cached in _CACHED:
+            cached.cache_clear()
         for p in pairs + pairs[::-1]:
             rows = (p.left.rows, p.right.rows)
-            assert rmatrix._image(*rows) == rmatrix._image.__wrapped__(*rows)
-            assert rmatrix._energy(*rows) == rmatrix._energy.__wrapped__(*rows)
+            for cached in _CACHED:
+                assert cached(*rows) == cached.__wrapped__(*rows)
             image = apply_R(p)
             assert apply_R(image) == p
             assert energy_H(image) == energy_H(p)
-        for cached in (rmatrix._image, rmatrix._energy):
+        for cached in _CACHED:
             info = cached.cache_info()
             assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
             assert info.misses > rmatrix.CACHE_SIZE
 
     def test_bounded_after_verify(self):
+        for cached in _CACHED:
+            cached.cache_clear()
         run_verify(1, 2, 1)
-        for cached in (rmatrix._image, rmatrix._energy):
+        assert rmatrix._sweep_step.cache_info().misses > 0
+        for cached in _CACHED:
             info = cached.cache_info()
             assert isinstance(info.maxsize, int)
             assert info.currsize <= info.maxsize
+
+
+_CACHED = (rmatrix._image, rmatrix._energy, rmatrix._sweep_step)
 
 
 def _all_pairs(n, shapes):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kssbij import kernels
 from kssbij.tableaux import (
     Cell,
     Tableau,
@@ -92,6 +93,26 @@ class TestInsertion:
     def test_row_word_order(self):
         t = Tableau(4, [[1, 2], [3, 4], [5, 5]])
         assert row_word(t) == (5, 5, 3, 4, 1, 2)
+
+
+class TestColumnInsertion:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=14)
+    )
+    @settings(max_examples=80)
+    def test_right_to_left_matches_row_insertion(self, letters):
+        # Knuth equivalence: column-inserting a word right to left gives the
+        # tableau that row-inserting it left to right does
+        rows = []
+        kernels.insert_word(rows, letters)
+        cols = []
+        cells = [kernels.col_bump(cols, x) for x in reversed(letters)]
+        assert cols == [[row[j] for row in rows if len(row) > j] for j in range(len(rows[0]))]
+        # each new cell is the last cell of its column
+        lengths = [0] * len(cols)
+        for i, j in cells:
+            assert i == lengths[j]
+            lengths[j] += 1
 
 
 class TestInverseInsertion:

@@ -9,15 +9,15 @@ Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 (left and right are reversed between a factor and its table columns;
 `column_prefix` here and `rmatrix._sweep_step` both read prefixes this way).
 
-Every sweep runs on row tuples through one memoized step,
-`rmatrix._sweep_step` (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries):
-each carrier move u (x) b gives the R image b' (x) u' and the energies of u
-against every column prefix of b together. Sweeps do not use the R and H
-caches of `apply_R` and `energy_H`. Carriers and R images become tableaux
-without re-validation, since their rows come from the validated path.
+Every sweep runs on row tuples through `rmatrix._sweep_step`, the one
+memoized step (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries) that
+also serves `apply_R`, `energy_H` and the affine R: each carrier move
+u (x) b gives the R image b' (x) u' and the energies of u against every
+column prefix of b together. Carriers and R images become tableaux without
+re-validation, since their rows come from the validated path.
 """
 
-from kssbij.rmatrix import TensorPair, _sweep_step, apply_R
+from kssbij.rmatrix import _sweep_step
 from kssbij.tableaux import Tableau, highest_element
 
 
@@ -68,12 +68,6 @@ def column_prefix(b, k):
     if k == 0:
         return Tableau(b.rank_n, ())
     return Tableau(b.rank_n, [row[-k:] for row in b.rows])
-
-
-def carrier_pass(u, b):
-    """One R application u (x) b -> b' (x) u'; returns (b', u')."""
-    image = apply_R(TensorPair(u, b))
-    return image.left, image.right
 
 
 def _sweep_rows(p, a, l):

@@ -7,9 +7,7 @@ indexed by a; Q and vacancy follow the usual conventions with level 0 and
 n+1 contributions equal to zero.
 """
 
-from collections import Counter, namedtuple
-
-RowRef = namedtuple("RowRef", ["level", "index"])
+from collections import Counter
 
 
 class RiggedConfiguration:
@@ -108,25 +106,6 @@ def vacancy(rc, a, l):
         raise ValueError("level out of range")
     base = sum(min(l, x) for x in rc.nu[a - 1])
     return base + q_l(rc, a - 1, l) - 2 * q_l(rc, a, l) + q_l(rc, a + 1, l)
-
-
-def _row(rc, ref):
-    level = rc.mu[ref.level - 1]
-    if not 0 <= ref.index < len(level):
-        raise ValueError("no such row: %r" % (ref,))
-    return level[ref.index]
-
-
-def is_singular(rc, ref):
-    """True iff the row's rigging equals its vacancy number."""
-    m, r = _row(rc, ref)
-    return vacancy(rc, ref.level, m) == r
-
-
-def corigging(rc, ref):
-    """Vacancy minus rigging."""
-    m, r = _row(rc, ref)
-    return vacancy(rc, ref.level, m) - r
 
 
 def validate(rc, mode="restricted"):

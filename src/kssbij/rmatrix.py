@@ -5,15 +5,15 @@ The R image of b (x) b' is the unique pair bt' (x) bt with
 off the product tableau and undoing their insertions.
 
 R and H are pure functions of the two factors' rows, so they are computed
-on row tuples and memoized, each cache an LRU of CACHE_SIZE (256) entries:
-`_image` (R) and `_energy` (H) serve `apply_R`, `energy_H` and
-`apply_affine_R`; `_sweep_step` serves the carrier sweeps of `evolution`.
-One sweep step builds the product of a carrier u and a factor b by column
+on row tuples by one memoized step, `_sweep_step` (an LRU cache of
+CACHE_SIZE = 256 entries). It builds the product of u and b by column
 insertion, which gives H of u against every column prefix of b on the way
-and R from the last product, so a sweep never rebuilds a product per prefix.
-The public functions wrap the cached results in tableaux. R images are built
-without re-validating their rows: they come from factors that were checked
-when they were built.
+and R from the last product. It serves every caller: the carrier sweeps of
+`evolution` use every prefix energy, while `apply_R`, `energy_H` and
+`apply_affine_R` use R and the last energy. The public functions wrap the
+cached results in tableaux. R images are built without re-validating their
+rows: they come from factors that were checked when they were built.
+`product_tableau` builds the product by row insertion instead.
 """
 
 from functools import lru_cache
@@ -21,8 +21,8 @@ from functools import lru_cache
 from kssbij import kernels
 from kssbij.tableaux import Tableau
 
-# Entries kept by each of the R and H caches. The bound keeps memory flat on
-# workloads whose pairs rarely repeat (carrier sweeps over random paths).
+# Entries kept by the one step cache behind R and H. The bound keeps memory
+# flat on workloads whose pairs rarely repeat (carrier sweeps over random paths).
 CACHE_SIZE = 256
 
 
@@ -82,17 +82,11 @@ class AffineElement:
         return "AffineElement(%r, mode=%d)" % (self.tableau, self.mode)
 
 
-def _product_rows(left, right):
-    # (right <- row(left)) as lists; the letters of left are already checked
-    # against the alphabet that right shares
-    rows = [list(row) for row in right]
-    kernels.insert_word(rows, [x for row in reversed(left) for x in row])
-    return rows
-
-
 def product_tableau(p):
     """(right <- row(left))."""
-    return Tableau(p.rank_n, _product_rows(p.left.rows, p.right.rows))
+    rows = [list(row) for row in p.right.rows]
+    kernels.insert_word(rows, [x for row in reversed(p.left.rows) for x in row])
+    return Tableau(p.rank_n, rows)
 
 
 def _excess(lengths, r, s, rp, sp):
@@ -104,18 +98,6 @@ def _excess(lengths, r, s, rp, sp):
         if w > cap:
             h += w - cap
     return h
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _energy(left, right):
-    r, s = len(left), len(left[0]) if left else 0
-    rp, sp = len(right), len(right[0]) if right else 0
-    return _excess([len(row) for row in _product_rows(left, right)], r, s, rp, sp)
-
-
-def energy_H(p):
-    """Number of product-tableau cells outside the sum of the two shapes."""
-    return _energy(p.left.rows, p.right.rows)
 
 
 def _peel_strips(shape, r, s, r_strip, n_strips):
@@ -165,26 +147,20 @@ def _peel(rows, r, s, rp, sp):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _image(left, right):
-    # the R image (left', right') of left (x) right, all rows as tuples
-    if not left or not right:
-        # empty factor: R is the flip
-        return right, left
-    rows = _product_rows(left, right)
-    return _peel(rows, len(left), len(left[0]), len(right), len(right[0]))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _sweep_step(u, b):
-    """One carrier move u (x) b -> b' (x) u' on non-empty row tuples.
+    """One carrier move u (x) b -> b' (x) u' on row tuples.
 
     Returns (b', u', (H_1, ..., H_beta)) with H_k = H(u (x) prefix_k), where
-    prefix_k is the rightmost k columns of b. The product (prefix_k <- row(u))
-    is P(col(prefix_k) row(u)), so one pass gives them all: start from the
+    prefix_k is the rightmost k columns of b; so b' (x) u' is the R image and
+    H_beta = H(u (x) b). The product (prefix_k <- row(u)) is
+    P(col(prefix_k) row(u)), so one pass gives them all: start from the
     columns of u and column-insert the columns of b right to left, each top
     letter first; after the k-th column read H_k off the row lengths. The
-    last product is (b <- row(u)), which is peeled for R.
+    last product is (b <- row(u)), which is peeled for R. When either factor
+    is empty, R is the flip and H = 0: the result is (b, u, (0,)).
     """
+    if not u or not b:
+        return b, u, (0,)
     a, l = len(u), len(u[0])
     rb, beta = len(b), len(b[0])
     cols = [list(col) for col in zip(*u)]
@@ -205,17 +181,21 @@ def _sweep_step(u, b):
 
 def apply_R(p):
     """The combinatorial R image of the pair, as a TensorPair."""
-    left, right = _image(p.left.rows, p.right.rows)
+    left, right, _ = _sweep_step(p.left.rows, p.right.rows)
     n = p.rank_n
     return TensorPair(Tableau._trusted(n, left), Tableau._trusted(n, right))
+
+
+def energy_H(p):
+    """Number of product-tableau cells outside the sum of the two shapes."""
+    return _sweep_step(p.left.rows, p.right.rows)[2][-1]
 
 
 def apply_affine_R(x, y):
     """Affine R: modes shift by the energy of the classical pair."""
     pair = TensorPair(x.tableau, y.tableau)
-    left, right = pair.left.rows, pair.right.rows
-    h = _energy(left, right)
-    left_new, right_new = _image(left, right)
+    left_new, right_new, hs = _sweep_step(pair.left.rows, pair.right.rows)
+    h = hs[-1]
     n = pair.rank_n
     return (
         AffineElement(Tableau._trusted(n, left_new), y.mode - h),

@@ -122,6 +122,8 @@ def insert(t, x):
 
 def insert_word(t, letters):
     """Insert letters left to right; (t <- xy) = ((t <- x) <- y)."""
+    # one list, so that an iterator is both checked and inserted
+    letters = list(letters)
     for x in letters:
         if not 1 <= x <= t.rank_n + 1:
             raise ValueError("letter %r outside alphabet 1..%d" % (x, t.rank_n + 1))

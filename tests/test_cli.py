@@ -84,6 +84,19 @@ class TestRmatrixVerb:
         assert "error:" in err
 
 
+class TestEmptyFactors:
+    def test_rmatrix_flips_and_energy_is_zero(self):
+        empty, row = '{"n":2,"rows":[]}', '{"n":2,"rows":[[1,2]]}'
+        for left, right in ((empty, row), (row, empty), (empty, empty)):
+            stdin = "[%s,%s]" % (left, right)
+            code, out, _ = cli("rmatrix", "--format", "json", stdin=stdin)
+            assert (code, json.loads(out)) == (0, [json.loads(right), json.loads(left)])
+            code, out, _ = cli("rmatrix", stdin=stdin)
+            assert code == 0 and "(empty tableau)" in out
+            assert cli("energy", stdin=stdin) == (0, "H = 0\n", "")
+            assert cli("energy", "--format", "json", stdin=stdin) == (0, '{"H": 0}\n', "")
+
+
 class TestPhiVerbs:
     def test_phi_matches_golden(self):
         code, out, _ = cli(

@@ -3,7 +3,6 @@ import pytest
 from kssbij.cli.harness import check_energy_padding
 from kssbij.evolution import (
     Path,
-    carrier_pass,
     carrier_sweep,
     column_prefix,
     energy_matrix,
@@ -11,7 +10,7 @@ from kssbij.evolution import (
     time_evolution,
     total_energy,
 )
-from kssbij.tableaux import Tableau, enumerate_kr, highest_element, row_word
+from kssbij.tableaux import Tableau, highest_element
 
 
 def path(n, *factor_rows):
@@ -40,30 +39,6 @@ class TestColumnPrefix:
             column_prefix(b, -1)
 
 
-class TestCarrierPass:
-    def test_highest_pair_swaps(self):
-        u = highest_element(1, 3, 2)
-        v = highest_element(2, 1, 2)
-        out, carrier = carrier_pass(u, v)
-        assert out == v
-        assert carrier == u
-
-    def test_conserves_letters(self):
-        u = highest_element(1, 2, 2)
-        for b in enumerate_kr(2, 2, 2):
-            out, carrier = carrier_pass(u, b)
-            assert sorted(row_word(out) + row_word(carrier)) == sorted(
-                row_word(u) + row_word(b)
-            )
-
-    def test_sweep_returns_all_carriers(self):
-        out, carriers = carrier_sweep(EXAMPLE, 1, 2)
-        assert len(carriers) == len(EXAMPLE.factors) + 1
-        assert carriers[0] == highest_element(1, 2, 4)
-        assert len(out) == len(EXAMPLE.factors)
-        assert Path(4, out) == time_evolution(EXAMPLE, 1, 2)
-
-
 class TestTimeEvolution:
     def test_ball_transport(self):
         p = path(1, [[2]], [[2]], [[1]], [[1]], [[1]])
@@ -90,6 +65,13 @@ class TestTimeEvolution:
             time_evolution(EXAMPLE, 0, 1)
         with pytest.raises(ValueError):
             time_evolution(EXAMPLE, 5, 1)
+
+    def test_sweep_returns_all_carriers(self):
+        out, carriers = carrier_sweep(EXAMPLE, 1, 2)
+        assert len(carriers) == len(EXAMPLE.factors) + 1
+        assert carriers[0] == highest_element(1, 2, 4)
+        assert len(out) == len(EXAMPLE.factors)
+        assert Path(4, out) == time_evolution(EXAMPLE, 1, 2)
 
 
 class TestEnergyMatrix:

@@ -2,9 +2,6 @@ import pytest
 
 from kssbij.rigged import (
     RiggedConfiguration,
-    RowRef,
-    corigging,
-    is_singular,
     q_l,
     vacancy,
     validate,
@@ -87,23 +84,6 @@ class TestVacancy:
         b = RiggedConfiguration(2, [[2], []], [[(1, 1), (1, 0)], []])
         for l in (1, 2, 3):
             assert vacancy(a, 1, l) == vacancy(b, 1, l)
-
-
-class TestSingularity:
-    def test_example_rows(self):
-        rc = rc_a1()
-        # mu^(1) row (3) has rigging 1 = p_3^(1)
-        assert is_singular(rc, RowRef(1, 0))
-        assert corigging(rc, RowRef(1, 0)) == 0
-        # mu^(2) row (3) has rigging 0 < p_3^(2) = 1
-        assert not is_singular(rc, RowRef(2, 0))
-        assert corigging(rc, RowRef(2, 0)) == 1
-        # mu^(2) row (1) has rigging 0 = p_1^(2)
-        assert is_singular(rc, RowRef(2, 1))
-
-    def test_bad_ref(self):
-        with pytest.raises(ValueError):
-            is_singular(rc_a1(), RowRef(1, 5))
 
 
 class TestValidate:

@@ -145,17 +145,22 @@ class TestYangBaxter:
 
 
 class TestSweepStep:
-    """rmatrix._sweep_step(u, b) = (b', u', (H_1, ..., H_beta)) against R and
-    H of u (x) column_prefix(b, k)."""
+    """rmatrix._sweep_step(u, b) = (b', u', (H_1, ..., H_beta)) against the
+    row-insertion product tableau, which shares no code with column insertion:
+    b' (x) u' has the two shapes swapped and the same product as u (x) b, and
+    H_k counts the cells of the product of u (x) column_prefix(b, k) outside
+    the sum of the two rectangles."""
 
     @staticmethod
     def _check(p):
-        b_new, u_new, energies = rmatrix._sweep_step.__wrapped__(p.left.rows, p.right.rows)
-        image = apply_R(p)
-        assert (b_new, u_new) == (image.left.rows, image.right.rows)
+        u, b = p.left, p.right
+        b_new, u_new, energies = rmatrix._sweep_step.__wrapped__(u.rows, b.rows)
+        image = TensorPair(Tableau(p.rank_n, b_new), Tableau(p.rank_n, u_new))
+        assert (image.left.shape, image.right.shape) == (b.shape, u.shape)
+        assert product_tableau(image) == product_tableau(p)
         assert energies == tuple(
-            energy_H(TensorPair(p.left, column_prefix(p.right, k)))
-            for k in range(1, p.right.width() + 1)
+            _cells_outside(TensorPair(u, column_prefix(b, k)))
+            for k in range(1, b.width() + 1)
         )
 
     def test_exhaustive_small_menus(self):
@@ -176,40 +181,59 @@ class TestSweepStep:
             self._check(TensorPair(u, b))
 
 
+class TestEmptyFactors:
+    """With an empty factor on either side or both, R flips the pair, H = 0
+    and each mode stays with its tableau."""
+
+    def test_flip_zero_energy_modes_kept(self):
+        empty = Tableau(2, ())
+        for b in (Tableau(2, [[1, 2]]), Tableau(2, [[1], [3]]), highest_element(2, 2, 2), empty):
+            for left, right in ((empty, b), (b, empty)):
+                p = TensorPair(left, right)
+                assert apply_R(p) == TensorPair(right, left)
+                assert energy_H(p) == 0
+                x, y = apply_affine_R(AffineElement(left, 4), AffineElement(right, -1))
+                assert (x, y) == (AffineElement(right, -1), AffineElement(left, 4))
+
+
 class TestCaches:
     def test_cached_equals_uncached_while_evicting(self):
         # every pair on the shape menu for n <= 2, s <= 2, forward then
-        # backward: more pairs than the caches hold
+        # backward: more pairs than the cache holds
         pairs = []
         for n in (1, 2):
             pairs.extend(_all_pairs(n, shape_menu(n, 2)))
         assert len(pairs) > rmatrix.CACHE_SIZE
-        for cached in _CACHED:
-            cached.cache_clear()
+        step = rmatrix._sweep_step
+        step.cache_clear()
         for p in pairs + pairs[::-1]:
             rows = (p.left.rows, p.right.rows)
-            for cached in _CACHED:
-                assert cached(*rows) == cached.__wrapped__(*rows)
+            assert step(*rows) == step.__wrapped__(*rows)
             image = apply_R(p)
             assert apply_R(image) == p
             assert energy_H(image) == energy_H(p)
-        for cached in _CACHED:
-            info = cached.cache_info()
-            assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
-            assert info.misses > rmatrix.CACHE_SIZE
+        info = step.cache_info()
+        assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
+        assert info.misses > rmatrix.CACHE_SIZE
 
     def test_bounded_after_verify(self):
-        for cached in _CACHED:
-            cached.cache_clear()
+        step = rmatrix._sweep_step
+        step.cache_clear()
         run_verify(1, 2, 1)
-        assert rmatrix._sweep_step.cache_info().misses > 0
-        for cached in _CACHED:
-            info = cached.cache_info()
-            assert isinstance(info.maxsize, int)
-            assert info.currsize <= info.maxsize
+        info = step.cache_info()
+        assert info.misses > 0
+        assert isinstance(info.maxsize, int)
+        assert info.currsize <= info.maxsize
 
 
-_CACHED = (rmatrix._image, rmatrix._energy, rmatrix._sweep_step)
+def _cells_outside(p):
+    # cells of the product tableau outside the coordinate-wise sum of the
+    # rectangles (s^r) and (s'^r') of the two factors
+    (r, s), (rp, sp) = ((t.n_rows, t.width()) for t in (p.left, p.right))
+    return sum(
+        max(0, w - (s if i < r else 0) - (sp if i < rp else 0))
+        for i, w in enumerate(product_tableau(p).shape)
+    )
 
 
 def _all_pairs(n, shapes):

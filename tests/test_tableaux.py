@@ -90,6 +90,12 @@ class TestInsertion:
         t = Tableau(4, [[1, 1, 2, 4], [2, 2, 3, 5]])
         assert insert_word(empty_tableau(4), row_word(t)) == t
 
+    def test_word_from_iterator(self):
+        # an iterator's letters are both checked and inserted
+        assert insert_word(empty_tableau(2), iter([2, 1, 3])).to_lists() == [[1, 3], [2]]
+        with pytest.raises(ValueError):
+            insert_word(empty_tableau(2), iter([1, 4]))
+
     def test_row_word_order(self):
         t = Tableau(4, [[1, 2], [3, 4], [5, 5]])
         assert row_word(t) == (5, 5, 3, 4, 1, 2)

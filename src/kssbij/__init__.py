@@ -7,7 +7,6 @@ from kssbij.evolution import (
     LocalEnergyDistribution,
     Path,
     carrier_sweep,
-    column_prefix,
     energy_matrix,
     local_energy_distribution,
     time_evolution,
@@ -34,10 +33,8 @@ from kssbij.rigged import (
     validate,
 )
 from kssbij.rmatrix import (
-    AffineElement,
     TensorPair,
     apply_R,
-    apply_affine_R,
     energy_H,
     product_tableau,
 )
@@ -57,7 +54,6 @@ from kssbij.tableaux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineElement",
     "Cell",
     "EnergyMatrix",
     "LocalEnergyDistribution",
@@ -68,9 +64,7 @@ __all__ = [
     "Tableau",
     "TensorPair",
     "apply_R",
-    "apply_affine_R",
     "carrier_sweep",
-    "column_prefix",
     "compute_rigging",
     "default_order",
     "empty_tableau",

@@ -14,7 +14,7 @@ path; domain violations are left to the constructors, which raise ValueError.
 
 import json
 
-from kssbij.evolution import LocalEnergyDistribution, Path
+from kssbij.evolution import Path
 from kssbij.rigged import RiggedConfiguration
 from kssbij.tableaux import Tableau
 
@@ -185,48 +185,6 @@ def encode_led(led):
         }
         for a in range(1, led.rank_n + 1)
     ]
-
-
-def decode_led(obj, where="$"):
-    tables_raw = _need_list(obj, where)
-    columns = None
-    tables = []
-    for i, entry in enumerate(tables_raw):
-        loc = "%s[%d]" % (where, i)
-        _need_dict(entry, loc)
-        a = _need_int(_field(entry, "a", loc), loc + ".a")
-        if a != i + 1:
-            raise MalformedInput(loc + ".a", "tables must be ordered a = 1..n")
-        cols = []
-        for c, pair in enumerate(_need_list(_field(entry, "columns", loc), loc + ".columns")):
-            cells = _need_list(pair, "%s.columns[%d]" % (loc, c))
-            if len(cells) != 2:
-                raise MalformedInput("%s.columns[%d]" % (loc, c), "expected [j, k]")
-            cols.append(
-                (
-                    _need_int(cells[0], "%s.columns[%d][0]" % (loc, c)),
-                    _need_int(cells[1], "%s.columns[%d][1]" % (loc, c)),
-                )
-            )
-        if columns is None:
-            columns = cols
-        elif cols != columns:
-            raise MalformedInput(loc + ".columns", "tables disagree on columns")
-        rows = _int_rows(_field(entry, "rows", loc), loc + ".rows")
-        for r, row in enumerate(rows):
-            if len(row) != len(cols):
-                raise MalformedInput(
-                    "%s.rows[%d]" % (loc, r), "row width differs from column count"
-                )
-        tables.append(rows)
-    if columns is None:
-        columns = []
-    betas = []
-    for j, _ in columns:
-        while len(betas) < j:
-            betas.append(0)
-        betas[j - 1] += 1
-    return LocalEnergyDistribution(len(tables), (), betas, columns, tables)
 
 
 def dump(obj):

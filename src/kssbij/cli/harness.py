@@ -30,13 +30,7 @@ from kssbij.kss import (
     removal_order_equivalence,
 )
 from kssbij.rigged import q_l, validate
-from kssbij.rmatrix import (
-    AffineElement,
-    TensorPair,
-    apply_R,
-    apply_affine_R,
-    energy_H,
-)
+from kssbij.rmatrix import TensorPair, apply_R, apply_affine_R, energy_H
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 
@@ -125,13 +119,14 @@ def family_paths(max_n, max_l, max_s):
 
 
 def affine_triples(n, shape_triples, modes):
-    """Affine triples over all elements of each shape triple, one per mode triple."""
+    """Affine triples over all elements of each shape triple, one per mode
+    triple; each affine element is a (rows, mode) pair."""
     shape_triples = list(shape_triples)
     pools = {sh: list(enumerate_kr(*sh, n)) for sh in set().union(*shape_triples)}
     for shapes in shape_triples:
         elements = product(*(pools[sh] for sh in shapes))
         for (b1, b2, b3), (m1, m2, m3) in product(elements, modes):
-            yield AffineElement(b1, m1), AffineElement(b2, m2), AffineElement(b3, m3)
+            yield (b1.rows, m1), (b2.rows, m2), (b3.rows, m3)
 
 
 def highest_pairs(n, menu):

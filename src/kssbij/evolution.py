@@ -7,7 +7,7 @@ form the local energy distribution.
 
 Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 (left and right are reversed between a factor and its table columns;
-`column_prefix` here and `rmatrix._sweep_step` both read prefixes this way).
+`rmatrix._sweep_step` reads prefixes this way).
 
 Every sweep runs on row tuples through `rmatrix._sweep_step`, the one
 memoized step (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries) that
@@ -59,15 +59,6 @@ class Path:
             self.rank_n,
             " (x) ".join(repr(b) for b in self.factors),
         )
-
-
-def column_prefix(b, k):
-    """The rightmost k columns of b as a tableau; k = 0 gives the empty tableau."""
-    if not 0 <= k <= b.width():
-        raise ValueError("prefix width %d out of range 0..%d" % (k, b.width()))
-    if k == 0:
-        return Tableau(b.rank_n, ())
-    return Tableau(b.rank_n, [row[-k:] for row in b.rows])
 
 
 def _sweep_rows(p, a, l):
@@ -149,12 +140,10 @@ class LocalEnergyDistribution:
     its first all-zero row. Entries below the stored rows are zero.
     """
 
-    __slots__ = ("rank_n", "alphas", "betas", "columns", "tables")
+    __slots__ = ("rank_n", "columns", "tables")
 
-    def __init__(self, rank_n, alphas, betas, columns, tables):
+    def __init__(self, rank_n, columns, tables):
         self.rank_n = rank_n
-        self.alphas = tuple(alphas)
-        self.betas = tuple(betas)
         self.columns = list(columns)
         self.tables = tables
 
@@ -163,26 +152,6 @@ class LocalEnergyDistribution:
         if l > len(rows):
             return 0
         return rows[l - 1][self.columns.index((j, k))]
-
-    def __eq__(self, other):
-        # alphas/betas are derived context, not part of the value
-        if not isinstance(other, LocalEnergyDistribution):
-            return NotImplemented
-        return (
-            self.rank_n == other.rank_n
-            and self.columns == other.columns
-            and [[list(r) for r in t] for t in self.tables]
-            == [[list(r) for r in t] for t in other.tables]
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.rank_n,
-                tuple(self.columns),
-                tuple(tuple(tuple(r) for r in t) for t in self.tables),
-            )
-        )
 
 
 def local_energy_distribution(p):
@@ -209,7 +178,7 @@ def local_energy_distribution(p):
         else:
             raise AssertionError("no all-zero row within %d rows" % cap)
         tables.append(rows)
-    return LocalEnergyDistribution(p.rank_n, alphas, betas, columns, tables)
+    return LocalEnergyDistribution(p.rank_n, columns, tables)
 
 
 def total_energy(p, a, l):

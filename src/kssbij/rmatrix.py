@@ -10,9 +10,10 @@ CACHE_SIZE = 256 entries). It builds the product of u and b by column
 insertion, which gives H of u against every column prefix of b on the way
 and R from the last product. It serves every caller: the carrier sweeps of
 `evolution` use every prefix energy, while `apply_R`, `energy_H` and
-`apply_affine_R` use R and the last energy. The public functions wrap the
-cached results in tableaux. R images are built without re-validating their
-rows: they come from factors that were checked when they were built.
+`apply_affine_R` use R and the last energy. `apply_R` wraps the cached image
+in tableaux without re-validating its rows: they come from factors that were
+checked when they were built. `apply_affine_R` works on row tuples with
+modes and builds no tableau or pair.
 `product_tableau` builds the product by row insertion instead.
 """
 
@@ -56,30 +57,6 @@ class TensorPair:
 
     def __repr__(self):
         return "TensorPair(%r, %r)" % (self.left, self.right)
-
-
-class AffineElement:
-    """Tableau with an integer mode."""
-
-    __slots__ = ("tableau", "mode")
-
-    def __init__(self, tableau, mode):
-        object.__setattr__(self, "tableau", tableau)
-        object.__setattr__(self, "mode", int(mode))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineElement is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.tableau == other.tableau and self.mode == other.mode
-
-    def __hash__(self):
-        return hash((self.tableau, self.mode))
-
-    def __repr__(self):
-        return "AffineElement(%r, mode=%d)" % (self.tableau, self.mode)
 
 
 def product_tableau(p):
@@ -192,12 +169,15 @@ def energy_H(p):
 
 
 def apply_affine_R(x, y):
-    """Affine R: modes shift by the energy of the classical pair."""
-    pair = TensorPair(x.tableau, y.tableau)
-    left_new, right_new, hs = _sweep_step(pair.left.rows, pair.right.rows)
+    """Affine R on (rows, mode) pairs: x (x) y -> y' (x) x'.
+
+    x = (u, m) and y = (v, k) are row tuples of rectangular tableaux over one
+    alphabet with integer modes. The rows of y' (x) x' are the R image of
+    u (x) v, and the modes shift by h = H(u (x) v): y' has mode k - h and x'
+    has mode m + h. Nothing is validated: the rows must come from valid
+    tableaux.
+    """
+    (u, m), (v, k) = x, y
+    v_new, u_new, hs = _sweep_step(u, v)
     h = hs[-1]
-    n = pair.rank_n
-    return (
-        AffineElement(Tableau._trusted(n, left_new), y.mode - h),
-        AffineElement(Tableau._trusted(n, right_new), x.mode + h),
-    )
+    return (v_new, k - h), (u_new, m + h)

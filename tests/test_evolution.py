@@ -4,7 +4,6 @@ from kssbij.cli.harness import check_energy_padding
 from kssbij.evolution import (
     Path,
     carrier_sweep,
-    column_prefix,
     energy_matrix,
     local_energy_distribution,
     time_evolution,
@@ -19,24 +18,6 @@ def path(n, *factor_rows):
 
 # running example used throughout: three factors over the rank 4 alphabet
 EXAMPLE = path(4, [[1, 1, 1, 1]], [[1, 2], [2, 3], [3, 4]], [[1, 1, 2, 4], [2, 2, 3, 5]])
-
-
-class TestColumnPrefix:
-    def test_rightmost_columns(self):
-        b = Tableau(4, [[1, 1, 2, 4], [2, 2, 3, 5]])
-        assert column_prefix(b, 2).to_lists() == [[2, 4], [3, 5]]
-
-    def test_full_and_empty(self):
-        b = Tableau(4, [[1, 1, 2, 4], [2, 2, 3, 5]])
-        assert column_prefix(b, 4) == b
-        assert column_prefix(b, 0).is_empty()
-
-    def test_out_of_range(self):
-        b = Tableau(4, [[1, 2]])
-        with pytest.raises(ValueError):
-            column_prefix(b, 3)
-        with pytest.raises(ValueError):
-            column_prefix(b, -1)
 
 
 class TestTimeEvolution:

@@ -77,6 +77,8 @@ def cmd_bbs(args):
     p = codec.decode_path(_read_json(args))
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
+    # the carrier u_l^(a) must exist even when no step runs
+    tableaux.highest_element(args.a, args.l, p.rank_n)
     states = [p]
     for _ in range(args.steps):
         states.append(evolution.time_evolution(states[-1], args.a, args.l))

@@ -16,12 +16,17 @@ pairs (two-factor paths over the shape menu r <= n, s <= max_s). Criteria
   check_energy_equals_q, check_round_trip, check_linearization
                               verify: chains and pairs; gate: A and B
   check_removal_order         verify: 2-3 factors, i < j; gate: A and B, i != j
+
+Failure messages name their input in the codec's JSON, so it can be fed back
+to the CLI: a path to `led`, `phi` or `bbs`, a pair to `rmatrix` or `energy`.
+Yang-Baxter names its (rows, mode) triples, which no verb reads.
 """
 
 import time
 from itertools import combinations, groupby, product
 from operator import itemgetter
 
+from kssbij.cli import codec
 from kssbij.evolution import Path, carrier_sweep, time_evolution, total_energy
 from kssbij.kss import (
     linearized_image,
@@ -149,6 +154,18 @@ def _bottom_row(v):
     return Tableau(1, [[x - a for x in v.rows[-1]]])
 
 
+def _path_json(p):
+    return codec.dump(codec.encode_path(p)).rstrip()
+
+
+def _pair_json(left, right):
+    return codec.dump([codec.encode_tableau(left), codec.encode_tableau(right)]).rstrip()
+
+
+def _tableau_json(t):
+    return codec.dump(codec.encode_tableau(t)).rstrip()
+
+
 def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
@@ -177,9 +194,9 @@ def check_involutivity(pairs):
         cases += 1
         image = apply_R(pair)
         if apply_R(image) != pair:
-            failures.append("R not involutive on %r" % (pair,))
+            failures.append("R not involutive on %s" % _pair_json(pair.left, pair.right))
         elif energy_H(image) != energy_H(pair):
-            failures.append("H changed under R on %r" % (pair,))
+            failures.append("H changed under R on %s" % _pair_json(pair.left, pair.right))
     return cases, failures
 
 
@@ -190,9 +207,9 @@ def check_swapping_pairs(pairs):
         cases += 1
         pair = TensorPair(u, v)
         if energy_H(pair) != 0:
-            failures.append("H != 0 on %r" % (pair,))
+            failures.append("H != 0 on %s" % _pair_json(u, v))
         elif apply_R(pair) != TensorPair(v, u):
-            failures.append("R does not swap %r" % (pair,))
+            failures.append("R does not swap %s" % _pair_json(u, v))
     return cases, failures
 
 
@@ -211,12 +228,16 @@ def check_energy_padding(items):
             for (a, l), e in base.items():
                 if total_energy(left, a, l) != e or total_energy(right, a, l) != e:
                     failures.append(
-                        "padding with %r changed E_%d^(%d) for %r" % (u, l, a, p)
+                        "padding with %s changed E_%d^(%d) for %s"
+                        % (_tableau_json(u), l, a, _path_json(p))
                     )
                     break
             else:
                 if any(energy_H(TensorPair(b, u)) != 0 for b in p.factors):
-                    failures.append("H(b (x) %r) != 0 for a factor b of %r" % (u, p))
+                    failures.append(
+                        "H(b (x) %s) != 0 for a factor b of %s"
+                        % (_tableau_json(u), _path_json(p))
+                    )
     return cases, failures
 
 
@@ -230,7 +251,7 @@ def check_two_letter_reduction(pairs):
         pair = TensorPair(v, w)
         small = TensorPair(_bottom_row(v), _bottom_row(w))
         if energy_H(pair) != energy_H(small):
-            failures.append("H reduction failed on %r" % (pair,))
+            failures.append("H reduction failed on %s" % _pair_json(v, w))
             continue
         big, little = apply_R(pair), apply_R(small)
         if (
@@ -239,7 +260,7 @@ def check_two_letter_reduction(pairs):
             or big.left.rows[:-1] != w.rows[:-1]
             or big.right.rows[:-1] != v.rows[:-1]
         ):
-            failures.append("R reduction failed on %r" % (pair,))
+            failures.append("R reduction failed on %s" % _pair_json(v, w))
     return cases, failures
 
 
@@ -253,7 +274,7 @@ def check_energy_equals_q(paths):
                 cases += 1
                 if total_energy(p, a, l) != q_l(rc, a, l):
                     failures.append(
-                        "E_%d^(%d) != Q_%d^(%d) for %r" % (l, a, l, a, p)
+                        "E_%d^(%d) != Q_%d^(%d) for %s" % (l, a, l, a, _path_json(p))
                     )
     return cases, failures
 
@@ -269,15 +290,17 @@ def check_round_trip(paths):
         try:
             back = phi_inverse(rc)
         except ValueError as exc:
-            failures.append("phi_inverse rejected phi(%r): %s" % (p, exc))
+            failures.append("phi_inverse rejected phi(%s): %s" % (_path_json(p), exc))
             continue
         if back != p:
-            failures.append("round trip failed for %r" % (p,))
+            failures.append("round trip failed for %s" % _path_json(p))
             continue
         # configurations compare by rank, quantum space and riggings
         first = seen.setdefault((tuple(p.shapes()), rc), p)
         if first != p:
-            failures.append("phi not injective: %r and %r collide" % (first, p))
+            failures.append(
+                "phi not injective: %s and %s collide" % (_path_json(first), _path_json(p))
+            )
     return cases, failures
 
 
@@ -292,7 +315,7 @@ def check_removal_order(items):
             cases += 1
             if not removal_order_equivalence(rc, i, j):
                 failures.append(
-                    "removal order swap (%d,%d) failed for %r" % (i, j, p)
+                    "removal order swap (%d,%d) failed for %s" % (i, j, _path_json(p))
                 )
     return cases, failures
 
@@ -316,9 +339,13 @@ def check_linearization(items):
             loaded += not clean
             if clean != valid:
                 state = "clean despite invalid" if clean else "loaded despite valid"
-                failures.append("carrier %s shift: T_%d^(%d) %r" % (state, l, a, p))
+                failures.append(
+                    "carrier %s shift: T_%d^(%d) %s" % (state, l, a, _path_json(p))
+                )
             elif valid and phi_energy(time_evolution(p, a, l)) != shifted:
-                failures.append("T_%d^(%d) did not linearize for %r" % (l, a, p))
+                failures.append(
+                    "T_%d^(%d) did not linearize for %s" % (l, a, _path_json(p))
+                )
     return cases, failures, loaded
 
 

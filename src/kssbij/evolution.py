@@ -9,13 +9,20 @@ Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 (left and right are reversed between a factor and its table columns;
 `rmatrix._sweep_step` reads prefixes this way).
 
-Every sweep runs on row tuples through `rmatrix._sweep_step`, the one
+Every sweep is one `_sweep_rows` through `rmatrix._sweep_step`, the one
 memoized step (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries) that
 also serves `apply_R`, `energy_H` and the affine R: each carrier move
 u (x) b gives the R image b' (x) u' and the energies of u against every
-column prefix of b together. Carriers and R images become tableaux without
-re-validation, since their rows come from the validated path.
+column prefix of b together. The sweep keeps each carrier compressed, with
+its spare vacuum columns (1, ..., a) set aside, and gives the step only as
+many of them as b is wide, which changes nothing (the lemma is in
+`_sweep_rows`); so carriers of every width l share cache entries. Only
+`carrier_sweep` expands carriers to full rows. Carriers and R images become
+tableaux without re-validation, since their rows come from the validated
+path.
 """
+
+from functools import lru_cache
 
 from kssbij.rmatrix import _sweep_step
 from kssbij.tableaux import Tableau, highest_element
@@ -61,19 +68,86 @@ class Path:
         )
 
 
-def _sweep_rows(p, a, l):
-    """One pass of the carrier u_l^(a) on row tuples.
+@lru_cache(maxsize=None)
+def _vacuum(a, m):
+    # the rows of m columns (1, ..., a), m at most the widest factor
+    return tuple((i,) * m for i in range(1, a + 1))
 
-    Returns (out, carriers, energies): the R images of the factors, the
-    carriers as in `carrier_sweep`, and energies[j][k-1] = E[l][j+1][k] for
-    k = 1..beta_{j+1}.
+
+def _expand(a, carrier):
+    """The rows of a compressed carrier (k, u): k columns V, then u."""
+    k, u = carrier
+    return tuple([(i,) * k + row for i, row in enumerate(u, start=1)])
+
+
+def _sweep_rows(p, a, l):
+    """One pass of the carrier u_l^(a), on compressed carriers.
+
+    Returns (out, carriers, energies): out[j] holds the rows of the R image
+    of factor j+1, energies[j][k-1] = E[l][j+1][k] for k = 1..beta_{j+1},
+    and carriers[j] is the carrier after j factors (carriers[0] = u_l^(a)),
+    kept as (k, u): k columns V = (1, ..., a) set aside, in front of the
+    rows u (`_expand` gives the full rows).
+
+    Before the move against a factor b of width s, the carrier's leading V
+    columns are split so that u holds min(total, s) of them: u is trimmed
+    when it holds more, and padded from k when it holds fewer. So the
+    memoized `_sweep_step` always sees V^min(total, s) (+) core, where core
+    is the carrier without its leading V columns, and carriers that differ
+    only in spare vacuum share one cache entry, within a sweep, across
+    widths l and across paths. While the factor widths stay the same and
+    the carrier keeps its vacuum, the step's output goes back in as it is.
+    This is exact by the following lemma, applied k times.
+
+    Lemma. If u in B^{a,l} begins with m >= s columns V and b is a rectangle
+    of width s, then _sweep_step(V (+) u, b) = (b', V (+) u', hs), where
+    (b', u', hs) = _sweep_step(u, b).
+
+    Proof. Compare the column insertion of b's letters into the columns of
+    u and of V (+) u. (i) A column whose top a entries are 1..a passes a
+    letter x <= a on unchanged, since x bumps the equal letter; so letters
+    <= a cross the leading columns and meet the same core in both runs.
+    (ii) A letter x > a bumps only entries below the top a rows there, and
+    the bumped letter is > a again; it stops by opening a cell below the
+    top a rows. The shape lambda of every product (prefix_k <- row(u)) has
+    a nonzero Littlewood-Richardson coefficient with mu = (l^a) and
+    nu = (k^r), so lambda_{a+j} <= mu_{a+1} + nu_j = k <= s; as the shape
+    only grows, the cell is in one of the first s <= m columns, whose tops
+    are V in both runs: such letters never reach the core or the added
+    column. So at every stage the product of V (+) u is that of u with one
+    more letter i+1 at the front of each row i < a. (iii) Rows < a then
+    gain one cell and their caps in `_excess` gain one too, rows >= a are
+    unchanged, so every H_k is the same. (iv) `_peel_strips` takes the same
+    cells, shifted one column right in rows < a; an inverse bump replaces
+    the rightmost entry < x of each row above, which in u's run lies at
+    some position j >= 0, so in the other run it lies at j + 1 and the
+    added column is never entered. The ejected letters, hence b', are the
+    same, and the rows left are V (+) u'.
+
+    The bound is tight: for every class (a, r, s) with n <= 3 some u with
+    m = s - 1 leading columns V breaks the identity. (The trailing columns
+    obey a mirror lemma, which is not used: it saves misses but no time.)
     """
-    u = highest_element(a, l, p.rank_n).rows
-    out, carriers, energies = [], [u], []
+    highest_element(a, l, p.rank_n)  # rejects a bad level or width
+    carrier = (l, ((),) * a)
+    out, carriers, energies = [], [carrier], []
     for b in p.factors:
-        b2, u, hs = _sweep_step(u, b.rows)
+        k, u = carrier
+        b = b.rows
+        s = len(b[0])
+        # a column of u is V exactly when its bottom letter is a
+        v = u[-1].count(a)
+        if v > s:
+            u = tuple([row[v - s:] for row in u])
+            k += v - s
+        elif v < s and k:
+            m = min(k, s - v)
+            u = tuple(map(tuple.__add__, _vacuum(a, m), u))
+            k -= m
+        b2, u, hs = _sweep_step(u, b)
+        carrier = (k, u)
         out.append(b2)
-        carriers.append(u)
+        carriers.append(carrier)
         energies.append(hs)
     return out, carriers, energies
 
@@ -88,14 +162,14 @@ def carrier_sweep(p, a, l):
     out, carriers, _ = _sweep_rows(p, a, l)
     return (
         [Tableau._trusted(n, rows) for rows in out],
-        [Tableau._trusted(n, rows) for rows in carriers],
+        [Tableau._trusted(n, _expand(a, c)) for c in carriers],
     )
 
 
 def time_evolution(p, a, l):
     """The box-ball update T_l^(a) applied to the path."""
-    out, _ = carrier_sweep(p, a, l)
-    return Path(p.rank_n, out)
+    n = p.rank_n
+    return Path(n, [Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0]])
 
 
 class EnergyMatrix:

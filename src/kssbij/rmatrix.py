@@ -9,8 +9,10 @@ on row tuples by one memoized step, `_sweep_step` (an LRU cache of
 CACHE_SIZE = 256 entries). It builds the product of u and b by column
 insertion, which gives H of u against every column prefix of b on the way
 and R from the last product. It serves every caller: the carrier sweeps of
-`evolution` use every prefix energy, while `apply_R`, `energy_H` and
-`apply_affine_R` use R and the last energy. `apply_R` wraps the cached image
+`evolution` use every prefix energy, and hand it carriers cut down to as
+many leading vacuum columns as b is wide, so sweeps at every carrier width
+share entries; `apply_R`, `energy_H` and `apply_affine_R` use R and the
+last energy. `apply_R` wraps the cached image
 in tableaux without re-validating its rows: they come from factors that were
 checked when they were built. `apply_affine_R` works on row tuples with
 modes and builds no tableau or pair.

@@ -16,6 +16,7 @@ from kssbij.cli.codec import (
     encode_rc,
     encode_tableau,
 )
+from kssbij.cli import harness
 from kssbij.cli.harness import run_verify
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import phi_energy
@@ -218,6 +219,31 @@ class TestBbsVerb:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "a, l, steps, message",
+        [
+            ("0", "1", "1", "error: need 1 <= a <= rank_n, got a=0, rank_n=2"),
+            ("3", "1", "1", "error: need 1 <= a <= rank_n, got a=3, rank_n=2"),
+            ("1", "0", "1", "error: width must be >= 1"),
+            ("3", "1", "0", "error: need 1 <= a <= rank_n, got a=3, rank_n=2"),
+            ("1", "0", "0", "error: width must be >= 1"),
+        ],
+    )
+    def test_rejects_bad_carrier_at_any_steps(self, a, l, steps, message):
+        code, out, err = cli(
+            "bbs", "--a", a, "--l", l, "--steps", steps,
+            stdin='{"n":2,"factors":[[[1,2]],[[3]]]}',
+        )
+        assert (code, out, err) == (3, "", message + "\n")
+
+    def test_zero_steps_echoes_the_path(self):
+        code, out, _ = cli(
+            "bbs", "--a", "2", "--l", "1", "--steps", "0", "--format", "json",
+            stdin='{"n":2,"factors":[[[1,2]],[[3]]]}',
+        )
+        assert code == 0
+        assert json.loads(out) == {"states": [{"n": 2, "factors": [[[1, 2]], [[3]]]}]}
+
 
 class TestValidateVerb:
     def test_valid_rc(self):
@@ -269,6 +295,27 @@ class TestInsertVerb:
         )
         assert code == 0
         assert json.loads(out) == {"n": 5, "rows": [[1, 1, 1], [2, 2], [3]]}
+
+
+class TestReplayableFailures:
+    def test_path_message_decodes_to_the_path(self, monkeypatch):
+        real = harness.q_l
+        monkeypatch.setattr(harness, "q_l", lambda rc, a, l: real(rc, a, l) + 1)
+        p = decode_path({"n": 2, "factors": [[[1, 3]], [[2], [3]]]})
+        cases, failures = harness.check_energy_equals_q([p])
+        assert len(failures) == cases > 0
+        for msg in failures:
+            assert msg.startswith("E_")
+            assert decode_path(json.loads(msg.split(" for ", 1)[1])) == p
+
+    def test_pair_message_feeds_the_energy_verb(self, monkeypatch):
+        monkeypatch.setattr(harness, "energy_H", lambda pair: 1)
+        u, v = Tableau(2, [[1, 1]]), Tableau(2, [[1], [2]])
+        _, failures = harness.check_swapping_pairs([(u, v)])
+        text = failures[0].split(" on ", 1)[1]
+        assert [decode_tableau(x) for x in json.loads(text)] == [u, v]
+        code, out, _ = cli("energy", "--format", "json", stdin=text)
+        assert (code, json.loads(out)) == (0, {"H": 0})
 
 
 class TestVerifyVerb:

@@ -1,5 +1,11 @@
-import pytest
+from itertools import product
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kssbij import evolution
 from kssbij.cli.harness import check_energy_padding
 from kssbij.evolution import (
     Path,
@@ -9,7 +15,8 @@ from kssbij.evolution import (
     time_evolution,
     total_energy,
 )
-from kssbij.tableaux import Tableau, highest_element
+from kssbij.rmatrix import _sweep_step
+from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 
 def path(n, *factor_rows):
@@ -42,10 +49,11 @@ class TestTimeEvolution:
         assert out.shapes() == EXAMPLE.shapes()
 
     def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            time_evolution(EXAMPLE, 0, 1)
-        with pytest.raises(ValueError):
-            time_evolution(EXAMPLE, 5, 1)
+        # a bad level or width, and every sweep that would use the carrier
+        for fn in (carrier_sweep, time_evolution, total_energy):
+            for a, l in ((0, 1), (5, 1), (1, 0), (2, -1)):
+                with pytest.raises(ValueError):
+                    fn(EXAMPLE, a, l)
 
     def test_sweep_returns_all_carriers(self):
         out, carriers = carrier_sweep(EXAMPLE, 1, 2)
@@ -172,3 +180,98 @@ class TestPathType:
         p = path(2, [[1, 2]], [[2]])
         assert p == path(2, [[1, 2]], [[2]])
         assert p.shapes() == [(1, 2), (1, 1)]
+
+
+def pad(rows):
+    """One more vacuum column (1, ..., a) in front of the rows of B^{a,l}."""
+    return tuple((i,) + row for i, row in enumerate(rows, start=1))
+
+
+def vacuum_columns(rows):
+    # a column is (1, ..., a) exactly when its bottom letter is a
+    return rows[-1].count(len(rows))
+
+
+def reference_sweep(p, a, l):
+    """The carrier u_l^(a) threaded through p on full rows, uncached."""
+    u = highest_element(a, l, p.rank_n).rows
+    out, carriers, energies = [], [u], []
+    for b in p.factors:
+        b2, u, hs = _sweep_step.__wrapped__(u, b.rows)
+        out.append(b2)
+        carriers.append(u)
+        energies.append(hs)
+    return out, carriers, energies
+
+
+class TestVacuumLemma:
+    def test_padding_commutes_with_the_step(self):
+        # u with m >= s leading vacuum columns against every b of width s:
+        # step(V + u, b) = (b', V + u', hs) where step(u, b) = (b', u', hs)
+        step = _sweep_step.__wrapped__
+        checked = 0
+        for n in (1, 2, 3):
+            for a, l, r, s in product(range(1, n + 1), range(1, 5), range(1, n + 1), range(1, 4)):
+                us = [u.rows for u in enumerate_kr(a, l, n) if vacuum_columns(u.rows) >= s]
+                for u, b in product(us, [b.rows for b in enumerate_kr(r, s, n)]):
+                    b2, u2, hs = step(u, b)
+                    assert step(pad(u), b) == (b2, pad(u2), hs)
+                    checked += 1
+        assert checked == 6558
+
+    def test_threshold_is_tight(self):
+        # m = s - 1 = 1 vacuum column against a factor of width 2
+        step = _sweep_step.__wrapped__
+        u, b = ((1,),), ((2, 2),)
+        assert step(u, b) == (((1, 2),), ((2,),), (1, 1))
+        assert step(pad(u), b) == (((1, 1),), ((2, 2),), (1, 2))
+
+
+class TestCompressedSweep:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_row_sweep(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        shapes = data.draw(
+            st.lists(
+                st.tuples(st.integers(1, n), st.integers(1, 3)), min_size=1, max_size=5
+            )
+        )
+        p = Path(n, [data.draw(st.sampled_from(list(enumerate_kr(r, s, n)))) for r, s in shapes])
+        a = data.draw(st.integers(1, n))
+        l = data.draw(st.integers(1, 6))
+        out, carriers, energies = reference_sweep(p, a, l)
+        keys = []
+        with mock.patch.object(
+            evolution, "_sweep_step", lambda u, b: keys.append(u) or _sweep_step(u, b)
+        ):
+            got_out, got_carriers, got_energies = evolution._sweep_rows(p, a, l)
+        assert (got_out, got_energies) == (out, energies)
+        assert [evolution._expand(a, c) for c in got_carriers] == carriers
+        # the step sees each carrier with min(its vacuum, s) leading V columns
+        for u, key, b in zip(carriers, keys, p.factors):
+            spare = max(0, vacuum_columns(u) - b.width())
+            assert key == tuple(row[spare:] for row in u)
+        factors, tableaux = carrier_sweep(p, a, l)
+        assert [f.rows for f in factors] == out
+        assert [t.rows for t in tableaux] == carriers
+        assert total_energy(p, a, l) == sum(hs[-1] for hs in energies)
+
+    def test_widths_share_step_entries(self, monkeypatch):
+        p = path(2, [[2]], [[1, 1]], [[1, 2], [2, 3]], [[1]], [[1]])
+        keys = []
+        monkeypatch.setattr(
+            evolution, "_sweep_step", lambda u, b: keys.append((u, b)) or _sweep_step(u, b)
+        )
+        by_width = {}
+        for l in range(1, 8):
+            keys.clear()
+            evolution._sweep_rows(p, 1, l)
+            by_width[l] = set(keys)
+        # the first step sees V^min(l, 1) at every width
+        assert all(by_width[l] & by_width[l + 1] for l in range(1, 7))
+        # once the carrier never runs short of vacuum, every step key repeats
+        assert by_width[6] == by_width[7]
+        _sweep_step.cache_clear()
+        local_energy_distribution(p)
+        assert _sweep_step.cache_info().hits > 0

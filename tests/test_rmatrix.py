@@ -112,7 +112,8 @@ class TestApplyR:
 class TestAffine:
     """The affine R on (rows, mode) pairs: (u, m) (x) (v, k) -> (v', k - h) (x)
     (u', m + h) with v' (x) u' the R image and h = H(u (x) v). The worked
-    example pins the sign of h, which the Yang-Baxter suite cannot see."""
+    example and the product-tableau count pin the sign of h, which the
+    Yang-Baxter suite cannot see."""
 
     def test_worked_example_modes(self):
         x, y = apply_affine_R((WORKED.left.rows, 0), (WORKED.right.rows, 0))
@@ -128,6 +129,16 @@ class TestAffine:
         for p in _all_pairs(2, ((1, 1), (2, 1))):
             (_, m), (_, k) = apply_affine_R((p.left.rows, 4), (p.right.rows, -1))
             assert m + k == 3
+
+    def test_modes_shift_by_product_energy(self):
+        # x' gains and y' loses the cells of (v <- row(u)) outside the sum of
+        # the two shapes; product_tableau inserts by rows, apart from the step
+        for n in (1, 2):
+            for p in _all_pairs(n, shape_menu(n, 2)):
+                h = _cells_outside(p)
+                for m, k in ((0, 0), (5, -1)):
+                    y, x = apply_affine_R((p.left.rows, m), (p.right.rows, k))
+                    assert (x[1] - m, k - y[1]) == (h, h)
 
 
 class TestYangBaxter:

@@ -24,13 +24,13 @@ def _read_json(args):
     return codec.parse_json(text)
 
 
-def _emit(args, payload, render_text):
+def _emit(args, payload, render_text, code=0):
     # render_text() builds the text form; JSON output never calls it
     if args.format == "json":
         sys.stdout.write(codec.dump(payload))
     else:
         print(render_text())
-    return 0
+    return code
 
 
 def _parse_ints(raw, flag):
@@ -110,25 +110,17 @@ def cmd_phi_inverse(args):
 def cmd_rc_validate(args):
     rc = codec.decode_rc(_read_json(args))
     problems = rigged.validate(rc, args.mode)
-    if args.format == "json":
-        sys.stdout.write(
-            codec.dump({"valid": not problems, "violations": problems})
-        )
-    elif problems:
-        for msg in problems:
-            print(msg)
-    else:
-        print("valid (%s)" % args.mode)
-    return 3 if problems else 0
+    return _emit(
+        args,
+        {"valid": not problems, "violations": problems},
+        lambda: "\n".join(problems) or "valid (%s)" % args.mode,
+        3 if problems else 0,
+    )
 
 
 def cmd_verify(args):
     report = harness.run_verify(args.max_n, args.max_l, args.max_s, args.suite)
-    if args.format == "json":
-        sys.stdout.write(codec.dump(report.to_json()))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    return _emit(args, report.to_json(), report.render, 0 if report.ok else 1)
 
 
 def cmd_enumerate(args):

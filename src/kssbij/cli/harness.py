@@ -27,7 +27,7 @@ from itertools import combinations, groupby, product
 from operator import itemgetter
 
 from kssbij.cli import codec
-from kssbij.evolution import Path, carrier_sweep, time_evolution, total_energy
+from kssbij.evolution import Path, carrier_sweep, total_energy
 from kssbij.kss import (
     linearized_image,
     phi_energy,
@@ -333,8 +333,8 @@ def check_linearization(items):
         for _, a, l in group:
             cases += 1
             shifted = linearized_image(rc, a, l)
-            _, carriers = carrier_sweep(p, a, l)
-            clean = carriers[-1] == highest_element(a, l, p.rank_n)
+            factors, carriers = carrier_sweep(p, a, l)
+            clean = carriers[-1] == carriers[0]
             valid = not validate(shifted, "unrestricted")
             loaded += not clean
             if clean != valid:
@@ -342,7 +342,7 @@ def check_linearization(items):
                 failures.append(
                     "carrier %s shift: T_%d^(%d) %s" % (state, l, a, _path_json(p))
                 )
-            elif valid and phi_energy(time_evolution(p, a, l)) != shifted:
+            elif valid and phi_energy(Path(p.rank_n, factors)) != shifted:
                 failures.append(
                     "T_%d^(%d) did not linearize for %s" % (l, a, _path_json(p))
                 )

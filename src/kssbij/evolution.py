@@ -193,16 +193,11 @@ class EnergyMatrix:
         return self._rows[l - 1][j - 1][k - 1]
 
 
-def _energy_row(p, a, l):
-    """E[l][j][k] for every j and k of level a: one sweep of the carrier u_l^(a)."""
-    return _sweep_rows(p, a, l)[2]
-
-
 def energy_matrix(p, a, l_max):
     """Computes E[l][j][k] for l = 1..l_max over the whole path."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    rows = [_energy_row(p, a, l) for l in range(1, l_max + 1)]
+    rows = [_sweep_rows(p, a, l)[2] for l in range(1, l_max + 1)]
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
 
@@ -240,7 +235,7 @@ def local_energy_distribution(p):
         d_prev = [0] * len(columns)
         for l in range(1, cap + 1):
             # differences in k first (E[l][j][0] = 0), flattened in column order
-            e_cur = _energy_row(p, a, l)
+            e_cur = _sweep_rows(p, a, l)[2]
             d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if any(x < 0 for x in row):

@@ -5,12 +5,16 @@ distribution: positive entries are grouped into soliton chains, group lengths
 become configuration rows, riggings come from a closed-form count. phi_inverse
 is the classical box-removal reconstruction; removing a quantum-space row of
 length s at level a produces one path factor in B^{a+1,s}, column by column.
+Box removal works on a mutable copy of the configuration in which the box in
+transport is a length-1 quantum row, so rigged.vacancy gives every vacancy
+number and one driver, _remove_rows, serves phi_inverse, remove_row and
+removal_order_equivalence.
 """
 
 from collections import namedtuple
 
 from kssbij.evolution import Path, local_energy_distribution
-from kssbij.rigged import RiggedConfiguration, validate
+from kssbij.rigged import RiggedConfiguration, vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R
 from kssbij.tableaux import Tableau
 
@@ -165,64 +169,48 @@ class RemovalTrace:
 class _State:
     """Mutable working copy of a rigged configuration during box removal.
 
-    Quantum rows keep their flat identity; at most one transported unit box
-    exists at a time and is tracked separately (it counts toward the vacancy
-    numbers one level up while present).
+    It has the fields of a RiggedConfiguration that rigged.vacancy reads, as
+    lists: rank_n, nu (row lengths) and mu ([length, rigging] rows), so
+    vacancy(state, a, l) gives every vacancy number. flats mirrors nu with
+    each quantum row's flat index. The box in transport is a length-1 row at
+    the end of its level with flat index None, so while present it counts
+    toward the vacancy numbers one level up. A row is deleted when its
+    length reaches 0.
     """
 
     def __init__(self, rc):
-        self.n = rc.rank_n
-        self.nu = []
-        flat = 0
-        for level in rc.nu:
-            rows = []
-            for length in level:
-                rows.append([length, flat])
-                flat += 1
-            self.nu.append(rows)
+        self.rank_n = rc.rank_n
+        self.nu = [list(level) for level in rc.nu]
         self.mu = [[[m, r] for m, r in level] for level in rc.mu]
-        self.temp_level = None
+        self.flats = [[] for _ in rc.nu]
+        self.origin = {}
+        for flat, a, _, _, origin in rc.quantum_rows():
+            self.flats[a].append(flat)
+            self.origin[flat] = origin
 
-    def position(self, level, flat):
-        for i, row in enumerate(self.nu[level]):
-            if row[1] == flat:
-                return i
-        raise ValueError("quantum row %d not present at level %d" % (flat, level))
-
-    def q(self, a, l):
-        if a < 1 or a > self.n:
-            return 0
-        return sum(min(l, m) for m, _ in self.mu[a - 1])
-
-    def vacancy(self, a, l):
-        base = sum(min(l, m) for m, _ in self.nu[a - 1])
-        if self.temp_level == a - 1:
-            base += 1
-        return base + self.q(a - 1, l) - 2 * self.q(a, l) + self.q(a + 1, l)
-
-    def snapshot(self):
-        """Plain view of the current state; a transported box shows up as a
-        trailing length-1 quantum row on its level."""
-        nu = [[m for m, _ in level if m > 0] for level in self.nu]
-        if self.temp_level is not None:
-            nu[self.temp_level] = nu[self.temp_level] + [1]
-        mu = [[(m, r) for m, r in level] for level in self.mu]
-        return RiggedConfiguration(self.n, nu, mu)
+    def view(self):
+        """The state as a RiggedConfiguration; the box in transport has no origin."""
+        origins = [[self.origin.get(flat) for flat in level] for level in self.flats]
+        return RiggedConfiguration(self.rank_n, self.nu, self.mu, origins)
 
 
-def _micro_step(state, i, col_x, quantum_pos=None):
-    """Transports the box x^(i) one level down; returns (letter, removed boxes).
+def _micro_step(state, i, pos):
+    """Moves the last box of row pos of nu^(i) one level down; returns
+    (letter, removed boxes).
 
-    Walks levels i+1, i+2, ... choosing the shortest singular row that is not
-    shorter than the previous choice (first choice: not shorter than the
-    column of x^(i)); ties go to the smallest storage index. The letter is the
-    first level where no choice exists. All removals are simultaneous;
-    shortened rows get their new vacancy number as rigging.
+    The row is a quantum row or the box in transport (pos = -1). Walks
+    levels i+1, i+2, ... choosing the shortest singular row that is not
+    shorter than the previous choice (first choice: not shorter than the row
+    the box leaves); ties go to the smallest storage index. The letter is
+    the first level where no choice exists. All removals are simultaneous;
+    the box lands at the end of nu^(i-1) (it leaves at i = 0), and shortened
+    rows get their new vacancy number as rigging.
     """
+    col_x = state.nu[i][pos]
     chosen = []
     prev = col_x
     m = i + 1
-    while m <= state.n:
+    while m <= state.rank_n:
         best = None
         best_len = None
         for idx, (length, rig) in enumerate(state.mu[m - 1]):
@@ -230,7 +218,7 @@ def _micro_step(state, i, col_x, quantum_pos=None):
                 continue
             if best_len is not None and length >= best_len:
                 continue
-            if state.vacancy(m, length) == rig:
+            if vacancy(state, m, length) == rig:
                 best, best_len = idx, length
         if best is None:
             break
@@ -239,23 +227,21 @@ def _micro_step(state, i, col_x, quantum_pos=None):
         m += 1
     letter = m
 
-    removed = []
-    if quantum_pos is not None:
-        row = state.nu[i][quantum_pos]
-        removed.append(("nu", i, row[0]))
-        row[0] -= 1
-    else:
-        removed.append(("nu", i, 1))
-        state.temp_level = None
+    removed = [("nu", i, col_x)]
+    state.nu[i][pos] -= 1
+    if not state.nu[i][pos]:
+        del state.nu[i][pos]
+        del state.flats[i][pos]
     for lev, idx in chosen:
         removed.append(("mu", lev, state.mu[lev - 1][idx][0]))
         state.mu[lev - 1][idx][0] -= 1
     if i >= 1:
-        state.temp_level = i - 1
+        state.nu[i - 1].append(1)
+        state.flats[i - 1].append(None)
     for lev, idx in chosen:
         row = state.mu[lev - 1][idx]
         if row[0] > 0:
-            row[1] = state.vacancy(lev, row[0])
+            row[1] = vacancy(state, lev, row[0])
     for lev, idx in chosen:
         if state.mu[lev - 1][idx][0] == 0:
             del state.mu[lev - 1][idx]
@@ -265,31 +251,28 @@ def _micro_step(state, i, col_x, quantum_pos=None):
     return letter, removed
 
 
-def _remove_row(state, level, pos, traced):
+def _remove_row(state, level, flat, traced):
     """Dismantles one quantum row box by box, right to left.
 
     Returns (factor tableau in B^{level+1, s}, per-column trace steps); the
-    steps, with a state snapshot after each micro-step, are only recorded
-    when traced, else None. Letters of each box form the leftmost empty
-    column, top to bottom.
+    steps, with a view of the state after each micro-step, are only
+    recorded when traced, else None. Letters of each box form the leftmost
+    empty column, top to bottom.
     """
     a = level
-    s = state.nu[level][pos][0]
+    pos = state.flats[level].index(flat)
+    s = state.nu[level][pos]
     columns = []
     col_traces = [] if traced else None
     for _ in range(s):
-        col_x = state.nu[level][pos][0]
         column = [None] * (a + 1)
         steps = []
         for i in range(a, -1, -1):
-            if i == a:
-                letter, removed = _micro_step(state, i, col_x, quantum_pos=pos)
-            else:
-                letter, removed = _micro_step(state, i, 1)
+            letter, removed = _micro_step(state, i, pos if i == a else -1)
             column[i] = letter
             if traced:
-                steps.append(TraceStep(i, letter, removed, state.snapshot()))
-        if state.temp_level is not None:
+                steps.append(TraceStep(i, letter, removed, state.view()))
+        if any(None in flats for flats in state.flats):
             raise AssertionError("transported box left behind")
         for t in range(a):
             if column[t] >= column[t + 1]:
@@ -297,23 +280,14 @@ def _remove_row(state, level, pos, traced):
         columns.append(column)
         if traced:
             col_traces.append(steps)
-    if state.nu[level][pos][0] != 0:
+    if flat in state.flats[level]:
         raise AssertionError("quantum row not exhausted")
-    del state.nu[level][pos]
     rows = [[columns[b][t] for b in range(s)] for t in range(a + 1)]
     try:
-        tab = Tableau(state.n, rows)
+        tab = Tableau(state.rank_n, rows)
     except ValueError as exc:
         raise AssertionError("reconstructed factor is not semistandard: %s" % exc) from exc
     return tab, col_traces
-
-
-def _to_rc(state, rc):
-    origin_of = {flat: org for flat, _, _, _, org in rc.quantum_rows()}
-    nu = [[m for m, _ in level] for level in state.nu]
-    origins = [[origin_of[flat] for _, flat in level] for level in state.nu]
-    mu = [[(m, r) for m, r in level] for level in state.mu]
-    return RiggedConfiguration(state.n, nu, mu, origins)
 
 
 def default_order(rc):
@@ -324,10 +298,15 @@ def default_order(rc):
     return [flat for flat, _, _, _, _ in reversed(rows)]
 
 
-def _check_valid(rc):
+def _check_valid(rc, flats=()):
+    """Rejects an invalid rc, and flat indices of rows that rc does not have."""
     problems = validate(rc, "unrestricted")
     if problems:
         raise ValueError("invalid rigged configuration: " + "; ".join(problems))
+    n_rows = len(rc.quantum_rows())
+    for flat in flats:
+        if not 0 <= flat < n_rows:
+            raise ValueError("no quantum row %d" % flat)
 
 
 def _remove_rows(rc, order, traces=None):
@@ -339,8 +318,7 @@ def _remove_rows(rc, order, traces=None):
     produced = []
     for flat in order:
         level = rows[flat][1]
-        pos = state.position(level, flat)
-        tab, col_traces = _remove_row(state, level, pos, traces is not None)
+        tab, col_traces = _remove_row(state, level, flat, traces is not None)
         produced.append(tab)
         if traces is not None:
             traces.append(RowTrace(flat, level, col_traces))
@@ -383,11 +361,9 @@ def phi_inverse(rc, order=None):
 
 def remove_row(rc, flat_index):
     """Removes a single quantum row; returns (factor tableau, remaining rc)."""
-    _check_valid(rc)
-    if not 0 <= flat_index < len(rc.quantum_rows()):
-        raise ValueError("no quantum row %d" % flat_index)
+    _check_valid(rc, [flat_index])
     (tab,), state = _remove_rows(rc, [flat_index])
-    return tab, _to_rc(state, rc)
+    return tab, state.view()
 
 
 def removal_order_equivalence(rc, row_a, row_b):
@@ -395,8 +371,7 @@ def removal_order_equivalence(rc, row_a, row_b):
     factor pairs correspond under the combinatorial R."""
     if row_a == row_b:
         raise ValueError("rows must be distinct")
-    a1, rc1 = remove_row(rc, row_a)
-    b1, _ = remove_row(rc1, row_b - 1 if row_b > row_a else row_b)
-    b2, rc2 = remove_row(rc, row_b)
-    a2, _ = remove_row(rc2, row_a - 1 if row_a > row_b else row_a)
+    _check_valid(rc, [row_a, row_b])
+    (a1, b1), _ = _remove_rows(rc, [row_a, row_b])
+    (b2, a2), _ = _remove_rows(rc, [row_b, row_a])
     return apply_R(TensorPair(b1, a1)) == TensorPair(a2, b2)

@@ -101,7 +101,10 @@ def q_l(rc, a, l):
 
 
 def vacancy(rc, a, l):
-    """p_l^(a) = sum min(l, nu^(a-1)) + Q_l^(a-1) - 2 Q_l^(a) + Q_l^(a+1)."""
+    """p_l^(a) = sum min(l, nu^(a-1)) + Q_l^(a-1) - 2 Q_l^(a) + Q_l^(a+1).
+
+    Reads only rc.rank_n, rc.nu and rc.mu, so box removal's working state
+    serves as rc too."""
     if not 1 <= a <= rc.rank_n:
         raise ValueError("level out of range")
     base = sum(min(l, x) for x in rc.nu[a - 1])

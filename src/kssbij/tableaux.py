@@ -48,7 +48,8 @@ class Tableau:
     @classmethod
     def _trusted(cls, rank_n, rows):
         """Internal constructor that skips validation; rows must be a tuple of
-        tuples derived from tableaux that were already validated."""
+        tuples that is semistandard by construction: derived from tableaux
+        that were already validated, or rows of constant i (highest_element)."""
         t = object.__new__(cls)
         object.__setattr__(t, "rank_n", rank_n)
         object.__setattr__(t, "rows", rows)
@@ -77,9 +78,6 @@ class Tableau:
 
     def is_empty(self):
         return not self.rows
-
-    def entry(self, cell):
-        return self.rows[cell.row - 1][cell.col - 1]
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -157,7 +155,7 @@ def highest_element(a, l, rank_n):
         raise ValueError("need 1 <= a <= rank_n, got a=%d, rank_n=%d" % (a, rank_n))
     if l < 1:
         raise ValueError("width must be >= 1")
-    return Tableau(rank_n, [[i] * l for i in range(1, a + 1)])
+    return Tableau._trusted(rank_n, tuple((i,) * l for i in range(1, a + 1)))
 
 
 def _fillings(shape, rank_n):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path as FsPath
 
@@ -24,6 +25,7 @@ from kssbij.rmatrix import TensorPair
 from kssbij.tableaux import Tableau
 
 GOLDEN = FsPath(__file__).parent / "golden"
+README = FsPath(__file__).parent.parent / "README.md"
 
 
 def cli(*argv, stdin=None):
@@ -41,6 +43,10 @@ def cli(*argv, stdin=None):
 
 def golden(name):
     return (GOLDEN / name).read_text()
+
+
+def readme_blocks(lang):
+    return re.findall(r"```%s\n(.*?)```" % lang, README.read_text(), re.S)
 
 
 class TestEnergyVerb:
@@ -162,6 +168,25 @@ class TestPhiVerbs:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestReadme:
+    def test_python_block_runs(self):
+        (block,) = readme_blocks("python")
+        exec(compile(block, str(README), "exec"), {})
+
+    def test_json_examples_round_trip(self):
+        path_json, rc_json = readme_blocks("json")
+        code, rc_out, _ = cli("phi", "--format", "json", stdin=path_json)
+        assert code == 0
+        code, out, _ = cli("phi-inverse", "--format", "json", stdin=rc_out)
+        assert code == 0
+        assert json.loads(out) == json.loads(path_json)
+        code, path_out, _ = cli("phi-inverse", "--format", "json", stdin=rc_json)
+        assert code == 0
+        code, out, _ = cli("phi", "--format", "json", stdin=path_out)
+        assert code == 0
+        assert decode_rc(json.loads(out)) == decode_rc(json.loads(rc_json))
 
 
 class TestLedVerb:

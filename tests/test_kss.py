@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from kssbij.kss import (
     removal_order_equivalence,
 )
 from kssbij.rigged import RiggedConfiguration, vacancy, validate
+from kssbij.rmatrix import TensorPair, apply_R
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
 
@@ -205,8 +207,10 @@ class TestRemoveRow:
         assert validate(rest, "restricted") == []
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no quantum row 3$"):
             remove_row(rc_a1(), 3)
+        with pytest.raises(ValueError, match="no quantum row -1$"):
+            remove_row(rc_a1(), -1)
 
 
 class TestRemovalOrder:
@@ -217,6 +221,44 @@ class TestRemovalOrder:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             removal_order_equivalence(rc_a1(), 1, 1)
+
+    @pytest.mark.parametrize("i, j, bad", [(0, 99, 99), (99, 0, 99), (2, 3, 3)])
+    def test_bad_index_named_as_given(self, i, j, bad):
+        with pytest.raises(ValueError, match="no quantum row %d$" % bad):
+            removal_order_equivalence(rc_a1(), i, j)
+
+    def test_matches_two_removals_per_order(self):
+        # the definition by remove_row: two calls per order, the second
+        # index shifted past the row removed first
+        def by_remove_row(rc, i, j):
+            a1, rc1 = remove_row(rc, i)
+            b1, _ = remove_row(rc1, j - 1 if j > i else j)
+            b2, rc2 = remove_row(rc, j)
+            a2, _ = remove_row(rc2, i - 1 if i > j else i)
+            return apply_R(TensorPair(b1, a1)) == TensorPair(a2, b2)
+
+        rng = random.Random(10)
+        checked = outside = 0
+        while checked < 200:
+            # the bounds of TestRoundTrip.test_random_configurations
+            n = rng.randint(1, 3)
+            nu = [[rng.randint(1, 3) for _ in range(rng.randint(0, 2))] for _ in range(n)]
+            mu = [
+                [(rng.randint(1, 3), rng.randint(-3, 2)) for _ in range(rng.randint(0, 3))]
+                for _ in range(n)
+            ]
+            rc = RiggedConfiguration(n, nu, mu)
+            rows = len(rc.quantum_rows())
+            if rows < 2 or validate(rc, "unrestricted"):
+                continue
+            checked += 1
+            try:
+                phi_inverse(rc)
+            except ValueError:
+                outside += 1
+            for i, j in itertools.permutations(range(rows), 2):
+                assert removal_order_equivalence(rc, i, j) == by_remove_row(rc, i, j)
+        assert outside > 0
 
     def test_all_pairs_small(self):
         p = path(2, [[1], [2]], [[1, 2]], [[2]])

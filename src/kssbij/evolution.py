@@ -10,7 +10,7 @@ Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 `rmatrix._sweep_step` reads prefixes this way).
 
 Every sweep is one `_sweep_rows` through `rmatrix._sweep_step`, the one
-memoized step (an LRU cache of `rmatrix.CACHE_SIZE` = 256 entries) that
+memoized step (an LRU cache of `rmatrix.CACHE_SIZE` entries) that
 also serves `apply_R`, `energy_H` and the affine R: each carrier move
 u (x) b gives the R image b' (x) u' and the energies of u against every
 column prefix of b together. The sweep keeps each carrier compressed, with

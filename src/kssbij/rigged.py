@@ -10,6 +10,13 @@ n+1 contributions equal to zero.
 from collections import Counter
 
 
+def _integer(x, what):
+    # bool is a subclass of int, and int() would truncate a float silently
+    if type(x) is not int:
+        raise ValueError("%s %r is not an integer" % (what, x))
+    return x
+
+
 class RiggedConfiguration:
     """Immutable rigged configuration.
 
@@ -21,15 +28,24 @@ class RiggedConfiguration:
             of (length, rigging) pairs with length >= 1.
         origins: optional, mirrors nu; origins[a][i] is the 1-based path
             factor index the row came from, or None when unknown.
+
+    rank_n, row lengths and riggings must be ints; a bool or a float raises
+    ValueError.
     """
 
     __slots__ = ("rank_n", "nu", "mu", "origins")
 
     def __init__(self, rank_n, nu, mu, origins=None):
-        if rank_n < 1:
+        if _integer(rank_n, "rank_n") < 1:
             raise ValueError("rank_n must be >= 1")
-        nu = tuple(tuple(int(x) for x in level) for level in nu)
-        mu = tuple(tuple((int(m), int(r)) for m, r in level) for level in mu)
+        nu = tuple(tuple(_integer(x, "quantum space row length") for x in level) for level in nu)
+        mu = tuple(
+            tuple(
+                (_integer(m, "configuration row length"), _integer(r, "rigging"))
+                for m, r in level
+            )
+            for level in mu
+        )
         if len(nu) != rank_n:
             raise ValueError("quantum space must have %d levels" % rank_n)
         if len(mu) != rank_n:
@@ -105,10 +121,17 @@ def vacancy(rc, a, l):
 
     Reads only rc.rank_n, rc.nu and rc.mu, so box removal's working state
     serves as rc too."""
-    if not 1 <= a <= rc.rank_n:
+    n = rc.rank_n
+    if not 1 <= a <= n:
         raise ValueError("level out of range")
-    base = sum(min(l, x) for x in rc.nu[a - 1])
-    return base + q_l(rc, a - 1, l) - 2 * q_l(rc, a, l) + q_l(rc, a + 1, l)
+    # the three Q terms summed here, not through q_l, which checks a again
+    mu = rc.mu
+    p = sum(min(l, x) for x in rc.nu[a - 1]) - 2 * sum(min(l, m) for m, _ in mu[a - 1])
+    if a > 1:
+        p += sum(min(l, m) for m, _ in mu[a - 2])
+    if a < n:
+        p += sum(min(l, m) for m, _ in mu[a])
+    return p
 
 
 def validate(rc, mode="restricted"):

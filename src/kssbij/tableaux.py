@@ -25,15 +25,16 @@ class Tableau:
 
     def __init__(self, rank_n, rows):
         rows = tuple(tuple(r) for r in rows)
-        if rank_n < 1:
-            raise ValueError("rank_n must be >= 1")
+        if type(rank_n) is not int or rank_n < 1:
+            raise ValueError("rank_n must be an integer >= 1")
         for i, row in enumerate(rows):
             if not row:
                 raise ValueError("empty row")
             if i > 0 and len(row) > len(rows[i - 1]):
                 raise ValueError("row lengths must weakly decrease")
             for j, x in enumerate(row):
-                if not isinstance(x, int) or not 1 <= x <= rank_n + 1:
+                # type(), not isinstance(): a bool is an int
+                if type(x) is not int or not 1 <= x <= rank_n + 1:
                     raise ValueError(
                         "entry %r at row %d col %d outside alphabet 1..%d"
                         % (x, i + 1, j + 1, rank_n + 1)

@@ -33,6 +33,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RiggedConfiguration(1, [[1]], [[(0, 0)]])
 
+    def test_rejects_non_integers(self):
+        # int() used to truncate 2.9 to 2 and take True as 1
+        for nu, mu in (
+            ([[2.9]], [[(1.7, 0.4)]]),
+            ([[True]], [[(1, 0)]]),
+            ([[2]], [[(1.7, 0)]]),
+            ([[2]], [[(True, 0)]]),
+            ([[2]], [[(1, 0.4)]]),
+            ([[2]], [[(1, False)]]),
+            ([["2"]], [[(1, 0)]]),
+        ):
+            with pytest.raises(ValueError, match="not an integer"):
+                RiggedConfiguration(1, nu, mu)
+        with pytest.raises(ValueError):
+            RiggedConfiguration(True, [[2]], [[(1, 0)]])
+
     def test_empty_is_fine(self):
         rc = RiggedConfiguration(2, [[], []], [[], []])
         assert validate(rc, "restricted") == []

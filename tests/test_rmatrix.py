@@ -203,10 +203,10 @@ class TestEmptyFactors:
 
 class TestCaches:
     def test_cached_equals_uncached_while_evicting(self):
-        # every pair on the shape menu for n <= 2, s <= 2, forward then
+        # every pair on the shape menu for n <= 3, s <= 2, forward then
         # backward: more pairs than the cache holds
         pairs = []
-        for n in (1, 2):
+        for n in (1, 2, 3):
             pairs.extend(_all_pairs(n, shape_menu(n, 2)))
         assert len(pairs) > rmatrix.CACHE_SIZE
         step = rmatrix._sweep_step
@@ -229,6 +229,11 @@ class TestCaches:
         assert info.misses > 0
         assert isinstance(info.maxsize, int)
         assert info.currsize <= info.maxsize
+        # verify at its defaults fits in the cache: every step misses once
+        step.cache_clear()
+        run_verify(2, 3, 2)
+        info = step.cache_info()
+        assert info.misses == info.currsize
 
 
 def _cells_outside(p):

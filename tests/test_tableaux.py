@@ -37,6 +37,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Tableau(2, [[0]])
 
+    def test_rejects_non_integer_entries(self):
+        for rows in ([[True, 2]], [[1, 2.0]], [[1], [False]], [["1"]]):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                Tableau(1, rows)
+        for rank in (True, 1.0):
+            with pytest.raises(ValueError):
+                Tableau(rank, [[1, 2]])
+
     def test_rejects_growing_rows(self):
         with pytest.raises(ValueError):
             Tableau(3, [[1], [2, 2]])

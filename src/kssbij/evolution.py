@@ -127,8 +127,10 @@ def _sweep_rows(p, a, l):
     The bound is tight: for every class (a, r, s) with n <= 3 some u with
     m = s - 1 leading columns V breaks the identity. (The trailing columns
     obey a mirror lemma, which is not used: it saves misses but no time.)
+
+    (a, l) is not checked here, so a sweep builds no highest element:
+    callers check 1 <= a <= rank_n and l >= 1, each public sweep once.
     """
-    highest_element(a, l, p.rank_n)  # rejects a bad level or width
     carrier = (l, ((),) * a)
     out, carriers, energies = [], [carrier], []
     for b in p.factors:
@@ -158,6 +160,7 @@ def carrier_sweep(p, a, l):
     Returns (new_factors, carriers) where carriers[j] is the carrier after
     passing the first j factors (carriers[0] is the initial highest element).
     """
+    highest_element(a, l, p.rank_n)  # rejects a bad level or width
     n = p.rank_n
     out, carriers, _ = _sweep_rows(p, a, l)
     return (
@@ -168,6 +171,7 @@ def carrier_sweep(p, a, l):
 
 def time_evolution(p, a, l):
     """The box-ball update T_l^(a) applied to the path."""
+    highest_element(a, l, p.rank_n)  # rejects a bad level or width
     n = p.rank_n
     return Path(n, [Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0]])
 
@@ -197,6 +201,7 @@ def energy_matrix(p, a, l_max):
     """Computes E[l][j][k] for l = 1..l_max over the whole path."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    highest_element(a, l_max, p.rank_n)  # rejects a bad level
     rows = [_sweep_rows(p, a, l)[2] for l in range(1, l_max + 1)]
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
@@ -252,4 +257,5 @@ def local_energy_distribution(p):
 
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
+    highest_element(a, l, p.rank_n)  # rejects a bad level or width
     return sum(hs[-1] for hs in _sweep_rows(p, a, l)[2])

@@ -14,7 +14,7 @@ removal_order_equivalence.
 from collections import namedtuple
 
 from kssbij.evolution import Path, local_energy_distribution
-from kssbij.rigged import RiggedConfiguration, vacancy, validate
+from kssbij.rigged import RiggedConfiguration, _integer, vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R
 from kssbij.tableaux import Tableau
 
@@ -330,7 +330,7 @@ def _phi_inverse(rc, order, traces):
     n_rows = len(rc.quantum_rows())
     if order is None:
         order = default_order(rc)
-    order = [int(x) for x in order]
+    order = [_integer(x, "order entry") for x in order]
     if sorted(order) != list(range(n_rows)):
         raise ValueError("order must be a permutation of 0..%d" % (n_rows - 1))
     produced, state = _remove_rows(rc, order, traces)
@@ -352,6 +352,10 @@ def phi_inverse_trace(rc, order=None):
 
 def phi_inverse(rc, order=None):
     """Reconstructs the path; the first removed row gives the rightmost factor.
+
+    order, when given, is the removal order: a permutation of the flat
+    indices of the quantum rows, each an int (a bool or a float raises
+    ValueError). By default it is `default_order(rc)`.
 
     Raises ValueError when boxes of mu are left once every quantum row is
     removed: such a configuration is not the image of any path.

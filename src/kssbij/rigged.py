@@ -27,10 +27,11 @@ class RiggedConfiguration:
         mu: configurations; sequence of n levels (a = 1..n), each a sequence
             of (length, rigging) pairs with length >= 1.
         origins: optional, mirrors nu; origins[a][i] is the 1-based path
-            factor index the row came from, or None when unknown.
+            factor index the row came from, or None when unknown. Known
+            origins are ints >= 1, pairwise distinct.
 
-    rank_n, row lengths and riggings must be ints; a bool or a float raises
-    ValueError.
+    rank_n, row lengths, riggings and origins must be ints; a bool or a float
+    raises ValueError.
     """
 
     __slots__ = ("rank_n", "nu", "mu", "origins")
@@ -61,9 +62,17 @@ class RiggedConfiguration:
         if origins is None:
             origins = tuple((None,) * len(level) for level in nu)
         else:
-            origins = tuple(tuple(level) for level in origins)
+            origins = tuple(
+                tuple(x if x is None else _integer(x, "origin") for x in level)
+                for level in origins
+            )
             if tuple(len(level) for level in origins) != tuple(len(level) for level in nu):
                 raise ValueError("origins must mirror the quantum space")
+            known = [x for level in origins for x in level if x is not None]
+            if any(x < 1 for x in known):
+                raise ValueError("origins are 1-based factor indices, must be >= 1")
+            if len(set(known)) != len(known):
+                raise ValueError("origins must be pairwise distinct")
         object.__setattr__(self, "rank_n", rank_n)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "mu", mu)

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -157,6 +158,14 @@ class TestPhiVerbs:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("origins", ["[[2],[2]]", "[[0],[1]]"])
+    def test_bad_origins_are_semantic_errors(self, origins):
+        # origins name distinct factors, counted from 1
+        stdin = '{"n":2,"nu":[[1],[1]],"mu":[{"rows":[]},{"rows":[]}],"origins":%s}'
+        code, out, err = cli("phi-inverse", stdin=stdin % origins)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
 
     def test_out_of_image_rc_is_semantic_error(self):
         # valid as an unrestricted configuration, but a box of mu outlives
@@ -389,6 +398,33 @@ class TestVerifyVerb:
             "evolution-linearization": 2295,
         }
         assert payload["total_cases"] == 18800
+
+
+class TestPhiMemo:
+    def test_warm_memo_gives_the_same_report(self):
+        harness._phi_memo.cache_clear()
+        cold = run_verify(2, 3, 2)
+        info = harness._phi_memo.cache_info()
+        assert info.misses == len(set(harness.family_paths(2, 3, 2))) == 389
+        assert isinstance(info.maxsize, int) and info.maxsize == harness.PHI_CACHE_SIZE
+        warm = run_verify(2, 3, 2)
+        assert harness._phi_memo.cache_info().misses == info.misses
+        assert [r[:3] for r in warm.results] == [r[:3] for r in cold.results]
+
+    def test_patch_sees_each_family_path_once(self, monkeypatch):
+        seen = Counter()
+        real = kss.phi_energy
+
+        def counting(p):
+            seen[p] += 1
+            return real(p)
+
+        harness._phi_memo.cache_clear()
+        monkeypatch.setattr(kss, "phi_energy", counting)
+        phi_suites = ["energy-equals-q", "round-trip", "removal-order", "evolution-linearization"]
+        assert run_verify(2, 3, 2, phi_suites).ok
+        assert set(seen) == set(harness.family_paths(2, 3, 2))
+        assert set(seen.values()) == {1}
 
 
 class TestErrorPaths:

@@ -50,7 +50,7 @@ class TestTimeEvolution:
 
     def test_level_out_of_range(self):
         # a bad level or width, and every sweep that would use the carrier
-        for fn in (carrier_sweep, time_evolution, total_energy):
+        for fn in (carrier_sweep, time_evolution, total_energy, energy_matrix):
             for a, l in ((0, 1), (5, 1), (1, 0), (2, -1)):
                 with pytest.raises(ValueError):
                     fn(EXAMPLE, a, l)

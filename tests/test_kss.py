@@ -156,6 +156,13 @@ class TestPhiInverse:
         with pytest.raises(ValueError):
             phi_inverse(rc_a1(), order=[0, 1])
 
+    def test_rejects_non_integer_order(self):
+        # int() used to truncate [1.9, 2.2, 0.1] to the valid order [1, 2, 0]
+        for order in ([1.9, 2.2, 0.1], [1.0, 2, 0], [True, 2, 0], ["1", 2, 0]):
+            for fn in (phi_inverse, phi_inverse_trace):
+                with pytest.raises(ValueError, match="not an integer"):
+                    fn(rc_a1(), order)
+
     def test_default_order_prefers_origins(self):
         rc = phi_energy(EXAMPLE)
         assert default_order(rc) == [1, 2, 0]

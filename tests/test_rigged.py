@@ -49,6 +49,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RiggedConfiguration(True, [[2]], [[(1, 0)]])
 
+    def test_rejects_bad_origins(self):
+        # origins are 1-based factor indices: ints >= 1, known ones distinct
+        for nu, origins, match in (
+            ([[2]], [[True]], "not an integer"),
+            ([[2]], [[2.5]], "not an integer"),
+            ([[2]], [["1"]], "not an integer"),
+            ([[2]], [[0]], ">= 1"),
+            ([[2]], [[-1]], ">= 1"),
+            ([[1, 1]], [[2, 2]], "distinct"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                RiggedConfiguration(1, nu, [[]], origins)
+        with pytest.raises(ValueError, match="distinct"):
+            RiggedConfiguration(2, [[1], [1]], [[], []], [[2], [2]])
+        rc = RiggedConfiguration(2, [[1], [1, 3]], [[], []], [[None], [4, None]])
+        assert rc.origins == ((None,), (4, None))
+
     def test_empty_is_fine(self):
         rc = RiggedConfiguration(2, [[], []], [[], []])
         assert validate(rc, "restricted") == []
@@ -142,8 +159,8 @@ class TestEquality:
         assert a != b
 
     def test_origins_do_not_affect_equality(self):
-        a = RiggedConfiguration(1, [[1, 1]], [[]], origins=[[0, 1]])
-        b = RiggedConfiguration(1, [[1, 1]], [[]], origins=[[1, 0]])
+        a = RiggedConfiguration(1, [[1, 1]], [[]], origins=[[1, 2]])
+        b = RiggedConfiguration(1, [[1, 1]], [[]], origins=[[2, 1]])
         assert a == b
 
     def test_riggings_matter(self):

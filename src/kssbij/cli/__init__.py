@@ -78,7 +78,7 @@ def cmd_bbs(args):
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     # the carrier u_l^(a) must exist even when no step runs
-    tableaux.highest_element(args.a, args.l, p.rank_n)
+    tableaux.check_kr(args.a, args.l, p.rank_n)
     states = [p]
     for _ in range(args.steps):
         states.append(evolution.time_evolution(states[-1], args.a, args.l))

@@ -25,7 +25,7 @@ path.
 from functools import lru_cache
 
 from kssbij.rmatrix import _sweep_step
-from kssbij.tableaux import Tableau, highest_element
+from kssbij.tableaux import Tableau, check_kr
 
 
 class Path:
@@ -35,6 +35,9 @@ class Path:
 
     def __init__(self, rank_n, factors):
         factors = tuple(factors)
+        # a path without factors has no tableau that would check its rank
+        if type(rank_n) is not int or rank_n < 1:
+            raise ValueError("rank_n must be an integer >= 1")
         for b in factors:
             if b.rank_n != rank_n:
                 raise ValueError("factor alphabet differs from path alphabet")
@@ -128,8 +131,8 @@ def _sweep_rows(p, a, l):
     m = s - 1 leading columns V breaks the identity. (The trailing columns
     obey a mirror lemma, which is not used: it saves misses but no time.)
 
-    (a, l) is not checked here, so a sweep builds no highest element:
-    callers check 1 <= a <= rank_n and l >= 1, each public sweep once.
+    (a, l) is not checked here: each public sweep checks it once with
+    `tableaux.check_kr`, which builds no highest element.
     """
     carrier = (l, ((),) * a)
     out, carriers, energies = [], [carrier], []
@@ -160,7 +163,7 @@ def carrier_sweep(p, a, l):
     Returns (new_factors, carriers) where carriers[j] is the carrier after
     passing the first j factors (carriers[0] is the initial highest element).
     """
-    highest_element(a, l, p.rank_n)  # rejects a bad level or width
+    check_kr(a, l, p.rank_n)
     n = p.rank_n
     out, carriers, _ = _sweep_rows(p, a, l)
     return (
@@ -171,7 +174,7 @@ def carrier_sweep(p, a, l):
 
 def time_evolution(p, a, l):
     """The box-ball update T_l^(a) applied to the path."""
-    highest_element(a, l, p.rank_n)  # rejects a bad level or width
+    check_kr(a, l, p.rank_n)
     n = p.rank_n
     return Path(n, [Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0]])
 
@@ -201,7 +204,7 @@ def energy_matrix(p, a, l_max):
     """Computes E[l][j][k] for l = 1..l_max over the whole path."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    highest_element(a, l_max, p.rank_n)  # rejects a bad level
+    check_kr(a, l_max, p.rank_n)
     rows = [_sweep_rows(p, a, l)[2] for l in range(1, l_max + 1)]
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
@@ -257,5 +260,5 @@ def local_energy_distribution(p):
 
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
-    highest_element(a, l, p.rank_n)  # rejects a bad level or width
+    check_kr(a, l, p.rank_n)
     return sum(hs[-1] for hs in _sweep_rows(p, a, l)[2])

@@ -16,7 +16,7 @@ from collections import namedtuple
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.rigged import RiggedConfiguration, _integer, vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R
-from kssbij.tableaux import Tableau
+from kssbij.tableaux import Tableau, check_kr
 
 
 class SolitonGroup:
@@ -134,7 +134,11 @@ def phi_energy(p):
         rows.sort(key=lambda t: (-t[0], -t[1]))
         mu.append(tuple(rows))
     nu, origins = quantum_space_of(p)
-    return RiggedConfiguration(p.rank_n, nu, mu, origins)
+    # valid by construction: positive row lengths and int riggings from a
+    # validated path, its factor indices as distinct origins
+    return RiggedConfiguration._trusted(
+        p.rank_n, tuple(map(tuple, nu)), tuple(mu), tuple(map(tuple, origins))
+    )
 
 
 def linearized_image(rc, a, l):
@@ -144,12 +148,14 @@ def linearized_image(rc, a, l):
     On a finite path the prediction is realized exactly when it is still a
     valid unrestricted configuration; otherwise the soliton exits the path
     (the carrier comes back loaded) and the corresponding rows vanish instead.
+
+    a must be an int in 1..n and l an int >= 1; anything else raises
+    ValueError.
     """
-    mu = [
-        tuple((m, r + min(l, m)) for m, r in level) if lev == a - 1 else level
-        for lev, level in enumerate(rc.mu)
-    ]
-    return RiggedConfiguration(rc.rank_n, rc.nu, mu, rc.origins)
+    check_kr(a, l, rc.rank_n)
+    mu = list(rc.mu)
+    mu[a - 1] = tuple([(m, r + (m if m < l else l)) for m, r in mu[a - 1]])
+    return RiggedConfiguration._trusted(rc.rank_n, rc.nu, tuple(mu), rc.origins)
 
 
 TraceStep = namedtuple("TraceStep", ["level", "letter", "removed", "state"])
@@ -190,8 +196,14 @@ class _State:
 
     def view(self):
         """The state as a RiggedConfiguration; the box in transport has no origin."""
-        origins = [[self.origin.get(flat) for flat in level] for level in self.flats]
-        return RiggedConfiguration(self.rank_n, self.nu, self.mu, origins)
+        # valid by construction: box removal keeps row lengths >= 1 and
+        # distinct origins, and sets riggings to ints from rigged.vacancy
+        return RiggedConfiguration._trusted(
+            self.rank_n,
+            tuple(map(tuple, self.nu)),
+            tuple(tuple(map(tuple, level)) for level in self.mu),
+            tuple(tuple(self.origin.get(flat) for flat in level) for level in self.flats),
+        )
 
 
 def _micro_step(state, i, pos):

@@ -32,6 +32,14 @@ class RiggedConfiguration:
 
     rank_n, row lengths, riggings and origins must be ints; a bool or a float
     raises ValueError.
+
+    Three configurations the library derives from checked data skip these
+    checks through `_trusted`, since every field holds by construction: the
+    result of `kss.phi_energy` (read off a validated path), of
+    `kss.linearized_image` (a configuration plus checked a and l) and
+    `kss._State.view` (box removal's working copy of a validated
+    configuration). `verify` builds one for nearly every case it checks, and
+    the checks cost more than the rest of `linearized_image`.
     """
 
     __slots__ = ("rank_n", "nu", "mu", "origins")
@@ -78,6 +86,18 @@ class RiggedConfiguration:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "origins", origins)
 
+    @classmethod
+    def _trusted(cls, rank_n, nu, mu, origins):
+        """Internal constructor that skips validation; nu, mu and origins must
+        be tuples of tuples of ints (origins: ints or None) that satisfy the
+        constructor's rules by construction (see the class docstring)."""
+        rc = object.__new__(cls)
+        object.__setattr__(rc, "rank_n", rank_n)
+        object.__setattr__(rc, "nu", nu)
+        object.__setattr__(rc, "mu", mu)
+        object.__setattr__(rc, "origins", origins)
+        return rc
+
     def __setattr__(self, name, value):
         raise AttributeError("RiggedConfiguration is immutable")
 
@@ -117,12 +137,20 @@ class RiggedConfiguration:
 
 
 def q_l(rc, a, l):
-    """Boxes of mu^(a) in the first l columns; zero for a = 0 and a = n+1."""
+    """Boxes of mu^(a) in the first l columns; zero for a = 0 and a = n+1.
+
+    l must be an int >= 0; a bool, a float or a negative l raises ValueError.
+    """
+    if _integer(l, "width") < 0:
+        raise ValueError("width must be >= 0")
     if a == 0 or a == rc.rank_n + 1:
         return 0
     if not 1 <= a <= rc.rank_n:
         raise ValueError("level out of range")
-    return sum(min(l, m) for m, _ in rc.mu[a - 1])
+    q = 0
+    for m, _ in rc.mu[a - 1]:
+        q += m if m < l else l
+    return q
 
 
 def vacancy(rc, a, l):
@@ -133,13 +161,20 @@ def vacancy(rc, a, l):
     n = rc.rank_n
     if not 1 <= a <= n:
         raise ValueError("level out of range")
-    # the three Q terms summed here, not through q_l, which checks a again
+    # the three Q terms summed here, not through q_l, which checks a and l
+    # again; plain loops, since generators and min() cost 4x the arithmetic
     mu = rc.mu
-    p = sum(min(l, x) for x in rc.nu[a - 1]) - 2 * sum(min(l, m) for m, _ in mu[a - 1])
+    p = 0
+    for x in rc.nu[a - 1]:
+        p += x if x < l else l
+    for m, _ in mu[a - 1]:
+        p -= 2 * (m if m < l else l)
     if a > 1:
-        p += sum(min(l, m) for m, _ in mu[a - 2])
+        for m, _ in mu[a - 2]:
+            p += m if m < l else l
     if a < n:
-        p += sum(min(l, m) for m, _ in mu[a])
+        for m, _ in mu[a]:
+            p += m if m < l else l
     return p
 
 

@@ -8,6 +8,7 @@ with col counted from the left.
 from collections import namedtuple
 
 from kssbij import kernels
+from kssbij.rigged import _integer
 
 Cell = namedtuple("Cell", ["row", "col"])
 
@@ -49,8 +50,13 @@ class Tableau:
     @classmethod
     def _trusted(cls, rank_n, rows):
         """Internal constructor that skips validation; rows must be a tuple of
-        tuples that is semistandard by construction: derived from tableaux
-        that were already validated, or rows of constant i (highest_element)."""
+        tuples that is semistandard by construction. The library uses it
+        where that holds: the R images of `rmatrix.apply_R`, the factors and
+        carriers of the `evolution` sweeps (all from rows of tableaux that
+        were already validated) and highest_element (rows of constant i).
+        These are built on every R move and sweep, where a re-check would
+        cost more than the move. Tableaux from user data, from insertion and
+        from box removal go through the validating constructor."""
         t = object.__new__(cls)
         object.__setattr__(t, "rank_n", rank_n)
         object.__setattr__(t, "rows", rows)
@@ -150,12 +156,19 @@ def inverse_insert(t, cell):
     return Tableau(t.rank_n, rows), x
 
 
+def check_kr(a, l, rank_n):
+    """Raises ValueError unless B^{a,l} exists over rank n: a and l ints
+    (a bool or a float raises), 1 <= a <= rank_n and l >= 1. The sweeps check
+    their carrier u_l^(a) with this, without building it."""
+    if not 1 <= _integer(a, "level") <= rank_n:
+        raise ValueError("need 1 <= a <= rank_n, got a=%d, rank_n=%d" % (a, rank_n))
+    if _integer(l, "width") < 1:
+        raise ValueError("width must be >= 1")
+
+
 def highest_element(a, l, rank_n):
     """The element of B^{a,l} whose i-th row is filled with i."""
-    if not 1 <= a <= rank_n:
-        raise ValueError("need 1 <= a <= rank_n, got a=%d, rank_n=%d" % (a, rank_n))
-    if l < 1:
-        raise ValueError("width must be >= 1")
+    check_kr(a, l, rank_n)
     return Tableau._trusted(rank_n, tuple((i,) * l for i in range(1, a + 1)))
 
 

@@ -55,6 +55,18 @@ class TestTimeEvolution:
                 with pytest.raises(ValueError):
                     fn(EXAMPLE, a, l)
 
+    def test_non_integer_level_or_width(self):
+        # a float used to raise TypeError, and a bool ran as 1
+        for fn in (carrier_sweep, time_evolution, total_energy, energy_matrix):
+            for a, l in ((1.0, 1), (1, 2.0), (True, 1), (1, True)):
+                with pytest.raises(ValueError, match="not an integer"):
+                    fn(EXAMPLE, a, l)
+
+    def test_path_rank_checked_without_factors(self):
+        for n in (0, -1, True, 2.0):
+            with pytest.raises(ValueError):
+                Path(n, [])
+
     def test_sweep_returns_all_carriers(self):
         out, carriers = carrier_sweep(EXAMPLE, 1, 2)
         assert len(carriers) == len(EXAMPLE.factors) + 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kssbij.cli.harness import check_energy_equals_q, check_removal_order
+from kssbij.cli.harness import check_energy_equals_q, check_removal_order, family_paths
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
@@ -285,6 +285,52 @@ class TestLinearization:
         rc = RiggedConfiguration(1, [[3, 3]], [[(1, 0), (3, 0)]])
         out = linearized_image(rc, 1, 2)
         assert sorted(out.mu[0]) == [(1, 1), (3, 2)]
+
+
+    def test_rejects_bad_level_or_width(self):
+        # with n = 2, a = 0 or 3 used to return rc unchanged, l = -2 lowered
+        # the riggings and True ran as 1
+        rc = phi_energy(path(2, [[2]], [[1]], [[3]]))
+        for a, l in ((0, 1), (3, 1), (1, 0), (1, -2), (True, 1), (1, True), (1.0, 1), (1, 2.0)):
+            with pytest.raises(ValueError):
+                linearized_image(rc, a, l)
+
+
+def assert_constructor_agrees(rc):
+    """rc has the fields the validating constructor gives it: tuples of
+    tuples of ints (origins: ints or None), in the same order."""
+    again = RiggedConfiguration(rc.rank_n, rc.nu, rc.mu, rc.origins)
+    fields = (rc.rank_n, rc.nu, rc.mu, rc.origins)
+    assert fields == (again.rank_n, again.nu, again.mu, again.origins)
+    assert type(rc.nu) is type(rc.mu) is type(rc.origins) is tuple
+    assert all(type(level) is tuple for level in rc.nu + rc.mu + rc.origins)
+    assert all(type(row) is tuple for level in rc.mu for row in level)
+    values = [x for level in rc.nu for x in level]
+    values += [x for level in rc.mu for row in level for x in row]
+    values += [x for level in rc.origins for x in level if x is not None]
+    assert all(type(x) is int for x in [rc.rank_n] + values)
+
+
+class TestTrustedResults:
+    """Configurations built without validation equal the validated ones."""
+
+    def test_phi_and_linearized_images_over_the_family(self):
+        # the `verify` family at its defaults, every (a, l) of its
+        # linearization suite, and one row removal of each image
+        for p in family_paths(2, 3, 2):
+            rc = phi_energy(p)
+            assert_constructor_agrees(rc)
+            for a in range(1, p.rank_n + 1):
+                for l in range(1, 4):
+                    assert_constructor_agrees(linearized_image(rc, a, l))
+            assert_constructor_agrees(remove_row(rc, 0)[1])
+
+    def test_trace_states(self):
+        _, trace = phi_inverse_trace(phi_energy(EXAMPLE))
+        states = [s.state for row in trace.rows for col in row.columns for s in col]
+        assert states
+        for state in states:
+            assert_constructor_agrees(state)
 
 
 class TestRoundTrip:

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from kssbij.cli.harness import family_paths
+from kssbij.kss import phi_energy
 from kssbij.rigged import (
     RiggedConfiguration,
     q_l,
@@ -16,6 +20,25 @@ def rc_a1():
         [[4], [4], [2], []],
         [[(3, 1)], [(3, 0), (1, 0)], [(2, 0), (1, 0)], [(1, 0)]],
     )
+
+
+def reference_vacancy(rc, a, l):
+    # the generator-and-min form that rigged.vacancy replaced
+    n = rc.rank_n
+    p = sum(min(l, x) for x in rc.nu[a - 1]) - 2 * sum(min(l, m) for m, _ in rc.mu[a - 1])
+    if a > 1:
+        p += sum(min(l, m) for m, _ in rc.mu[a - 2])
+    if a < n:
+        p += sum(min(l, m) for m, _ in rc.mu[a])
+    return p
+
+
+def assert_vacancy_matches_reference(rc):
+    """vacancy = the reference for a = 1..n and l = 0..(longest row + 1)."""
+    top = max([x for level in rc.nu for x in level] + [m for level in rc.mu for m, _ in level] + [0])
+    for a in range(1, rc.rank_n + 1):
+        for l in range(top + 2):
+            assert vacancy(rc, a, l) == reference_vacancy(rc, a, l), (rc, a, l)
 
 
 class TestConstruction:
@@ -87,6 +110,13 @@ class TestQ:
     def test_example_level_one(self):
         assert q_l(rc_a1(), 1, 3) == 3
 
+    def test_rejects_bad_widths(self):
+        # q_l(rc, 1, -1) used to be -1 and q_l(rc, 1, 2.5) 2.5
+        for a in (0, 1, 5):
+            for l in (-1, 2.5, True, None):
+                with pytest.raises(ValueError):
+                    q_l(rc_a1(), a, l)
+
     def test_concave_nondecreasing(self):
         rc = rc_a1()
         for a in (1, 2, 3, 4):
@@ -111,6 +141,22 @@ class TestVacancy:
         rc = RiggedConfiguration(2, [[3, 1], []], [[], []])
         assert vacancy(rc, 1, 2) == min(2, 3) + min(2, 1)
         assert vacancy(rc, 2, 2) == 0
+
+    def test_matches_reference_on_family_images(self):
+        # every phi image of the `verify` family at its defaults (n <= 2)
+        for p in family_paths(2, 3, 2):
+            assert_vacancy_matches_reference(phi_energy(p))
+
+    def test_matches_reference_on_random_configurations(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            nu = [[rng.randint(1, 5) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            mu = [
+                [(rng.randint(1, 5), rng.randint(-6, 6)) for _ in range(rng.randint(0, 3))]
+                for _ in range(n)
+            ]
+            assert_vacancy_matches_reference(RiggedConfiguration(n, nu, mu))
 
     def test_permuting_equal_rows_invariant(self):
         a = RiggedConfiguration(2, [[2], []], [[(1, 0), (1, 1)], []])

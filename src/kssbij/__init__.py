@@ -41,7 +41,6 @@ from kssbij.rmatrix import (
 from kssbij.tableaux import (
     Cell,
     Tableau,
-    empty_tableau,
     enumerate_kr,
     highest_element,
     insert,
@@ -67,7 +66,6 @@ __all__ = [
     "carrier_sweep",
     "compute_rigging",
     "default_order",
-    "empty_tableau",
     "energy_H",
     "energy_matrix",
     "enumerate_kr",

@@ -224,12 +224,6 @@ class LocalEnergyDistribution:
         self.columns = list(columns)
         self.tables = tables
 
-    def epsilon(self, a, l, j, k):
-        rows = self.tables[a - 1]
-        if l > len(rows):
-            return 0
-        return rows[l - 1][self.columns.index((j, k))]
-
 
 def local_energy_distribution(p):
     """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row."""

@@ -3,9 +3,13 @@
 The single insertion module behind tableaux and the combinatorial R. `bump`,
 `insert_word` and `inverse_bump` act on a tableau stored as its rows (weakly
 increasing, lengths weakly decreasing); `col_bump` acts on one stored as its
-columns (strictly increasing, lengths weakly decreasing), which is how the
-memoized carrier step of `rmatrix` builds its product tableaux. All functions
+columns (strictly increasing, lengths weakly decreasing). All functions
 mutate their tableau in place.
+
+The memoized step of `rmatrix`, behind every R and H, uses two of them:
+`col_bump` builds its product tableaux and `inverse_bump` peels the R image
+off. Row insertion (`bump`, `insert_word`) serves only the tableau API of
+`tableaux` and the row-insertion oracle `rmatrix.product_tableau`.
 """
 
 from bisect import bisect_right, bisect_left

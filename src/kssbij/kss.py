@@ -6,15 +6,16 @@ become configuration rows, riggings come from a closed-form count. phi_inverse
 is the classical box-removal reconstruction; removing a quantum-space row of
 length s at level a produces one path factor in B^{a+1,s}, column by column.
 Box removal works on a mutable copy of the configuration in which the box in
-transport is a length-1 quantum row, so rigged.vacancy gives every vacancy
-number and one driver, _remove_rows, serves phi_inverse, remove_row and
-removal_order_equivalence.
+transport is a length-1 quantum row, so the vacancy formula of rigged gives
+every vacancy number and one driver, _remove_rows, serves phi_inverse,
+remove_row and removal_order_equivalence. Each of these checks the
+configuration and its flat indices once, in _checked_rows.
 """
 
 from collections import namedtuple
 
 from kssbij.evolution import Path, local_energy_distribution
-from kssbij.rigged import RiggedConfiguration, _integer, vacancy, validate
+from kssbij.rigged import RiggedConfiguration, _integer, _vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R
 from kssbij.tableaux import Tableau, check_kr
 
@@ -177,20 +178,20 @@ class _State:
 
     It has the fields of a RiggedConfiguration that rigged.vacancy reads, as
     lists: rank_n, nu (row lengths) and mu ([length, rigging] rows), so
-    vacancy(state, a, l) gives every vacancy number. flats mirrors nu with
+    _vacancy(state, a, l) gives every vacancy number. flats mirrors nu with
     each quantum row's flat index. The box in transport is a length-1 row at
     the end of its level with flat index None, so while present it counts
     toward the vacancy numbers one level up. A row is deleted when its
     length reaches 0.
     """
 
-    def __init__(self, rc):
+    def __init__(self, rc, quantum_rows):
         self.rank_n = rc.rank_n
         self.nu = [list(level) for level in rc.nu]
         self.mu = [[[m, r] for m, r in level] for level in rc.mu]
         self.flats = [[] for _ in rc.nu]
         self.origin = {}
-        for flat, a, _, _, origin in rc.quantum_rows():
+        for flat, a, _, _, origin in quantum_rows:
             self.flats[a].append(flat)
             self.origin[flat] = origin
 
@@ -230,7 +231,7 @@ def _micro_step(state, i, pos):
                 continue
             if best_len is not None and length >= best_len:
                 continue
-            if vacancy(state, m, length) == rig:
+            if _vacancy(state, m, length) == rig:
                 best, best_len = idx, length
         if best is None:
             break
@@ -253,7 +254,7 @@ def _micro_step(state, i, pos):
     for lev, idx in chosen:
         row = state.mu[lev - 1][idx]
         if row[0] > 0:
-            row[1] = vacancy(state, lev, row[0])
+            row[1] = _vacancy(state, lev, row[0])
     for lev, idx in chosen:
         if state.mu[lev - 1][idx][0] == 0:
             del state.mu[lev - 1][idx]
@@ -286,9 +287,6 @@ def _remove_row(state, level, flat, traced):
                 steps.append(TraceStep(i, letter, removed, state.view()))
         if any(None in flats for flats in state.flats):
             raise AssertionError("transported box left behind")
-        for t in range(a):
-            if column[t] >= column[t + 1]:
-                raise AssertionError("reconstructed column is not strictly increasing")
         columns.append(column)
         if traced:
             col_traces.append(steps)
@@ -304,29 +302,35 @@ def _remove_row(state, level, flat, traced):
 
 def default_order(rc):
     """Reverse provenance order when known, else reverse flat order."""
-    rows = rc.quantum_rows()
+    return _default_order(rc.quantum_rows())
+
+
+def _default_order(rows):
     if rows and all(org is not None for _, _, _, _, org in rows):
         return [flat for flat, _, _, _, org in sorted(rows, key=lambda t: -t[4])]
     return [flat for flat, _, _, _, _ in reversed(rows)]
 
 
-def _check_valid(rc, flats=()):
-    """Rejects an invalid rc, and flat indices of rows that rc does not have."""
+def _checked_rows(rc, flats=()):
+    """rc.quantum_rows() of a valid rc whose quantum rows include every flat
+    index in flats; raises ValueError for an invalid rc and for a flat index
+    that is not an int (a bool or a float) or names no quantum row."""
     problems = validate(rc, "unrestricted")
     if problems:
         raise ValueError("invalid rigged configuration: " + "; ".join(problems))
-    n_rows = len(rc.quantum_rows())
-    for flat in flats:
-        if not 0 <= flat < n_rows:
-            raise ValueError("no quantum row %d" % flat)
-
-
-def _remove_rows(rc, order, traces=None):
-    """The box-removal driver: removes the quantum rows of a valid rc in the
-    given order of flat indices; returns (factors in removal order, remaining
-    state). Appends one RowTrace per row to traces when it is a list."""
     rows = rc.quantum_rows()
-    state = _State(rc)
+    for flat in flats:
+        if not 0 <= _integer(flat, "flat index") < len(rows):
+            raise ValueError("no quantum row %d" % flat)
+    return rows
+
+
+def _remove_rows(rc, rows, order, traces=None):
+    """The box-removal driver: removes the quantum rows (rows =
+    _checked_rows(rc, order)) of a valid rc in the given order of flat
+    indices; returns (factors in removal order, remaining state). Appends one
+    RowTrace per row to traces when it is a list."""
+    state = _State(rc, rows)
     produced = []
     for flat in order:
         level = rows[flat][1]
@@ -338,14 +342,13 @@ def _remove_rows(rc, order, traces=None):
 
 
 def _phi_inverse(rc, order, traces):
-    _check_valid(rc)
-    n_rows = len(rc.quantum_rows())
+    order = None if order is None else list(order)
+    rows = _checked_rows(rc, order or ())
     if order is None:
-        order = default_order(rc)
-    order = [_integer(x, "order entry") for x in order]
-    if sorted(order) != list(range(n_rows)):
-        raise ValueError("order must be a permutation of 0..%d" % (n_rows - 1))
-    produced, state = _remove_rows(rc, order, traces)
+        order = _default_order(rows)
+    if sorted(order) != list(range(len(rows))):
+        raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
+    produced, state = _remove_rows(rc, rows, order, traces)
     left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
     if left:
         raise ValueError(
@@ -377,17 +380,17 @@ def phi_inverse(rc, order=None):
 
 def remove_row(rc, flat_index):
     """Removes a single quantum row; returns (factor tableau, remaining rc)."""
-    _check_valid(rc, [flat_index])
-    (tab,), state = _remove_rows(rc, [flat_index])
+    rows = _checked_rows(rc, [flat_index])
+    (tab,), state = _remove_rows(rc, rows, [flat_index])
     return tab, state.view()
 
 
 def removal_order_equivalence(rc, row_a, row_b):
     """Removes row_a then row_b and the other way round; True iff the two
     factor pairs correspond under the combinatorial R."""
+    rows = _checked_rows(rc, [row_a, row_b])
     if row_a == row_b:
         raise ValueError("rows must be distinct")
-    _check_valid(rc, [row_a, row_b])
-    (a1, b1), _ = _remove_rows(rc, [row_a, row_b])
-    (b2, a2), _ = _remove_rows(rc, [row_b, row_a])
+    (a1, b1), _ = _remove_rows(rc, rows, [row_a, row_b])
+    (b2, a2), _ = _remove_rows(rc, rows, [row_b, row_a])
     return apply_R(TensorPair(b1, a1)) == TensorPair(a2, b2)

@@ -156,13 +156,21 @@ def q_l(rc, a, l):
 def vacancy(rc, a, l):
     """p_l^(a) = sum min(l, nu^(a-1)) + Q_l^(a-1) - 2 Q_l^(a) + Q_l^(a+1).
 
-    Reads only rc.rank_n, rc.nu and rc.mu, so box removal's working state
-    serves as rc too."""
-    n = rc.rank_n
-    if not 1 <= a <= n:
+    a must be an int in 1..n and l an int >= 0; a bool, a float or anything
+    out of range raises ValueError. Reads only rc.rank_n, rc.nu and rc.mu."""
+    if not 1 <= _integer(a, "level") <= rc.rank_n:
         raise ValueError("level out of range")
-    # the three Q terms summed here, not through q_l, which checks a and l
-    # again; plain loops, since generators and min() cost 4x the arithmetic
+    if _integer(l, "width") < 0:
+        raise ValueError("width must be >= 0")
+    return _vacancy(rc, a, l)
+
+
+def _vacancy(rc, a, l):
+    # vacancy without its checks, for validate and box removal (whose
+    # working state serves as rc), where a and l are ints in range by
+    # construction. The Q terms are summed here, not through q_l, which
+    # checks a and l; plain loops, since generators and min() cost 4x
+    n = rc.rank_n
     mu = rc.mu
     p = 0
     for x in rc.nu[a - 1]:
@@ -196,11 +204,11 @@ def validate(rc, mode="restricted"):
                 if 1 <= lev <= rc.rank_n:
                     horizon.extend(m for m, _ in rc.mu[lev - 1])
             for l in range(1, max(horizon) + 1):
-                p = vacancy(rc, a, l)
+                p = _vacancy(rc, a, l)
                 if p < 0:
                     problems.append("vacancy p_%d^(%d) = %d is negative" % (l, a, p))
         for i, (m, r) in enumerate(rc.mu[a - 1]):
-            p = vacancy(rc, a, m)
+            p = _vacancy(rc, a, m)
             if r > p:
                 problems.append(
                     "rigging %d exceeds vacancy %d at level %d row %d" % (r, p, a, i + 1)

@@ -2,7 +2,8 @@
 
 The R image of b (x) b' is the unique pair bt' (x) bt with
 (b' <- row(b)) = (bt <- row(bt')); it is computed by peeling vertical strips
-off the product tableau and undoing their insertions.
+off the product tableau: undoing the insertions of each strip's cells ejects
+one column of bt'.
 
 R and H are pure functions of the two factors' rows, so they are computed
 on row tuples by one memoized step, `_sweep_step` (an LRU cache of
@@ -16,7 +17,9 @@ last energy. `apply_R` wraps the cached image
 in tableaux without re-validating its rows: they come from factors that were
 checked when they were built. `apply_affine_R` works on row tuples with
 modes and builds no tableau or pair.
-`product_tableau` builds the product by row insertion instead.
+The step uses two kernels, `kernels.col_bump` to build the product and
+`kernels.inverse_bump` to peel it. `product_tableau` builds the product by
+row insertion instead; it is the tests' oracle for the step.
 """
 
 from functools import lru_cache
@@ -85,50 +88,45 @@ def _excess(lengths, r, s, rp, sp):
     return h
 
 
-def _peel_strips(shape, r, s, r_strip, n_strips):
-    """Label the cells outside the upper-left (s^r) rectangle.
-
-    Peels n_strips vertical strips of r_strip cells each, always as high as
-    possible: scan rows top to bottom, take at most one available cell per
-    row, in the rightmost available column. Returns cells in label order
-    (each strip numbered bottom to top), 0-based (row, col).
-    """
-    # each row gives up cells from its right end, so a row's available
-    # cells are always the columns caps[i] .. ends[i] - 1
-    caps = [s if i < r else 0 for i in range(len(shape))]
-    ends = list(shape)
-    order = []
-    for _ in range(n_strips):
+def _peel(rows, r, s, rp, sp):
+    # the R image (left', right') of a pair left (x) right of shapes (s^r)
+    # and (sp^rp) whose product tableau is rows (lists, consumed), as row
+    # tuples. Peels sp vertical strips of rp cells off the cells outside the
+    # (s^r) rectangle, each as high as possible: rows top to bottom, at most
+    # one cell per row, its last. Undoing the insertions of a strip's cells
+    # bottom to top ejects a column of left', top letter first; the strips
+    # give its columns right to left. A row's available cells are always the
+    # columns caps[i] .. ends[i] - 1.
+    caps = [s if i < r else 0 for i in range(len(rows))]
+    ends = [len(row) for row in rows]
+    cols = []
+    for _ in range(sp):
         strip = []
         for i, cap in enumerate(caps):
-            if len(strip) == r_strip:
+            if len(strip) == rp:
                 break
             if ends[i] > cap:
                 ends[i] -= 1
-                strip.append((i, ends[i]))
-        if len(strip) != r_strip:
+                strip.append(i)
+        if len(strip) != rp:
             raise AssertionError("malformed complement")
-        order.extend(reversed(strip))
+        col = []
+        for i in reversed(strip):
+            if ends[i] != len(rows[i]) - 1:
+                raise AssertionError("strip cell is not a corner")
+            col.append(kernels.inverse_bump(rows, i))
+        cols.append(col)
     if any(end > cap for end, cap in zip(ends, caps)):
         raise AssertionError("malformed complement")
-    return order
-
-
-def _peel(rows, r, s, rp, sp):
-    # the R image (left', right') of a pair left (x) right of shapes (s^r)
-    # and (sp^rp) whose product tableau is rows (lists, consumed); the image
-    # rows come back as tuples
-    order = _peel_strips([len(row) for row in rows], r, s, rp, sp)
-    ejected = []
-    for i, j in order:
-        if j != len(rows[i]) - 1:
-            raise AssertionError("strip cell is not a corner")
-        ejected.append(kernels.inverse_bump(rows, i))
-    left_new = []
-    kernels.insert_word(left_new, reversed(ejected))
-    if [len(row) for row in left_new] != [sp] * rp or [len(row) for row in rows] != [s] * r:
+    if [len(row) for row in rows] != [s] * r:
         raise AssertionError("R image has wrong shapes")
-    return tuple(map(tuple, left_new)), tuple(map(tuple, rows))
+    # left' is the row insertion of its column word, the ejected letters in
+    # reverse, exactly when it is semistandard
+    left = tuple(zip(*reversed(cols)))
+    for i, row in enumerate(left):
+        if list(row) != sorted(row) or i and any(x >= y for x, y in zip(left[i - 1], row)):
+            raise AssertionError("R image left factor is not semistandard")
+    return left, tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -73,10 +73,6 @@ class Tableau:
     def n_rows(self):
         return len(self.rows)
 
-    @property
-    def n_cells(self):
-        return sum(len(r) for r in self.rows)
-
     def width(self):
         return len(self.rows[0]) if self.rows else 0
 
@@ -102,10 +98,6 @@ class Tableau:
             return "Tableau(n=%d, empty)" % self.rank_n
         body = "|".join(" ".join(str(x) for x in r) for r in self.rows)
         return "Tableau(n=%d, %s)" % (self.rank_n, body)
-
-
-def empty_tableau(rank_n):
-    return Tableau(rank_n, ())
 
 
 def row_word(t):
@@ -197,12 +189,10 @@ def enumerate_kr(r, s, rank_n):
     """Yields every element of B^{r,s} exactly once, ordered by row word.
 
     The order is lexicographic on row_word; the full set is materialized
-    internally, which is fine at the intended small sizes.
+    internally, which is fine at the intended small sizes. r and s are
+    checked by check_kr.
     """
-    if not 1 <= r <= rank_n:
-        raise ValueError("need 1 <= r <= rank_n")
-    if s < 1:
-        raise ValueError("width must be >= 1")
+    check_kr(r, s, rank_n)
     found = [Tableau(rank_n, rows) for rows in _fillings((s,) * r, rank_n)]
     found.sort(key=row_word)
     yield from found

@@ -169,16 +169,20 @@ class TestLocalEnergyDistribution:
             assert all(v == 0 for v in t[-1])
             assert len(t) <= 1 + cells
 
-    def test_epsilon_accessor_matches_differences(self):
+    def test_tables_match_double_differences(self):
         led = local_energy_distribution(EXAMPLE)
         for a in (1, 2, 3, 4):
-            em = energy_matrix(EXAMPLE, a, len(led.tables[a - 1]))
-            for l in range(1, len(led.tables[a - 1]) + 1):
-                for j, k in led.columns:
-                    want = (em.E(l, j, k) - em.E(l, j, k - 1)) - (
-                        em.E(l - 1, j, k) - em.E(l - 1, j, k - 1)
-                    )
-                    assert led.epsilon(a, l, j, k) == want
+            rows = led.tables[a - 1]
+            em = energy_matrix(EXAMPLE, a, len(rows))
+            want = [
+                [
+                    (em.E(l, j, k) - em.E(l, j, k - 1))
+                    - (em.E(l - 1, j, k) - em.E(l - 1, j, k - 1))
+                    for j, k in led.columns
+                ]
+                for l in range(1, len(rows) + 1)
+            ]
+            assert [list(row) for row in rows] == want
 
     def test_single_highest_factor_all_zero(self):
         p = Path(3, [highest_element(2, 2, 3)])

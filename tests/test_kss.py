@@ -219,6 +219,35 @@ class TestRemoveRow:
         with pytest.raises(ValueError, match="no quantum row -1$"):
             remove_row(rc_a1(), -1)
 
+    def test_rejects_non_integer_index(self):
+        # 1.0 used to raise TypeError and True removed row 1
+        for bad in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                remove_row(rc_a1(), bad)
+            with pytest.raises(ValueError, match="not an integer"):
+                removal_order_equivalence(rc_a1(), 0, bad)
+
+    def test_reads_quantum_rows_once(self, monkeypatch):
+        calls = []
+        quantum_rows = RiggedConfiguration.quantum_rows
+
+        def counted(rc):
+            calls.append(rc)
+            return quantum_rows(rc)
+
+        monkeypatch.setattr(RiggedConfiguration, "quantum_rows", counted)
+        rc = rc_a1()
+        for run in (
+            lambda: phi_inverse(rc),
+            lambda: phi_inverse(rc, [1, 2, 0]),
+            lambda: phi_inverse_trace(rc),
+            lambda: remove_row(rc, 1),
+            lambda: removal_order_equivalence(rc, 0, 2),
+        ):
+            calls.clear()
+            run()
+            assert calls == [rc]
+
 
 class TestRemovalOrder:
     def test_example_swap(self):

@@ -158,6 +158,15 @@ class TestVacancy:
             ]
             assert_vacancy_matches_reference(RiggedConfiguration(n, nu, mu))
 
+    def test_rejects_bad_level_or_width(self):
+        # vacancy(rc, 1, 2.5) used to be -0.5, vacancy(rc, 1, -1) 0, and a
+        # = True ran as a = 1
+        rc = RiggedConfiguration(2, [[3, 1], []], [[(2, 0)], []])
+        for a, l in ((1, 2.5), (1, -1), (1, True), (1, None), (True, 2), (1.0, 2), (0, 1), (3, 1)):
+            with pytest.raises(ValueError):
+                vacancy(rc, a, l)
+        assert vacancy(rc, 1, 0) == 0
+
     def test_permuting_equal_rows_invariant(self):
         a = RiggedConfiguration(2, [[2], []], [[(1, 0), (1, 1)], []])
         b = RiggedConfiguration(2, [[2], []], [[(1, 1), (1, 0)], []])

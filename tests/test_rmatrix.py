@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kssbij import rmatrix
+from kssbij import kernels, rmatrix
 from kssbij.cli.harness import (
     _phi_memo,
     affine_triples,
@@ -170,9 +170,43 @@ class TestSweepStep:
         )
 
     def test_exhaustive_small_menus(self):
-        for n in (1, 2):
-            for p in _all_pairs(n, shape_menu(n, 2)):
+        # 4,385 pairs: n = 1 and 3 with s <= 2, n = 2 with s <= 3
+        for n, max_s in ((1, 2), (2, 3), (3, 2)):
+            for p in _all_pairs(n, shape_menu(n, max_s)):
                 self._check(p)
+
+    def test_uses_no_row_insertion(self, monkeypatch):
+        # col_bump builds the products and inverse_bump peels the R image off
+        pairs = [(p.left.rows, p.right.rows) for p in _all_pairs(2, shape_menu(2, 2))]
+        want = [rmatrix._sweep_step.__wrapped__(*rows) for rows in pairs]
+
+        def row_insertion(*args):
+            raise RuntimeError("the step called row insertion")
+
+        monkeypatch.setattr(kernels, "bump", row_insertion)
+        monkeypatch.setattr(kernels, "insert_word", row_insertion)
+        assert [rmatrix._sweep_step.__wrapped__(*rows) for rows in pairs] == want
+
+    def test_wrong_ejected_letter_raises(self, monkeypatch):
+        # every ejected letter 1: the three-row left factor of the image has
+        # no strictly increasing column, so the step raises, caches nothing
+        # and computes the image again once the kernel is right
+        inverse_bump = kernels.inverse_bump
+
+        def eject_one(rows, i):
+            inverse_bump(rows, i)
+            return 1
+
+        rows = (WORKED.left.rows, WORKED.right.rows)
+        step = rmatrix._sweep_step
+        step.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels, "inverse_bump", eject_one)
+            for fn in (step, step.__wrapped__):
+                with pytest.raises(AssertionError, match="not semistandard"):
+                    fn(*rows)
+        assert step.cache_info().currsize == 0
+        assert step(*rows)[:2] == (apply_R(WORKED).left.rows, apply_R(WORKED).right.rows)
 
     def test_seeded_random_pairs(self):
         # n <= 4, r, s <= 3

@@ -6,7 +6,6 @@ from kssbij import kernels
 from kssbij.tableaux import (
     Cell,
     Tableau,
-    empty_tableau,
     enumerate_kr,
     highest_element,
     insert,
@@ -21,7 +20,6 @@ class TestValidation:
     def test_accepts_semistandard(self):
         t = Tableau(3, [[1, 1, 2], [2, 3, 3]])
         assert t.shape == (3, 3)
-        assert t.n_cells == 6
 
     def test_rejects_row_decrease(self):
         with pytest.raises(ValueError):
@@ -50,7 +48,7 @@ class TestValidation:
             Tableau(3, [[1], [2, 2]])
 
     def test_empty_tableau(self):
-        t = empty_tableau(2)
+        t = Tableau(2, ())
         assert t.is_empty()
         assert t.shape == ()
         assert t.is_rectangular()
@@ -89,20 +87,20 @@ class TestInsertion:
         assert cell == Cell(1, 3)
 
     def test_insert_into_empty(self):
-        out, cell = insert(empty_tableau(3), 2)
+        out, cell = insert(Tableau(3, ()), 2)
         assert out.to_lists() == [[2]]
         assert cell == Cell(1, 1)
 
     def test_word_rebuilds_tableau(self):
         # inserting the row word of a tableau reproduces it
         t = Tableau(4, [[1, 1, 2, 4], [2, 2, 3, 5]])
-        assert insert_word(empty_tableau(4), row_word(t)) == t
+        assert insert_word(Tableau(4, ()), row_word(t)) == t
 
     def test_word_from_iterator(self):
         # an iterator's letters are both checked and inserted
-        assert insert_word(empty_tableau(2), iter([2, 1, 3])).to_lists() == [[1, 3], [2]]
+        assert insert_word(Tableau(2, ()), iter([2, 1, 3])).to_lists() == [[1, 3], [2]]
         with pytest.raises(ValueError):
-            insert_word(empty_tableau(2), iter([1, 4]))
+            insert_word(Tableau(2, ()), iter([1, 4]))
 
     def test_row_word_order(self):
         t = Tableau(4, [[1, 2], [3, 4], [5, 5]])
@@ -150,7 +148,7 @@ class TestInverseInsertion:
     )
     @settings(max_examples=60)
     def test_random_words_round_trip(self, letters):
-        t = empty_tableau(3)
+        t = Tableau(3, ())
         trail = []
         for x in letters:
             t, cell = insert(t, x)
@@ -192,6 +190,12 @@ class TestEnumeration:
     def test_rejects_rows_beyond_rank(self):
         with pytest.raises(ValueError):
             list(enumerate_kr(2, 1, 1))
+
+    def test_rejects_non_integer_shape(self):
+        # (1, 2.0, 2) used to raise TypeError and (True, 1, 2) ran as r = 1
+        for r, s in ((1, 2.0), (True, 1), (1, True), (1.0, 1), (0, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                list(enumerate_kr(r, s, 2))
 
     def test_elements_distinct_valid_and_sorted(self):
         seen = list(enumerate_kr(2, 2, 3))

@@ -22,6 +22,7 @@ tableaux without re-validation, since their rows come from the validated
 path.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
 from kssbij.rmatrix import _sweep_step
@@ -120,12 +121,13 @@ def _sweep_rows(p, a, l):
     column. So at every stage the product of V (+) u is that of u with one
     more letter i+1 at the front of each row i < a. (iii) Rows < a then
     gain one cell and their caps in `_excess` gain one too, rows >= a are
-    unchanged, so every H_k is the same. (iv) `_peel_strips` takes the same
-    cells, shifted one column right in rows < a; an inverse bump replaces
-    the rightmost entry < x of each row above, which in u's run lies at
-    some position j >= 0, so in the other run it lies at j + 1 and the
-    added column is never entered. The ejected letters, hence b', are the
-    same, and the rows left are V (+) u'.
+    unchanged, so every H_k is the same. (iv) `_peel` picks strip cells by
+    the row lengths and these caps, so it picks the same cells, shifted one
+    column right in rows < a; an inverse bump replaces the rightmost entry
+    < x of each row above, which in u's run lies at some position j >= 0,
+    so in the other run it lies at j + 1 and the added column is never
+    entered. The ejected letters, hence b', are the same, and the rows left
+    are V (+) u'.
 
     The bound is tight: for every class (a, r, s) with n <= 3 some u with
     m = s - 1 leading columns V breaks the identity. (The trailing columns
@@ -209,28 +211,20 @@ def energy_matrix(p, a, l_max):
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
 
-class LocalEnergyDistribution:
-    """Double differences of carrier energies, one table per level a = 1..n.
-
-    tables[a-1] is a list of rows; row l-1 holds the entries for row l in
-    column order columns = [(j, k), ...], lexicographic. Each table ends with
-    its first all-zero row. Entries below the stored rows are zero.
-    """
-
-    __slots__ = ("rank_n", "columns", "tables")
-
-    def __init__(self, rank_n, columns, tables):
-        self.rank_n = rank_n
-        self.columns = list(columns)
-        self.tables = tables
+# Double differences of carrier energies, one table per level a = 1..n:
+# tables[a-1][l-1] is row l in the column order columns = [(j, k), ...],
+# lexicographic. Each table ends with its first all-zero row; entries below
+# it are zero.
+LocalEnergyDistribution = namedtuple(
+    "LocalEnergyDistribution", ["rank_n", "columns", "tables"]
+)
 
 
 def local_energy_distribution(p):
     """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row."""
-    betas = [b.width() for b in p.factors]
-    alphas = [b.n_rows for b in p.factors]
-    columns = [(j + 1, k) for j in range(len(betas)) for k in range(1, betas[j] + 1)]
-    cap = 1 + sum(a * b for a, b in zip(alphas, betas))
+    shapes = p.shapes()
+    columns = [(j, k) for j, (_, beta) in enumerate(shapes, 1) for k in range(1, beta + 1)]
+    cap = 1 + sum(alpha * beta for alpha, beta in shapes)
     tables = []
     for a in range(1, p.rank_n + 1):
         rows = []

@@ -20,92 +20,57 @@ from kssbij.rmatrix import TensorPair, apply_R
 from kssbij.tableaux import Tableau, check_kr
 
 
-class SolitonGroup:
-    """One chain of positive entries in a level's table.
-
-    cardinality is the number of chosen entries (= rows spanned); endpoint is
-    the (j, k) column of the lowest chosen entry.
-    """
-
-    __slots__ = ("level", "cardinality", "endpoint", "cells")
-
-    def __init__(self, level, cardinality, endpoint, cells):
-        self.level = level
-        self.cardinality = cardinality
-        self.endpoint = endpoint
-        self.cells = list(cells)
-
-    def __repr__(self):
-        return "SolitonGroup(a=%d, size=%d, endpoint=%r)" % (
-            self.level,
-            self.cardinality,
-            self.endpoint,
-        )
+# One chain of positive entries in a level's table: cardinality is the
+# number of chosen entries (= rows spanned), endpoint the (j, k) column of
+# the lowest one, cells the chosen (row, (j, k)) entries from the top.
+SolitonGroup = namedtuple("SolitonGroup", ["level", "cardinality", "endpoint", "cells"])
 
 
 def extract_groups(led, a):
     """Splits the level-a table into groups, rightmost first.
 
-    Each pass starts at the rightmost positive entry of row 1 and descends,
-    choosing the rightmost positive entry strictly right of the current
-    column, then decrements the chosen entries. Repeats until the table is
-    zero. Same-column entries never chain: a unit of multiplicity at the
-    current column belongs to a later group.
+    While row 1 holds a positive entry, a group walks down the rows, each
+    time taking the rightmost positive entry strictly right of the current
+    column (-1 at first), and decrements the entries it takes. Same-column
+    entries never chain: a unit of multiplicity at the current column
+    belongs to a later group.
     """
     rows = [list(r) for r in led.tables[a - 1]]
     columns = led.columns
-    ncols = len(columns)
-    budget = sum(sum(r) for r in rows)
     groups = []
-    for _ in range(budget):
-        start = None
-        if rows:
-            for c in range(ncols - 1, -1, -1):
-                if rows[0][c] > 0:
-                    start = c
-                    break
-        if start is None:
-            break
-        rows[0][start] -= 1
-        cells = [(1, columns[start])]
-        cur = start
-        l = 1
-        while l < len(rows):
-            nxt = None
-            for c in range(ncols - 1, cur, -1):
-                if rows[l][c] > 0:
-                    nxt = c
-                    break
-            if nxt is None:
+    while True:
+        cells = []
+        cur = -1
+        for l, row in enumerate(rows, start=1):
+            c = len(row) - 1
+            while c > cur and row[c] <= 0:
+                c -= 1
+            if c == cur:
                 break
-            rows[l][nxt] -= 1
-            cells.append((l + 1, columns[nxt]))
-            cur = nxt
-            l += 1
-        groups.append(SolitonGroup(a, len(cells), cells[-1][1], cells))
-    if any(any(x for x in r) for r in rows):
+            row[c] -= 1
+            cells.append((l, columns[c]))
+            cur = c
+        if not cells:
+            break
+        groups.append(SolitonGroup(a, len(cells), columns[cur], cells))
+    if any(map(any, rows)):
         raise AssertionError("group extraction stuck with positive entries left")
     return groups
 
 
 def compute_rigging(p, led, group):
-    """Rigging of one group: shape contribution plus windowed table sums.
-
-    The window, the columns (j, k) up to the endpoint, is a prefix of
+    """Rigging of one group: shape contribution plus table sums, both over
+    the window of columns (j, k) up to the endpoint, a prefix of
     led.columns, which is in lexicographic order.
     """
     a = group.level
     mu_s = group.cardinality
-    j_s, k_s = group.endpoint
-    shape_part = 0
-    for j, (alpha, beta) in enumerate(p.shapes(), start=1):
-        if alpha != a:
-            continue
-        if j < j_s:
-            shape_part += min(mu_s, beta)
-        elif j == j_s:
-            shape_part += min(mu_s, k_s)
     width = led.columns.index(group.endpoint) + 1
+    # min(mu_s, columns of factor j in the window), summed over factors in B^{a,*}
+    shape_part = 0
+    for j, k in led.columns[:width]:
+        if k <= mu_s and p.factors[j - 1].n_rows == a:
+            shape_part += 1
     # w[b]: the first mu_s rows of table b inside the window; 0 off levels 1..n
     w = [0] + [sum(sum(r[:width]) for r in rows[:mu_s]) for rows in led.tables] + [0]
     return shape_part + w[a - 1] - 2 * w[a] + w[a + 1]
@@ -163,14 +128,8 @@ TraceStep = namedtuple("TraceStep", ["level", "letter", "removed", "state"])
 RowTrace = namedtuple("RowTrace", ["flat_index", "level", "columns"])
 
 
-class RemovalTrace:
-    """Diagnostic record of phi_inverse_trace: per removed row, per produced column,
-    the transport steps with letters, removed boxes and state snapshots."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = list(rows)
+# Diagnostic record of phi_inverse_trace: one RowTrace per removed row.
+RemovalTrace = namedtuple("RemovalTrace", ["rows"])
 
 
 class _State:
@@ -251,12 +210,13 @@ def _micro_step(state, i, pos):
     if i >= 1:
         state.nu[i - 1].append(1)
         state.flats[i - 1].append(None)
+    # a row of length 0 adds nothing to any Q, and each level holds at most
+    # one chosen row, so deleting one leaves the others' vacancies and indices
     for lev, idx in chosen:
         row = state.mu[lev - 1][idx]
-        if row[0] > 0:
+        if row[0]:
             row[1] = _vacancy(state, lev, row[0])
-    for lev, idx in chosen:
-        if state.mu[lev - 1][idx][0] == 0:
+        else:
             del state.mu[lev - 1][idx]
     cols = [c for _, _, c in removed]
     if cols != sorted(cols):

@@ -139,14 +139,15 @@ class RiggedConfiguration:
 def q_l(rc, a, l):
     """Boxes of mu^(a) in the first l columns; zero for a = 0 and a = n+1.
 
-    l must be an int >= 0; a bool, a float or a negative l raises ValueError.
+    a must be an int in 0..n+1 and l an int >= 0; a bool, a float or
+    anything out of range raises ValueError.
     """
+    if not 0 <= _integer(a, "level") <= rc.rank_n + 1:
+        raise ValueError("level out of range")
     if _integer(l, "width") < 0:
         raise ValueError("width must be >= 0")
     if a == 0 or a == rc.rank_n + 1:
         return 0
-    if not 1 <= a <= rc.rank_n:
-        raise ValueError("level out of range")
     q = 0
     for m, _ in rc.mu[a - 1]:
         q += m if m < l else l

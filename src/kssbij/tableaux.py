@@ -153,7 +153,7 @@ def check_kr(a, l, rank_n):
     (a bool or a float raises), 1 <= a <= rank_n and l >= 1. The sweeps check
     their carrier u_l^(a) with this, without building it."""
     if not 1 <= _integer(a, "level") <= rank_n:
-        raise ValueError("need 1 <= a <= rank_n, got a=%d, rank_n=%d" % (a, rank_n))
+        raise ValueError("rows must be in 1..%d (got %d)" % (rank_n, a))
     if _integer(l, "width") < 1:
         raise ValueError("width must be >= 1")
 

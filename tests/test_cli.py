@@ -256,10 +256,10 @@ class TestBbsVerb:
     @pytest.mark.parametrize(
         "a, l, steps, message",
         [
-            ("0", "1", "1", "error: need 1 <= a <= rank_n, got a=0, rank_n=2"),
-            ("3", "1", "1", "error: need 1 <= a <= rank_n, got a=3, rank_n=2"),
+            ("0", "1", "1", "error: rows must be in 1..2 (got 0)"),
+            ("3", "1", "1", "error: rows must be in 1..2 (got 3)"),
             ("1", "0", "1", "error: width must be >= 1"),
-            ("3", "1", "0", "error: need 1 <= a <= rank_n, got a=3, rank_n=2"),
+            ("3", "1", "0", "error: rows must be in 1..2 (got 3)"),
             ("1", "0", "0", "error: width must be >= 1"),
         ],
     )
@@ -315,6 +315,19 @@ class TestEnumerateVerb:
     def test_bad_shape(self):
         code, _, _ = cli("enumerate", "--r", "2", "--s", "1", "--n", "1")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "r, s, message",
+        [
+            ("2", "1", "error: rows must be in 1..1 (got 2)"),
+            ("0", "1", "error: rows must be in 1..1 (got 0)"),
+            ("1", "0", "error: width must be >= 1"),
+        ],
+    )
+    def test_bad_shape_message(self, r, s, message):
+        # the rows message named the bbs carrier's a for --r
+        code, out, err = cli("enumerate", "--r", r, "--s", s, "--n", "1")
+        assert (code, out, err) == (3, "", message + "\n")
 
 
 class TestInsertVerb:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kssbij.cli.harness import check_energy_equals_q, check_removal_order, family_paths
-from kssbij.evolution import Path, local_energy_distribution
+from kssbij.evolution import LocalEnergyDistribution, Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
     default_order,
@@ -79,6 +79,20 @@ class TestGroupExtraction:
                 cols = [c for _, c in g.cells]
                 assert all(x < y for x, y in zip(cols, cols[1:]))
                 assert len(g.cells) == g.cardinality
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # row 1 empties while row 2 is still positive
+            [[0, 1], [1, 0]],
+            # row 1 is zero from the start
+            [[0, 0], [1, 0], [0, 0]],
+        ],
+    )
+    def test_stuck_table_raises(self, table):
+        led = LocalEnergyDistribution(1, [(1, 1), (1, 2)], [table])
+        with pytest.raises(AssertionError, match="stuck"):
+            extract_groups(led, 1)
 
 
 class TestRigging:

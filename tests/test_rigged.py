@@ -117,6 +117,15 @@ class TestQ:
                 with pytest.raises(ValueError):
                     q_l(rc_a1(), a, l)
 
+    def test_rejects_bad_levels(self):
+        # q_l(rc, True, 2) used to answer as level 1 and q_l(rc, 1.0, 2)
+        # raised TypeError
+        rc = rc_a1()
+        for a in (True, False, 1.0, None, -1, 6):
+            with pytest.raises(ValueError):
+                q_l(rc, a, 2)
+        assert q_l(rc, 0, 2) == q_l(rc, 5, 2) == 0
+
     def test_concave_nondecreasing(self):
         rc = rc_a1()
         for a in (1, 2, 3, 4):

@@ -9,11 +9,14 @@ Column prefixes: within a factor, the k-th prefix is its rightmost k columns
 (left and right are reversed between a factor and its table columns;
 `rmatrix._sweep_step` reads prefixes this way).
 
-Every sweep is one `_sweep_rows` through `rmatrix._sweep_step`, the one
-memoized step (an LRU cache of `rmatrix.CACHE_SIZE` entries) that
-also serves `apply_R`, `energy_H` and the affine R: each carrier move
-u (x) b gives the R image b' (x) u' and the energies of u against every
-column prefix of b together. The sweep keeps each carrier compressed, with
+Every sweep is one `_sweep_rows` through `rmatrix._sweep_step`, the
+memoized step (an LRU cache of `rmatrix.CACHE_SIZE` entries) that also
+serves `apply_R`, `energy_H` and the affine R: each carrier move u (x) b
+gives the R image b' (x) u' and the energies of u against every column
+prefix of b together. The sweeps that read only energies (`total_energy`,
+`energy_matrix`, `local_energy_distribution`) take their last move from
+`rmatrix._move_energies`, a cache of the energies alone, since nothing
+reads its R image. The sweep keeps each carrier compressed, with
 its spare vacuum columns (1, ..., a) set aside, and gives the step only as
 many of them as b is wide, which changes nothing (the lemma is in
 `_sweep_rows`); so carriers of every width l share cache entries. Only
@@ -25,7 +28,7 @@ path.
 from collections import namedtuple
 from functools import lru_cache
 
-from kssbij.rmatrix import _sweep_step
+from kssbij.rmatrix import _move_energies, _sweep_step
 from kssbij.tableaux import Tableau, check_kr
 
 
@@ -84,14 +87,17 @@ def _expand(a, carrier):
     return tuple([(i,) * k + row for i, row in enumerate(u, start=1)])
 
 
-def _sweep_rows(p, a, l):
+def _sweep_rows(p, a, l, last_image=True):
     """One pass of the carrier u_l^(a), on compressed carriers.
 
     Returns (out, carriers, energies): out[j] holds the rows of the R image
     of factor j+1, energies[j][k-1] = E[l][j+1][k] for k = 1..beta_{j+1},
     and carriers[j] is the carrier after j factors (carriers[0] = u_l^(a)),
     kept as (k, u): k columns V = (1, ..., a) set aside, in front of the
-    rows u (`_expand` gives the full rows).
+    rows u (`_expand` gives the full rows). With last_image false, the last
+    move computes its energies alone (`rmatrix._move_energies`), peeling no
+    R image, and out and carriers stop before it: for the sweeps that read
+    only energies.
 
     Before the move against a factor b of width s, the carrier's leading V
     columns are split so that u holds min(total, s) of them: u is trimmed
@@ -127,7 +133,7 @@ def _sweep_rows(p, a, l):
     < x of each row above, which in u's run lies at some position j >= 0,
     so in the other run it lies at j + 1 and the added column is never
     entered. The ejected letters, hence b', are the same, and the rows left
-    are V (+) u'.
+    are V (+) u'. By (iii), _move_energies(V (+) u, b) = hs as well.
 
     The bound is tight: for every class (a, r, s) with n <= 3 some u with
     m = s - 1 leading columns V breaks the identity. (The trailing columns
@@ -138,7 +144,9 @@ def _sweep_rows(p, a, l):
     """
     carrier = (l, ((),) * a)
     out, carriers, energies = [], [carrier], []
-    for b in p.factors:
+    # the index of the move that peels nothing, or -1 for none
+    last = -1 if last_image else len(p.factors) - 1
+    for j, b in enumerate(p.factors):
         k, u = carrier
         b = b.rows
         s = len(b[0])
@@ -151,6 +159,9 @@ def _sweep_rows(p, a, l):
             m = min(k, s - v)
             u = tuple(map(tuple.__add__, _vacuum(a, m), u))
             k -= m
+        if j == last:
+            energies.append(_move_energies(u, b))
+            break
         b2, u, hs = _sweep_step(u, b)
         carrier = (k, u)
         out.append(b2)
@@ -207,7 +218,7 @@ def energy_matrix(p, a, l_max):
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     check_kr(a, l_max, p.rank_n)
-    rows = [_sweep_rows(p, a, l)[2] for l in range(1, l_max + 1)]
+    rows = [_sweep_rows(p, a, l, False)[2] for l in range(1, l_max + 1)]
     return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
 
 
@@ -231,7 +242,7 @@ def local_energy_distribution(p):
         d_prev = [0] * len(columns)
         for l in range(1, cap + 1):
             # differences in k first (E[l][j][0] = 0), flattened in column order
-            e_cur = _sweep_rows(p, a, l)[2]
+            e_cur = _sweep_rows(p, a, l, False)[2]
             d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if any(x < 0 for x in row):
@@ -249,4 +260,4 @@ def local_energy_distribution(p):
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
     check_kr(a, l, p.rank_n)
-    return sum(hs[-1] for hs in _sweep_rows(p, a, l)[2])
+    return sum(hs[-1] for hs in _sweep_rows(p, a, l, False)[2])

@@ -1,14 +1,13 @@
-"""Row and column insertion primitives on plain list-of-lists tableaux.
+"""Row insertion primitives on plain list-of-lists tableaux.
 
-The single insertion module behind tableaux and the combinatorial R. `bump`,
-`insert_word` and `inverse_bump` act on a tableau stored as its rows (weakly
-increasing, lengths weakly decreasing); `col_bump` acts on one stored as its
-columns (strictly increasing, lengths weakly decreasing). All functions
-mutate their tableau in place.
+`bump`, `insert_word`, `eject_strip` and `inverse_bump` act on a tableau
+stored as its rows (weakly increasing, lengths weakly decreasing) and
+mutate it in place.
 
-The memoized step of `rmatrix`, behind every R and H, uses two of them:
-`col_bump` builds its product tableaux and `inverse_bump` peels the R image
-off. Row insertion (`bump`, `insert_word`) serves only the tableau API of
+The memoized step of `rmatrix`, behind every R and H, builds its products
+by a column insertion written inline and peels the R image off with one
+`eject_strip` per vertical strip. Row insertion (`bump`, `insert_word`) and
+`inverse_bump`, a one-cell `eject_strip`, serve the tableau API of
 `tableaux` and the row-insertion oracle `rmatrix.product_tableau`.
 """
 
@@ -30,27 +29,33 @@ def bump(rows, x):
     return len(rows) - 1, 0
 
 
-def col_bump(cols, x):
-    """Column insertion of letter x into a tableau stored as its columns.
-
-    x bumps the smallest entry >= x of each column in turn. Column-inserting
-    a word right to left gives the tableau that row-inserting it left to
-    right does. Returns (row, col) of the new cell, 0-based.
-    """
-    for j, col in enumerate(cols):
-        i = bisect_left(col, x)
-        if i == len(col):
-            col.append(x)
-            return i, j
-        x, col[i] = col[i], x
-    cols.append([x])
-    return 0, len(cols) - 1
-
-
 def insert_word(rows, letters):
     """Insert letters left to right."""
     for x in letters:
         bump(rows, x)
+
+
+def eject_strip(rows, strip):
+    """Undo the insertions that created the last cells of the rows in strip.
+
+    strip lists row indices top to bottom. The cells are ejected bottom to
+    top, and each must be a removable corner when its turn comes: the row
+    below it (if any) strictly shorter. Returns the ejected letters in that
+    order.
+    """
+    out = []
+    for i in reversed(strip):
+        x = rows[i].pop()
+        if not rows[i]:
+            del rows[i]
+        while i > 0:
+            i -= 1
+            row = rows[i]
+            # rightmost entry strictly smaller than x
+            j = bisect_left(row, x) - 1
+            x, row[j] = row[j], x
+        out.append(x)
+    return out
 
 
 def inverse_bump(rows, i):
@@ -59,13 +64,4 @@ def inverse_bump(rows, i):
     The cell must be a removable corner: row i+1 (if any) must be strictly
     shorter than row i.
     """
-    x = rows[i].pop()
-    if not rows[i]:
-        del rows[i]
-    while i > 0:
-        i -= 1
-        row = rows[i]
-        # rightmost entry strictly smaller than x
-        j = bisect_left(row, x) - 1
-        x, row[j] = row[j], x
-    return x
+    return eject_strip(rows, (i,))[0]

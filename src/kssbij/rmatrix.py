@@ -6,35 +6,43 @@ off the product tableau: undoing the insertions of each strip's cells ejects
 one column of bt'.
 
 R and H are pure functions of the two factors' rows, so they are computed
-on row tuples by one memoized step, `_sweep_step` (an LRU cache of
-CACHE_SIZE entries, sized below). It builds the product of u and b by column
-insertion, which gives H of u against every column prefix of b on the way
-and R from the last product. It serves every caller: the carrier sweeps of
+on row tuples by one memoized step, `_sweep_step`. Its product pass,
+`_product`, column-inserts the columns of b into those of u, which gives H
+of u against every column prefix of b on the way; the step then peels R off
+the last product, one `kernels.eject_strip` per vertical strip, and checks
+each ejected column. It serves every caller: the carrier sweeps of
 `evolution` use every prefix energy, and hand it carriers cut down to as
 many leading vacuum columns as b is wide, so sweeps at every carrier width
 share entries; `apply_R`, `energy_H` and `apply_affine_R` use R and the
-last energy. `apply_R` wraps the cached image
-in tableaux without re-validating its rows: they come from factors that were
-checked when they were built. `apply_affine_R` works on row tuples with
-modes and builds no tableau or pair.
-The step uses two kernels, `kernels.col_bump` to build the product and
-`kernels.inverse_bump` to peel it. `product_tableau` builds the product by
-row insertion instead; it is the tests' oracle for the step.
+last energy. A second cache, `_move_energies`, keeps the product pass's
+energies alone: the sweeps that read only energies (`total_energy`,
+`energy_matrix`, `local_energy_distribution`) use it for their last move,
+whose R image nothing reads. Both caches hold CACHE_SIZE entries (sized
+below). `apply_R` wraps the cached image in tableaux without re-validating
+its rows: they come from factors that were checked when they were built.
+`apply_affine_R` works on row tuples with modes and builds no tableau or
+pair. `product_tableau` builds the product by row insertion instead; it is
+the tests' oracle for the step.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
+from operator import le, lt
 
 from kssbij import kernels
 from kssbij.tableaux import Tableau
 
-# Entries kept by the one step cache behind R and H. Each `verify` suite walks
-# its finite family in order, so a cache smaller than the working set evicts
-# each step before it comes round again. `verify` at its defaults touches 557
-# distinct steps, which 1024 holds (4,803 misses at 256, 557 at 1024); at
-# --max-n 3 it touches 5,820, and misses fall from 236,537 to 82,390. An entry
-# costs about 0.7-0.8 KB, and the bound keeps memory flat on workloads whose
-# pairs rarely repeat (carrier sweeps over random paths): 2048 added 1.4 MB
-# (+6.6%) to the peak RSS of the rc-to-path benchmark.
+# Entries kept by each of the two caches behind R and H: the full steps and
+# the energies of the sweeps' last moves. Each `verify` suite walks its finite
+# family in order, so a cache smaller than the working set evicts each entry
+# before it comes round again. `verify` at its defaults touches 485 distinct
+# steps and 540 distinct last moves, which 1024 holds (each misses once); at
+# --max-n 3 it touches 4,780 and 5,758, and misses 42,592 and 14,956 times.
+# A step entry costs about 0.7-0.8 KB, and the bound keeps memory flat on
+# workloads whose pairs rarely repeat (carrier sweeps over random paths): the
+# second cache added 0.3-0.35 MB (+1.5%) to the peak RSS of the path-to-rc
+# and rc-to-path benchmarks (about 22 MB), and none to verify-default
+# (18.1 MB); a single cache of 2048 added 1.4 MB (+6.6%) to rc-to-path.
 CACHE_SIZE = 1024
 
 
@@ -88,6 +96,38 @@ def _excess(lengths, r, s, rp, sp):
     return h
 
 
+def _product(u, b):
+    # the product pass of a move u (x) b, both non-empty: column-insert the
+    # columns of b right to left, each top letter first, into the columns of
+    # u. Returns (cols, lengths, (H_1, ..., H_beta)): the columns and row
+    # lengths of the last product (b <- row(u)), and H_k read off the row
+    # lengths once the k-th column is in.
+    a, l = len(u), len(u[0])
+    rb, beta = len(b), len(b[0])
+    cols = [list(col) for col in zip(*u)]
+    lengths = [l] * a
+    energies = []
+    for k in range(1, beta + 1):
+        for row in b:
+            # x bumps the smallest entry >= x of each column in turn
+            x = row[-k]
+            for col in cols:
+                i = bisect_left(col, x)
+                if i == len(col):
+                    col.append(x)
+                    break
+                x, col[i] = col[i], x
+            else:
+                cols.append([x])
+                i = 0
+            if i == len(lengths):
+                lengths.append(1)
+            else:
+                lengths[i] += 1
+        energies.append(_excess(lengths, a, l, rb, k))
+    return cols, lengths, tuple(energies)
+
+
 def _peel(rows, r, s, rp, sp):
     # the R image (left', right') of a pair left (x) right of shapes (s^r)
     # and (sp^rp) whose product tableau is rows (lists, consumed), as row
@@ -96,37 +136,37 @@ def _peel(rows, r, s, rp, sp):
     # one cell per row, its last. Undoing the insertions of a strip's cells
     # bottom to top ejects a column of left', top letter first; the strips
     # give its columns right to left. A row's available cells are always the
-    # columns caps[i] .. ends[i] - 1.
+    # columns caps[i] .. ends[i] - 1. Cells left outside the rectangle after
+    # the last strip leave rows that fail the shape check.
     caps = [s if i < r else 0 for i in range(len(rows))]
     ends = [len(row) for row in rows]
+    last = len(ends) - 1
     cols = []
     for _ in range(sp):
         strip = []
         for i, cap in enumerate(caps):
-            if len(strip) == rp:
-                break
             if ends[i] > cap:
                 ends[i] -= 1
                 strip.append(i)
-        if len(strip) != rp:
+                if len(strip) == rp:
+                    break
+        else:
             raise AssertionError("malformed complement")
-        col = []
-        for i in reversed(strip):
-            if ends[i] != len(rows[i]) - 1:
+        # each cell is ejected after those below it, when row i + 1 has
+        # ends[i + 1] cells and row i has ends[i] + 1
+        for i in strip:
+            if i < last and ends[i + 1] > ends[i]:
                 raise AssertionError("strip cell is not a corner")
-            col.append(kernels.inverse_bump(rows, i))
+        col = kernels.eject_strip(rows, strip)
+        # left' is the row insertion of its column word, the ejected letters
+        # in reverse, exactly when it is semistandard: each column strictly
+        # increasing and weakly below the column to its right
+        if not all(map(lt, col, col[1:])) or cols and not all(map(le, col, cols[-1])):
+            raise AssertionError("R image left factor is not semistandard")
         cols.append(col)
-    if any(end > cap for end, cap in zip(ends, caps)):
-        raise AssertionError("malformed complement")
     if [len(row) for row in rows] != [s] * r:
         raise AssertionError("R image has wrong shapes")
-    # left' is the row insertion of its column word, the ejected letters in
-    # reverse, exactly when it is semistandard
-    left = tuple(zip(*reversed(cols)))
-    for i, row in enumerate(left):
-        if list(row) != sorted(row) or i and any(x >= y for x, y in zip(left[i - 1], row)):
-            raise AssertionError("R image left factor is not semistandard")
-    return left, tuple(map(tuple, rows))
+    return tuple(zip(*reversed(cols))), tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -136,30 +176,25 @@ def _sweep_step(u, b):
     Returns (b', u', (H_1, ..., H_beta)) with H_k = H(u (x) prefix_k), where
     prefix_k is the rightmost k columns of b; so b' (x) u' is the R image and
     H_beta = H(u (x) b). The product (prefix_k <- row(u)) is
-    P(col(prefix_k) row(u)), so one pass gives them all: start from the
-    columns of u and column-insert the columns of b right to left, each top
-    letter first; after the k-th column read H_k off the row lengths. The
+    P(col(prefix_k) row(u)), so one pass, `_product`, gives them all; its
     last product is (b <- row(u)), which is peeled for R. When either factor
     is empty, R is the flip and H = 0: the result is (b, u, (0,)).
     """
     if not u or not b:
         return b, u, (0,)
-    a, l = len(u), len(u[0])
-    rb, beta = len(b), len(b[0])
-    cols = [list(col) for col in zip(*u)]
-    lengths = [l] * a  # row lengths of the product
-    energies = []
-    for k in range(1, beta + 1):
-        for row in b:
-            i, _ = kernels.col_bump(cols, row[-k])
-            if i == len(lengths):
-                lengths.append(1)
-            else:
-                lengths[i] += 1
-        energies.append(_excess(lengths, a, l, rb, k))
+    cols, lengths, energies = _product(u, b)
     rows = [[col[i] for col in cols[:w]] for i, w in enumerate(lengths)]
-    b_new, u_new = _peel(rows, a, l, rb, beta)
-    return b_new, u_new, tuple(energies)
+    b_new, u_new = _peel(rows, len(u), len(u[0]), len(b), len(b[0]))
+    return b_new, u_new, energies
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _move_energies(u, b):
+    """The energies (H_1, ..., H_beta) of `_sweep_step(u, b)` alone, with no
+    R image peeled: the last move of a sweep that reads only energies."""
+    if not u or not b:
+        return (0,)
+    return _product(u, b)[2]
 
 
 def apply_R(p):

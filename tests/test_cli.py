@@ -5,6 +5,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path as FsPath
+from random import Random
 
 import pytest
 
@@ -23,7 +24,7 @@ from kssbij.cli.harness import run_verify
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import phi_energy
 from kssbij.rmatrix import TensorPair
-from kssbij.tableaux import Tableau
+from kssbij.tableaux import Tableau, enumerate_kr
 
 GOLDEN = FsPath(__file__).parent / "golden"
 README = FsPath(__file__).parent.parent / "README.md"
@@ -567,3 +568,87 @@ class TestCodec:
 
         with pytest.raises(MalformedInput):
             decode_rc({"n": 2, "nu": [[1]], "mu": [{"rows": []}, {"rows": []}]})
+
+
+class TestFuzz:
+    """Seeded random and malformed JSON sent to the verbs that read a path or
+    a pair: every input gives a result (exit 0) or a clear error (exit 2 or 3),
+    never an internal error or a traceback. Ranks stay small so that the
+    valid inputs stay cheap."""
+
+    KEYS = ("n", "rows", "factors", "nu", "mu", "x")
+
+    def _value(self, rng, depth=0):
+        # any JSON value, nested at most three deep
+        kind = rng.randrange(6 if depth < 3 else 3)
+        if kind == 0:
+            return rng.randint(-2, 5)
+        if kind == 1:
+            return rng.choice([None, True, False, 2.0, 1.5, "1", "", 10**20, -(10**20)])
+        if kind == 2:
+            return rng.choice([[], {}, [[]], [[1]]])
+        if kind == 3:
+            return [self._value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+        keys = [rng.choice(self.KEYS) for _ in range(rng.randint(0, 3))]
+        return {key: self._value(rng, depth + 1) for key in keys}
+
+    def _rows(self, rng, n):
+        # a tableau of the rank, or ragged rows of random letters
+        if rng.random() < 0.7:
+            r, s = rng.randint(1, n), rng.randint(1, 2)
+            return [list(row) for row in rng.choice(list(enumerate_kr(r, s, n))).rows]
+        width, rows = rng.randint(0, 3), []
+        for _ in range(rng.randint(0, 3)):
+            w = width if rng.random() < 0.8 else rng.randint(0, 3)
+            rows.append([rng.randint(0, n + 2) for _ in range(w)])
+        return rows
+
+    def _rank(self, rng):
+        return rng.choice([1, 2, 2, 3, 3] * 4 + [0, -1, "2", True, 2.0, None])
+
+    def _document(self, rng, verb):
+        n = self._rank(rng)
+        letters = n if type(n) is int and 1 <= n <= 3 else 2
+        if verb in ("rmatrix", "energy"):
+            doc = [{"n": n, "rows": self._rows(rng, letters)} for _ in range(2)]
+        else:
+            doc = {"n": n, "factors": [self._rows(rng, letters) for _ in range(rng.randint(0, 4))]}
+        edit = rng.randrange(10)
+        if edit == 0:
+            doc = self._value(rng)
+        elif edit == 1 and isinstance(doc, dict):
+            doc[rng.choice(self.KEYS)] = self._value(rng)
+        elif edit == 2 and isinstance(doc, list):
+            doc[rng.randrange(2)] = self._value(rng)
+        text = json.dumps(doc)
+        if rng.random() < 0.15:
+            # malformed JSON: cut short, or one character replaced
+            i = rng.randrange(len(text))
+            if rng.random() < 0.5:
+                text = text[:i]
+            else:
+                text = text[:i] + rng.choice("]}[{,:x\"") + text[i + 1:]
+        return text
+
+    def _argv(self, rng, verb):
+        argv = [verb, "--format", rng.choice(("json", "text"))]
+        if verb == "phi" and rng.random() < 0.3:
+            argv.append("--check-roundtrip")
+        if verb == "bbs":
+            for flag in ("--a", "--l", "--steps"):
+                argv += [flag, str(rng.choice([-1, 0] + [1, 2, 3] * 4 + ["x"]))]
+        return argv
+
+    def test_random_inputs_exit_cleanly(self):
+        rng = Random(4185)
+        codes = Counter()
+        for i in range(300):
+            verb = ("phi", "led", "bbs", "rmatrix", "energy")[i % 5]
+            argv = self._argv(rng, verb)
+            text = self._document(rng, verb)
+            code, _, err = cli(*argv, stdin=text)
+            assert code in (0, 2, 3), (argv, text, err)
+            assert "Traceback" not in err, (argv, text, err)
+            codes[code] += 1
+        # the inputs reach every outcome: results, malformed and invalid input
+        assert all(codes[code] >= 10 for code in (0, 2, 3)), codes

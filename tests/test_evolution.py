@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kssbij import evolution
+from kssbij import evolution, rmatrix
 from kssbij.cli.harness import check_energy_padding
 from kssbij.evolution import (
     Path,
@@ -220,6 +220,21 @@ def reference_sweep(p, a, l):
     return out, carriers, energies
 
 
+def reference_tables(p):
+    """The LED tables of p from `reference_sweep`: double differences of the
+    energies, each table cut at its first all-zero row."""
+    tables = []
+    for a in range(1, p.rank_n + 1):
+        rows, d_prev, l = [], None, 0
+        while not rows or any(rows[-1]):
+            l += 1
+            d = [e - e0 for hs in reference_sweep(p, a, l)[2] for e0, e in zip((0,) + hs, hs)]
+            rows.append([x - y for x, y in zip(d, d_prev or [0] * len(d))])
+            d_prev = d
+        tables.append(rows)
+    return tables
+
+
 class TestVacuumLemma:
     def test_padding_commutes_with_the_step(self):
         # u with m >= s leading vacuum columns against every b of width s:
@@ -271,7 +286,39 @@ class TestCompressedSweep:
         factors, tableaux = carrier_sweep(p, a, l)
         assert [f.rows for f in factors] == out
         assert [t.rows for t in tableaux] == carriers
+        # the energy sweeps, whose last move peels no image, against sweeps
+        # that peel every image
         assert total_energy(p, a, l) == sum(hs[-1] for hs in energies)
+        em = energy_matrix(p, a, l)
+        columns = [(j, k) for j, b in enumerate(p.factors, 1) for k in range(1, b.width() + 1)]
+        assert [[em.E(m, j, k) for j, k in columns] for m in range(1, l + 1)] == [
+            [e for hs in reference_sweep(p, a, m)[2] for e in hs] for m in range(1, l + 1)
+        ]
+        assert local_energy_distribution(p).tables == reference_tables(p)
+
+    def test_energy_sweeps_never_peel_the_last_move(self, monkeypatch):
+        # the factor shapes differ, so only a peel of the last move gives an
+        # image of shape (1, 3); the steps must miss, or no peel runs at all
+        p = path(2, [[1], [2]], [[1, 2]], [[2, 2, 3]])
+        peel = rmatrix._peel
+        shapes = set()
+
+        def recording(rows, r, s, rp, sp):
+            shapes.add((rp, sp))
+            return peel(rows, r, s, rp, sp)
+
+        def sweep(fn, *args):
+            shapes.clear()
+            _sweep_step.cache_clear()
+            rmatrix._move_energies.cache_clear()
+            fn(p, *args)
+            return set(shapes)
+
+        monkeypatch.setattr(rmatrix, "_peel", recording)
+        assert sweep(local_energy_distribution) == {(2, 1), (1, 2)}
+        assert sweep(total_energy, 2, 3) == {(2, 1), (1, 2)}
+        assert sweep(energy_matrix, 1, 4) == {(2, 1), (1, 2)}
+        assert sweep(carrier_sweep, 1, 4) == {(2, 1), (1, 2), (1, 3)}
 
     def test_widths_share_step_entries(self, monkeypatch):
         p = path(2, [[2]], [[1, 1]], [[1, 2], [2, 3]], [[1]], [[1]])

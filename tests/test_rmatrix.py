@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kssbij import kernels, rmatrix
 from kssbij.cli.harness import (
@@ -176,7 +179,8 @@ class TestSweepStep:
                 self._check(p)
 
     def test_uses_no_row_insertion(self, monkeypatch):
-        # col_bump builds the products and inverse_bump peels the R image off
+        # column insertion builds the products and eject_strip peels the R
+        # image off
         pairs = [(p.left.rows, p.right.rows) for p in _all_pairs(2, shape_menu(2, 2))]
         want = [rmatrix._sweep_step.__wrapped__(*rows) for rows in pairs]
 
@@ -185,23 +189,23 @@ class TestSweepStep:
 
         monkeypatch.setattr(kernels, "bump", row_insertion)
         monkeypatch.setattr(kernels, "insert_word", row_insertion)
+        monkeypatch.setattr(kernels, "inverse_bump", row_insertion)
         assert [rmatrix._sweep_step.__wrapped__(*rows) for rows in pairs] == want
 
     def test_wrong_ejected_letter_raises(self, monkeypatch):
         # every ejected letter 1: the three-row left factor of the image has
         # no strictly increasing column, so the step raises, caches nothing
         # and computes the image again once the kernel is right
-        inverse_bump = kernels.inverse_bump
+        eject_strip = kernels.eject_strip
 
-        def eject_one(rows, i):
-            inverse_bump(rows, i)
-            return 1
+        def eject_ones(rows, strip):
+            return [1 for _ in eject_strip(rows, strip)]
 
         rows = (WORKED.left.rows, WORKED.right.rows)
         step = rmatrix._sweep_step
         step.cache_clear()
         with monkeypatch.context() as patched:
-            patched.setattr(kernels, "inverse_bump", eject_one)
+            patched.setattr(kernels, "eject_strip", eject_ones)
             for fn in (step, step.__wrapped__):
                 with pytest.raises(AssertionError, match="not semistandard"):
                     fn(*rows)
@@ -219,6 +223,66 @@ class TestSweepStep:
             n = rng.randint(1, 4)
             u, b = (rng.choice(rng.choice(elements[n])) for _ in range(2))
             self._check(TensorPair(u, b))
+
+
+class TestPeelChecks:
+    """`_peel` on corrupted product tableaux: each of its checks fires on a
+    product that no pair of rectangles has."""
+
+    @pytest.mark.parametrize(
+        "rows, shapes, message",
+        [
+            # one cell outside the (1^1) rectangle for a strip of two
+            ([[1, 2]], (1, 1, 2, 1), "malformed complement"),
+            # the strip's cell ends row 1, but row 2 is as long
+            ([[1, 2], [3, 4]], (1, 1, 1, 1), "strip cell is not a corner"),
+            # the strip leaves rows of lengths (2, 1), not (2, 2)
+            ([[1, 1, 2], [2]], (2, 2, 1, 1), "R image has wrong shapes"),
+            # a cell stays outside the rectangle after the last strip
+            ([[1, 2, 3]], (1, 1, 1, 1), "R image has wrong shapes"),
+            # the strips eject the columns (2), then (3) to its left: the
+            # row (3, 2) is not weakly increasing
+            ([[1, 3, 2]], (1, 1, 1, 2), "not semistandard"),
+        ],
+    )
+    def test_corrupted_product_raises(self, rows, shapes, message):
+        with pytest.raises(AssertionError, match=message):
+            rmatrix._peel(rows, *shapes)
+
+
+class TestProductPass:
+    """`rmatrix._product`, the uncached product pass of the step, and
+    `_move_energies`, the cached energies it gives alone."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_right_to_left_matches_row_insertion(self, data):
+        # Knuth equivalence: column-inserting the columns of b right to left,
+        # each top letter first, into the columns of u gives the tableau that
+        # row-inserting row(u) into b does
+        n = data.draw(st.integers(1, 4))
+
+        def element():
+            r, s = data.draw(st.integers(1, n)), data.draw(st.integers(1, 3))
+            return data.draw(st.sampled_from(_elements(n, r, s)))
+
+        u, b = element(), element()
+        cols, lengths, _ = rmatrix._product(u.rows, b.rows)
+        rows = product_tableau(TensorPair(u, b)).rows
+        assert cols == [[row[j] for row in rows if len(row) > j] for j in range(len(rows[0]))]
+        assert lengths == [len(row) for row in rows]
+
+    def test_move_energies_equal_step_energies(self):
+        # every pair on the shape menu for n <= 3, s <= 2, and every pair
+        # with an empty factor
+        for n in (1, 2, 3):
+            elements = [()] + [
+                t.rows for r, s in shape_menu(n, 2) for t in enumerate_kr(r, s, n)
+            ]
+            for u, b in itertools.product(elements, repeat=2):
+                assert rmatrix._move_energies.__wrapped__(u, b) == (
+                    rmatrix._sweep_step.__wrapped__(u, b)[2]
+                )
 
 
 class TestEmptyFactors:
@@ -257,21 +321,24 @@ class TestCaches:
         assert info.misses > rmatrix.CACHE_SIZE
 
     def test_bounded_after_verify(self):
-        # a warm phi memo would skip the steps of the phi suites
-        step = rmatrix._sweep_step
-        step.cache_clear()
-        _phi_memo.cache_clear()
-        run_verify(1, 2, 1)
-        info = step.cache_info()
-        assert info.misses > 0
-        assert isinstance(info.maxsize, int)
-        assert info.currsize <= info.maxsize
-        # verify at its defaults fits in the cache: every step misses once
-        step.cache_clear()
-        _phi_memo.cache_clear()
-        run_verify(2, 3, 2)
-        info = step.cache_info()
-        assert info.misses == info.currsize
+        # the full steps and the energies of the sweeps' last moves; a warm
+        # phi memo would skip the steps of the phi suites
+        caches = (rmatrix._sweep_step, rmatrix._move_energies)
+
+        def run_cold(*bounds):
+            for cache in caches:
+                cache.cache_clear()
+            _phi_memo.cache_clear()
+            run_verify(*bounds)
+            return [cache.cache_info() for cache in caches]
+
+        for info in run_cold(1, 2, 1):
+            assert info.misses > 0
+            assert isinstance(info.maxsize, int)
+            assert info.currsize <= info.maxsize
+        # verify at its defaults fits in both caches: every entry misses once
+        for info in run_cold(2, 3, 2):
+            assert info.misses == info.currsize <= rmatrix.CACHE_SIZE
 
 
 def _cells_outside(p):
@@ -282,6 +349,11 @@ def _cells_outside(p):
         max(0, w - (s if i < r else 0) - (sp if i < rp else 0))
         for i, w in enumerate(product_tableau(p).shape)
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _elements(n, r, s):
+    return list(enumerate_kr(r, s, n))
 
 
 def _all_pairs(n, shapes):

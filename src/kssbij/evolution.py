@@ -50,6 +50,16 @@ class Path:
         object.__setattr__(self, "rank_n", rank_n)
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _trusted(cls, rank_n, factors):
+        """Internal constructor that skips validation; factors must be a
+        tuple of non-empty rectangular tableaux over rank_n by construction,
+        as the factors `kss.phi_inverse` builds are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank_n", rank_n)
+        object.__setattr__(p, "factors", factors)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
 
@@ -231,28 +241,65 @@ LocalEnergyDistribution = namedtuple(
 )
 
 
+def _level_weights(p):
+    """W_a for a = 1..n: #{letters > a} - sum of s_j * max(r_j - a, 0) over
+    the factors B^{r_j, s_j}, the letters > a in the first a rows.
+
+    The LED rows of level a sum to W_a, so W_a is where its table ends. Row
+    r of a factor holds letters >= r, so W_a = 0 once no letter exceeds a.
+    """
+    count = [0] * (p.rank_n + 2)
+    for b in p.factors:
+        for row in b.rows:
+            for x in row:
+                count[x] += 1
+    weights = [0] * p.rank_n
+    above = 0
+    for a in range(p.rank_n, 0, -1):
+        above += count[a + 1]
+        # no letter above a leaves W_a = 0 without a pass over the factors
+        if above:
+            weights[a - 1] = above - sum(
+                len(b.rows[0]) * (len(b.rows) - a) for b in p.factors if len(b.rows) > a
+            )
+    return weights
+
+
 def local_energy_distribution(p):
-    """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row."""
+    """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row.
+
+    Level a sweeps l = 1, 2, ... until its rows sum to W_a (`_level_weights`),
+    then appends the zero row; a level with W_a = 0 gets the zero row alone
+    and sweeps nothing. So the cost grows with the largest letter the path
+    uses, not with the rank.
+    """
     shapes = p.shapes()
     columns = [(j, k) for j, (_, beta) in enumerate(shapes, 1) for k in range(1, beta + 1)]
-    cap = 1 + sum(alpha * beta for alpha, beta in shapes)
+    zero = [0] * len(columns)
     tables = []
-    for a in range(1, p.rank_n + 1):
+    for a, weight in enumerate(_level_weights(p), start=1):
         rows = []
-        d_prev = [0] * len(columns)
-        for l in range(1, cap + 1):
+        total = 0
+        d_prev = zero
+        l = 0
+        while total < weight:
+            l += 1
             # differences in k first (E[l][j][0] = 0), flattened in column order
             e_cur = _sweep_rows(p, a, l, False)[2]
             d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if any(x < 0 for x in row):
                 raise AssertionError("negative local energy entry")
-            rows.append(row)
             if not any(row):
-                break
+                raise AssertionError(
+                    "level %d: zero row %d before the rows sum to W = %d" % (a, l, weight)
+                )
+            rows.append(row)
+            total += sum(row)
             d_prev = d_cur
-        else:
-            raise AssertionError("no all-zero row within %d rows" % cap)
+        if total > weight:
+            raise AssertionError("level %d: rows sum to %d, past W = %d" % (a, total, weight))
+        rows.append(list(zero))
         tables.append(rows)
     return LocalEnergyDistribution(p.rank_n, columns, tables)
 

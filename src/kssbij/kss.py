@@ -8,11 +8,16 @@ length s at level a produces one path factor in B^{a+1,s}, column by column.
 Box removal works on a mutable copy of the configuration in which the box in
 transport is a length-1 quantum row, so the vacancy formula of rigged gives
 every vacancy number and one driver, _remove_rows, serves phi_inverse,
-remove_row and removal_order_equivalence. Each of these checks the
-configuration and its flat indices once, in _checked_rows.
+phi_inverse_trace, remove_row and removal_order_equivalence. Each of these
+checks the configuration and its flat indices once, in _checked_rows; after
+that box removal re-derives nothing it builds. A micro-step holds its chosen
+rows by reference and lists the removed boxes only for a trace, and
+_remove_row checks each letter against its neighbours as it comes, so the
+factors and the path are wrapped without being validated again.
 """
 
 from collections import namedtuple
+from operator import itemgetter
 
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.rigged import RiggedConfiguration, _integer, _vacancy, validate
@@ -135,129 +140,169 @@ RemovalTrace = namedtuple("RemovalTrace", ["rows"])
 class _State:
     """Mutable working copy of a rigged configuration during box removal.
 
-    It has the fields of a RiggedConfiguration that rigged.vacancy reads, as
-    lists: rank_n, nu (row lengths) and mu ([length, rigging] rows), so
+    It has the fields of a RiggedConfiguration that rigged._vacancy reads, as
+    lists: rank_n, nu (row lengths) and mu ([length, rigging] rows, which a
+    micro-step holds by reference while it moves boxes), so
     _vacancy(state, a, l) gives every vacancy number. flats mirrors nu with
-    each quantum row's flat index. The box in transport is a length-1 row at
-    the end of its level with flat index None, so while present it counts
-    toward the vacancy numbers one level up. A row is deleted when its
-    length reaches 0.
+    each quantum row's flat index, and origins[flat] is that row's origin.
+    The box in transport is a length-1 row at the end of its level with flat
+    index None, so while present it counts toward the vacancy numbers one
+    level up. A row is deleted when its length reaches 0.
     """
+
+    __slots__ = ("rank_n", "nu", "mu", "flats", "origins")
 
     def __init__(self, rc, quantum_rows):
         self.rank_n = rc.rank_n
-        self.nu = [list(level) for level in rc.nu]
-        self.mu = [[[m, r] for m, r in level] for level in rc.mu]
-        self.flats = [[] for _ in rc.nu]
-        self.origin = {}
+        self.nu = list(map(list, rc.nu))
+        self.mu = [list(map(list, level)) for level in rc.mu]
+        self.flats = flats = [[] for _ in rc.nu]
+        self.origins = []
         for flat, a, _, _, origin in quantum_rows:
-            self.flats[a].append(flat)
-            self.origin[flat] = origin
+            flats[a].append(flat)
+            self.origins.append(origin)
 
     def view(self):
         """The state as a RiggedConfiguration; the box in transport has no origin."""
+        origins = self.origins
         # valid by construction: box removal keeps row lengths >= 1 and
-        # distinct origins, and sets riggings to ints from rigged.vacancy
+        # distinct origins, and sets riggings to ints from rigged._vacancy
         return RiggedConfiguration._trusted(
             self.rank_n,
             tuple(map(tuple, self.nu)),
             tuple(tuple(map(tuple, level)) for level in self.mu),
-            tuple(tuple(self.origin.get(flat) for flat in level) for level in self.flats),
+            tuple(
+                tuple(None if flat is None else origins[flat] for flat in level)
+                for level in self.flats
+            ),
         )
 
 
-def _micro_step(state, i, pos):
-    """Moves the last box of row pos of nu^(i) one level down; returns
-    (letter, removed boxes).
+def _micro_step(state, i, pos, removed):
+    """Moves the last box of row pos of nu^(i) one level down; returns its
+    letter.
 
     The row is a quantum row or the box in transport (pos = -1). Walks
     levels i+1, i+2, ... choosing the shortest singular row that is not
     shorter than the previous choice (first choice: not shorter than the row
-    the box leaves); ties go to the smallest storage index. The letter is
+    the box leaves); ties go to the first in storage order. The letter is
     the first level where no choice exists. All removals are simultaneous;
     the box lands at the end of nu^(i-1) (it leaves at i = 0), and shortened
-    rows get their new vacancy number as rigging.
+    rows get their new vacancy number as rigging. When removed is a list,
+    the removed boxes are appended to it as (part, level, column).
     """
-    col_x = state.nu[i][pos]
+    mu = state.mu
+    level = state.nu[i]
+    col_x = level[pos]
+    n = state.rank_n
     chosen = []
     prev = col_x
     m = i + 1
-    while m <= state.rank_n:
+    while m <= n:
         best = None
-        best_len = None
-        for idx, (length, rig) in enumerate(state.mu[m - 1]):
-            if length < prev:
-                continue
-            if best_len is not None and length >= best_len:
-                continue
-            if _vacancy(state, m, length) == rig:
-                best, best_len = idx, length
+        for row in mu[m - 1]:
+            length = row[0]
+            if (
+                prev <= length
+                and (best is None or length < best[0])
+                and _vacancy(state, m, length) == row[1]
+            ):
+                best = row
         if best is None:
             break
-        chosen.append((m, best))
-        prev = best_len
+        chosen.append(best)
+        prev = best[0]
         m += 1
-    letter = m
 
-    removed = [("nu", i, col_x)]
-    state.nu[i][pos] -= 1
-    if not state.nu[i][pos]:
-        del state.nu[i][pos]
+    if removed is not None:
+        removed.append(("nu", i, col_x))
+    if col_x > 1:
+        level[pos] = col_x - 1
+    else:
+        del level[pos]
         del state.flats[i][pos]
-    for lev, idx in chosen:
-        removed.append(("mu", lev, state.mu[lev - 1][idx][0]))
-        state.mu[lev - 1][idx][0] -= 1
-    if i >= 1:
+    if i:
         state.nu[i - 1].append(1)
         state.flats[i - 1].append(None)
+    # the selection takes no row shorter than the one before, so a column
+    # can only go down here when one row sits at two levels (a corrupt state)
+    prev = col_x
+    lev = i
+    for row in chosen:
+        lev += 1
+        length = row[0]
+        if length < prev:
+            raise AssertionError("removed box columns must weakly increase with level")
+        if removed is not None:
+            removed.append(("mu", lev, length))
+        row[0] = length - 1
+        prev = length
     # a row of length 0 adds nothing to any Q, and each level holds at most
-    # one chosen row, so deleting one leaves the others' vacancies and indices
-    for lev, idx in chosen:
-        row = state.mu[lev - 1][idx]
+    # one chosen row, so deleting one leaves the others' vacancies alone
+    lev = i
+    for row in chosen:
+        lev += 1
         if row[0]:
             row[1] = _vacancy(state, lev, row[0])
         else:
-            del state.mu[lev - 1][idx]
-    cols = [c for _, _, c in removed]
-    if cols != sorted(cols):
-        raise AssertionError("removed box columns must weakly increase with level")
-    return letter, removed
+            mu[lev - 1].remove(row)
+    return m
 
 
-def _remove_row(state, level, flat, traced):
-    """Dismantles one quantum row box by box, right to left.
+def _remove_row(state, a, flat, traces):
+    """Dismantles one quantum row of nu^(a) box by box, right to left, and
+    returns its factor tableau in B^{a+1, s}.
 
-    Returns (factor tableau in B^{level+1, s}, per-column trace steps); the
-    steps, with a view of the state after each micro-step, are only
-    recorded when traced, else None. Letters of each box form the leftmost
-    empty column, top to bottom.
+    The letters of each box form the leftmost empty column, top to bottom.
+    Each letter is checked as it comes against the one below it and the one
+    to its left, so the factor is semistandard when it is wrapped. When
+    traces is a list, one RowTrace is appended to it: per column, one
+    TraceStep per micro-step, with a view of the state after it.
     """
-    a = level
-    pos = state.flats[level].index(flat)
-    s = state.nu[level][pos]
+    flats = state.flats
+    pos = flats[a].index(flat)
+    s = state.nu[a][pos]
+    # columns bottom to top; the first is checked against a column of zeros
     columns = []
-    col_traces = [] if traced else None
-    for _ in range(s):
-        column = [None] * (a + 1)
-        steps = []
-        for i in range(a, -1, -1):
-            letter, removed = _micro_step(state, i, pos if i == a else -1)
-            column[i] = letter
-            if traced:
+    left = (0,) * (a + 1)
+    col_traces = None if traces is None else []
+    for b in range(1, s + 1):
+        column = []
+        below = state.rank_n + 2
+        p = pos
+        steps = None if traces is None else []
+        for i, to_left in zip(range(a, -1, -1), left):
+            removed = None if traces is None else []
+            letter = _micro_step(state, i, p, removed)
+            p = -1
+            if letter >= below:
+                raise AssertionError(
+                    "reconstructed factor is not semistandard: "
+                    "column %d not strictly increasing" % b
+                )
+            if to_left > letter:
+                raise AssertionError(
+                    "reconstructed factor is not semistandard: "
+                    "row %d not weakly increasing" % (i + 1)
+                )
+            column.append(letter)
+            below = letter
+            if traces is not None:
                 steps.append(TraceStep(i, letter, removed, state.view()))
-        if any(None in flats for flats in state.flats):
-            raise AssertionError("transported box left behind")
+        for level in flats:
+            if None in level:
+                raise AssertionError("transported box left behind")
         columns.append(column)
-        if traced:
+        left = column
+        if traces is not None:
             col_traces.append(steps)
-    if flat in state.flats[level]:
+    if flat in flats[a]:
         raise AssertionError("quantum row not exhausted")
-    rows = [[columns[b][t] for b in range(s)] for t in range(a + 1)]
-    try:
-        tab = Tableau(state.rank_n, rows)
-    except ValueError as exc:
-        raise AssertionError("reconstructed factor is not semistandard: %s" % exc) from exc
-    return tab, col_traces
+    if traces is not None:
+        traces.append(RowTrace(flat, a, col_traces))
+    # valid by construction: letters lie in 1..n+1, and the checks above
+    # make the rows weakly and the columns strictly increasing
+    return Tableau._trusted(state.rank_n, tuple(zip(*columns))[::-1])
 
 
 def default_order(rc):
@@ -266,9 +311,12 @@ def default_order(rc):
 
 
 def _default_order(rows):
-    if rows and all(org is not None for _, _, _, _, org in rows):
-        return [flat for flat, _, _, _, org in sorted(rows, key=lambda t: -t[4])]
-    return [flat for flat, _, _, _, _ in reversed(rows)]
+    # origins are pairwise distinct, so a reverse sort leaves no ties
+    if rows and None not in [row[4] for row in rows]:
+        rows = sorted(rows, key=itemgetter(4), reverse=True)
+    else:
+        rows = reversed(rows)
+    return [row[0] for row in rows]
 
 
 def _checked_rows(rc, flats=()):
@@ -291,31 +339,27 @@ def _remove_rows(rc, rows, order, traces=None):
     indices; returns (factors in removal order, remaining state). Appends one
     RowTrace per row to traces when it is a list."""
     state = _State(rc, rows)
-    produced = []
-    for flat in order:
-        level = rows[flat][1]
-        tab, col_traces = _remove_row(state, level, flat, traces is not None)
-        produced.append(tab)
-        if traces is not None:
-            traces.append(RowTrace(flat, level, col_traces))
-    return produced, state
+    return [_remove_row(state, rows[flat][1], flat, traces) for flat in order], state
 
 
 def _phi_inverse(rc, order, traces):
-    order = None if order is None else list(order)
-    rows = _checked_rows(rc, order or ())
     if order is None:
+        rows = _checked_rows(rc)
         order = _default_order(rows)
-    if sorted(order) != list(range(len(rows))):
-        raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
+    else:
+        order = list(order)
+        rows = _checked_rows(rc, order)
+        if sorted(order) != list(range(len(rows))):
+            raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
     produced, state = _remove_rows(rc, rows, order, traces)
-    left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
-    if left:
+    if any(state.mu):
+        left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
         raise ValueError(
             "rigged configuration is outside the image of phi: boxes of mu remain "
             "after the last quantum row is removed (%s)" % "; ".join(left)
         )
-    return Path(rc.rank_n, tuple(reversed(produced)))
+    # valid by construction: each factor is a non-empty rectangle over rc.rank_n
+    return Path._trusted(rc.rank_n, tuple(produced[::-1]))
 
 
 def phi_inverse_trace(rc, order=None):

@@ -53,10 +53,12 @@ class Tableau:
         tuples that is semistandard by construction. The library uses it
         where that holds: the R images of `rmatrix.apply_R`, the factors and
         carriers of the `evolution` sweeps (all from rows of tableaux that
-        were already validated) and highest_element (rows of constant i).
-        These are built on every R move and sweep, where a re-check would
-        cost more than the move. Tableaux from user data, from insertion and
-        from box removal go through the validating constructor."""
+        were already validated), highest_element (rows of constant i) and
+        the factors of box removal (`kss._remove_row` checks each letter
+        against its neighbours as it places it). These are built on every R
+        move, sweep and removed row, where a re-check would cost more than
+        the work. Tableaux from user data and from insertion go through the
+        validating constructor."""
         t = object.__new__(cls)
         object.__setattr__(t, "rank_n", rank_n)
         object.__setattr__(t, "rows", rows)

@@ -220,6 +220,28 @@ class TestLedVerb:
         assert [t["rows"] for t in payload] == led.tables
 
 
+class TestLargeRank:
+    """The LED sweeps no level at or above a path's largest letter, so a
+    one-box path at a large rank is cheap (each verb ran for over 20 s
+    when every level swept)."""
+
+    DOC = '{"n": 100000, "factors": [[[1]]]}'
+
+    def test_phi(self):
+        code, out, err = cli("phi", "--format", "json", stdin=self.DOC)
+        assert code == 0, err
+        rc = json.loads(out)
+        assert rc["nu"][0] == [1] and not any(rc["nu"][1:])
+        assert all(level == {"rows": []} for level in rc["mu"])
+
+    def test_led(self):
+        code, out, err = cli("led", "--format", "json", stdin=self.DOC)
+        assert code == 0, err
+        tables = json.loads(out)
+        assert len(tables) == 100000
+        assert all(t["rows"] == [[0]] for t in tables)
+
+
 class TestBbsVerb:
     def test_states_include_origin(self):
         code, out, _ = cli(
@@ -571,12 +593,12 @@ class TestCodec:
 
 
 class TestFuzz:
-    """Seeded random and malformed JSON sent to the verbs that read a path or
-    a pair: every input gives a result (exit 0) or a clear error (exit 2 or 3),
-    never an internal error or a traceback. Ranks stay small so that the
-    valid inputs stay cheap."""
+    """Seeded random and malformed JSON sent to the verbs that read a path, a
+    pair or a rigged configuration: every input gives a result (exit 0) or a
+    clear error (exit 2 or 3), never an internal error or a traceback. Ranks
+    stay small so that the valid inputs stay cheap."""
 
-    KEYS = ("n", "rows", "factors", "nu", "mu", "x")
+    KEYS = ("n", "rows", "factors", "nu", "mu", "origins", "x")
 
     def _value(self, rng, depth=0):
         # any JSON value, nested at most three deep
@@ -613,6 +635,35 @@ class TestFuzz:
             doc = [{"n": n, "rows": self._rows(rng, letters)} for _ in range(2)]
         else:
             doc = {"n": n, "factors": [self._rows(rng, letters) for _ in range(rng.randint(0, 4))]}
+        return self._text(rng, doc)
+
+    def _configuration(self, rng):
+        # the image of a path under phi, or random rows, riggings and origins
+        n = self._rank(rng)
+        levels = n if type(n) is int and 1 <= n <= 3 else 2
+        if rng.random() < 0.3:
+            shapes = [(rng.randint(1, levels), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            p = Path(levels, [rng.choice(list(enumerate_kr(r, s, levels))) for r, s in shapes])
+            doc = encode_rc(phi_energy(p))
+            if rng.random() < 0.3:
+                del doc["origins"]
+            return doc
+        nu = [[rng.randint(0, 3) for _ in range(rng.randint(0, 2))] for _ in range(levels)]
+        mu = [
+            {"rows": [[rng.randint(0, 3), rng.randint(-3, 2)] for _ in range(rng.randint(0, 3))]}
+            for _ in range(levels)
+        ]
+        doc = {"n": n, "nu": nu, "mu": mu}
+        if rng.random() < 0.3:
+            # a random factor order, now and then with a gap, a repeat or None
+            known = iter(rng.sample(range(1, 9), sum(map(len, nu))))
+            doc["origins"] = [
+                [rng.choice([None, 0, 1]) if rng.random() < 0.1 else next(known) for _ in level]
+                for level in nu
+            ]
+        return doc
+
+    def _text(self, rng, doc):
         edit = rng.randrange(10)
         if edit == 0:
             doc = self._value(rng)
@@ -652,3 +703,28 @@ class TestFuzz:
             codes[code] += 1
         # the inputs reach every outcome: results, malformed and invalid input
         assert all(codes[code] >= 10 for code in (0, 2, 3)), codes
+
+    def test_random_configurations_exit_cleanly(self):
+        rng = Random(7309)
+        codes = Counter()
+        for i in range(300):
+            doc = self._configuration(rng)
+            verb = ("phi-inverse", "phi-inverse", "rc-validate")[i % 3]
+            argv = [verb, "--format", rng.choice(("json", "text"))]
+            if verb == "rc-validate":
+                argv += ["--mode", rng.choice(("unrestricted", "restricted"))]
+            elif i % 2:
+                # a permutation of the quantum rows, or not quite one
+                rows = sum(map(len, doc["nu"]))
+                order = rng.sample(range(rows), rows)
+                if rng.random() < 0.3:
+                    order = rng.choice([order[1:], order + [0], [-1] + order, ["x"], [1.5]])
+                argv += ["--order", ",".join(map(str, order))]
+            text = self._text(rng, doc)
+            code, _, err = cli(*argv, stdin=text)
+            assert code in (0, 2, 3), (argv, text, err)
+            assert "Traceback" not in err, (argv, text, err)
+            codes[verb, "--order" in argv, code] += 1
+        # each verb form reaches every outcome
+        forms = [("phi-inverse", False), ("phi-inverse", True), ("rc-validate", False)]
+        assert all(codes[form + (code,)] >= 10 for form in forms for code in (0, 2, 3)), codes

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from unittest import mock
 
@@ -190,6 +191,41 @@ class TestLocalEnergyDistribution:
         for t in led.tables:
             assert all(v == 0 for row in t for v in row)
 
+    def test_no_sweep_from_the_largest_letter_on(self, monkeypatch):
+        # largest letter 4 at rank 6: levels 4, 5 and 6 have W_a = 0
+        p = path(6, [[1, 2]], [[1, 3], [2, 4]], [[2]])
+        levels = []
+        sweep = evolution._sweep_rows
+        monkeypatch.setattr(
+            evolution, "_sweep_rows", lambda p, a, *args: levels.append(a) or sweep(p, a, *args)
+        )
+        led = local_energy_distribution(p)
+        assert set(levels) == {1, 2, 3}
+        assert led.tables[3:] == [[[0] * 5]] * 3
+        assert led.tables == reference_tables(p)
+
+    def test_rows_sum_to_the_level_weight(self):
+        for p in (EXAMPLE, path(2, [[2]], [[1]], [[2]], [[1]]), path(3, [[1, 2], [3, 4]])):
+            weights = evolution._level_weights(p)
+            led = local_energy_distribution(p)
+            assert [sum(map(sum, t)) for t in led.tables] == weights
+            assert led.tables == reference_tables(p)
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [(1, "level 1: zero row 2 before the rows sum to W = 3"),
+         (-1, "level 1: rows sum to 2, past W = 1")],
+    )
+    def test_wrong_level_weight_raises(self, monkeypatch, shift, message):
+        # level 1: one row that sums to 2 (two solitons of length 1), then zeros
+        p = path(2, [[2]], [[1]], [[2]], [[1]])
+        weights = evolution._level_weights
+        monkeypatch.setattr(
+            evolution, "_level_weights", lambda p: [weights(p)[0] + shift] + weights(p)[1:]
+        )
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+            local_energy_distribution(p)
+
 
 class TestPathType:
     def test_equality_and_shapes(self):
@@ -335,6 +371,9 @@ class TestCompressedSweep:
         assert all(by_width[l] & by_width[l + 1] for l in range(1, 7))
         # once the carrier never runs short of vacuum, every step key repeats
         assert by_width[6] == by_width[7]
+        # the LED sweeps only until a level's rows sum to W_a: level 1 of q
+        # (a soliton of length 2) takes widths 1 and 2, which share entries
+        q = path(2, [[2]], [[2]], [[1]], [[1]])
         _sweep_step.cache_clear()
-        local_energy_distribution(p)
+        assert len(local_energy_distribution(q).tables[0]) == 3
         assert _sweep_step.cache_info().hits > 0

@@ -1,10 +1,16 @@
+import io
 import itertools
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kssbij import kss
+from kssbij.cli import run as cli_run
+from kssbij.cli.codec import encode_rc
 from kssbij.cli.harness import check_energy_equals_q, check_removal_order, family_paths
 from kssbij.evolution import LocalEnergyDistribution, Path, local_energy_distribution
 from kssbij.kss import (
@@ -314,6 +320,97 @@ class TestRemovalOrder:
         p = path(2, [[1], [2]], [[1, 2]], [[2]])
         pairs = itertools.permutations(range(3), 2)
         assert check_removal_order((p, i, j) for i, j in pairs) == (6, [])
+
+
+# Corrupted micro-steps: each wraps the real one, step, and breaks one thing
+def _leave_box(step, state, i, pos, removed):
+    # the box goes on sitting at level 0 after it has left
+    letter = step(state, i, pos, removed)
+    if i == 0:
+        state.nu[0].append(1)
+        state.flats[0].append(None)
+    return letter
+
+
+def _keep_row(step, state, i, pos, removed):
+    # the quantum row's last box is never taken
+    if pos >= 0 and state.nu[i][pos] == 1:
+        state.nu[i][pos] = 2
+    return step(state, i, pos, removed)
+
+
+def _same_letter(step, state, i, pos, removed):
+    step(state, i, pos, removed)
+    return 1
+
+
+def _falling_letters(step, state, i, pos, removed):
+    # one row: 2 in its first column, 1 in its second
+    step(state, i, pos, removed)
+    return 2 if state.nu[0] else 1
+
+
+class _AliasedState(kss._State):
+    """A corrupt state: one row object sits at levels 1, 2 and 3, with a
+    rigging that is singular at levels 1 and 2, so a micro-step chooses it
+    twice and takes a box from it twice."""
+
+    def __init__(self, rc, quantum_rows):
+        super().__init__(rc, quantum_rows)
+        row = self.mu[0][0]
+        row[1] = 0
+        self.mu[1].append(row)
+        self.mu[2].append(row)
+
+
+class TestRemovalChecks:
+    """Each check of box removal fires on a corrupted micro-step or state,
+    in every entry point, and the CLI reports it as exit 4."""
+
+    CASES = [
+        (path(1, [[1]]), _leave_box, "transported box left behind"),
+        (path(1, [[1, 1]]), _keep_row, "quantum row not exhausted"),
+        (
+            path(2, [[1], [2]]),
+            _same_letter,
+            "reconstructed factor is not semistandard: column 1 not strictly increasing",
+        ),
+        (
+            path(1, [[1, 2]]),
+            _falling_letters,
+            "reconstructed factor is not semistandard: row 1 not weakly increasing",
+        ),
+        # phi gives mu^(1) = ((1, -1)) and no other rows
+        (path(3, [[2]]), _AliasedState, "removed box columns must weakly increase with level"),
+    ]
+
+    @pytest.mark.parametrize("p, corrupt, message", CASES)
+    def test_check_fires(self, monkeypatch, capsys, p, corrupt, message):
+        rc = phi_energy(p)
+        if corrupt is _AliasedState:
+            monkeypatch.setattr(kss, "_State", corrupt)
+        else:
+            step = kss._micro_step
+            monkeypatch.setattr(kss, "_micro_step", lambda *args: corrupt(step, *args))
+        for run in (
+            lambda: phi_inverse(rc),
+            lambda: phi_inverse_trace(rc),
+            lambda: remove_row(rc, 0),
+        ):
+            with pytest.raises(AssertionError) as info:
+                run()
+            assert str(info.value) == message
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(encode_rc(rc))))
+        code = cli_run(["phi-inverse", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: %s\n" % message
+
+    def test_cases_pass_uncorrupted(self):
+        for p, _, _ in self.CASES:
+            assert phi_inverse(phi_energy(p)) == p
+        assert phi_energy(path(3, [[2]])).mu == (((1, -1),), (), ())
 
 
 class TestLinearization:

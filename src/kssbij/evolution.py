@@ -17,9 +17,11 @@ prefix of b together. The sweeps that read only energies (`total_energy`,
 `energy_matrix`, `local_energy_distribution`) take their last move from
 `rmatrix._move_energies`, a cache of the energies alone, since nothing
 reads its R image. The sweep keeps each carrier compressed, with
-its spare vacuum columns (1, ..., a) set aside, and gives the step only as
-many of them as b is wide, which changes nothing (the lemma is in
-`_sweep_rows`); so carriers of every width l share cache entries. Only
+its spare vacuum columns V = (1, ..., a) set aside in front and its spare
+top columns A = (n-a+2, ..., n+1) behind, and gives the step only as many
+of each as b is wide, which changes nothing (the two lemmas are in
+`_sweep_rows`); so carriers of every width l, and carriers that have taken
+up different numbers of top letters, share cache entries. Only
 `carrier_sweep` expands carriers to full rows. Carriers and R images become
 tableaux without re-validation, since their rows come from the validated
 path.
@@ -85,15 +87,29 @@ class Path:
         )
 
 
-@lru_cache(maxsize=None)
+# The two pad helpers keep one entry per level and run length, and an entry
+# of level a holds a rows: a rank-n path can reach n levels, so unbounded
+# caches would grow as n^2 (`phi` of the one-box path 2001 at n = 2000 peaks
+# at 193 MB with an unbounded `_vacuum`, 146 MB with these bounds).
+@lru_cache(maxsize=256)
 def _vacuum(a, m):
-    # the rows of m columns (1, ..., a), m at most the widest factor
+    # the rows of m columns V = (1, ..., a), m at most the widest factor
     return tuple((i,) * m for i in range(1, a + 1))
 
 
-def _expand(a, carrier):
-    """The rows of a compressed carrier (k, u): k columns V, then u."""
-    k, u = carrier
+@lru_cache(maxsize=256)
+def _top(n, a, m):
+    # the rows of m columns A = (n - a + 2, ..., n + 1), the highest column
+    # of height a, m at most the widest factor or the carrier's width
+    return tuple((i,) * m for i in range(n - a + 2, n + 2))
+
+
+def _expand(n, a, carrier):
+    """The rows of a compressed carrier (k, u, t): k columns V, then u, then
+    t columns A."""
+    k, u, t = carrier
+    if t:
+        u = map(tuple.__add__, u, _top(n, a, t))
     return tuple([(i,) * k + row for i, row in enumerate(u, start=1)])
 
 
@@ -103,21 +119,24 @@ def _sweep_rows(p, a, l, last_image=True):
     Returns (out, carriers, energies): out[j] holds the rows of the R image
     of factor j+1, energies[j][k-1] = E[l][j+1][k] for k = 1..beta_{j+1},
     and carriers[j] is the carrier after j factors (carriers[0] = u_l^(a)),
-    kept as (k, u): k columns V = (1, ..., a) set aside, in front of the
-    rows u (`_expand` gives the full rows). With last_image false, the last
-    move computes its energies alone (`rmatrix._move_energies`), peeling no
-    R image, and out and carriers stop before it: for the sweeps that read
-    only energies.
+    kept as (k, u, t): k columns V = (1, ..., a) set aside in front of the
+    rows u, and t columns A = (n-a+2, ..., n+1), the highest column of
+    height a, set aside behind them (`_expand` gives the full rows). With
+    last_image false, the last move computes its energies alone
+    (`rmatrix._move_energies`), peeling no R image, and out and carriers
+    stop before it: for the sweeps that read only energies.
 
-    Before the move against a factor b of width s, the carrier's leading V
-    columns are split so that u holds min(total, s) of them: u is trimmed
-    when it holds more, and padded from k when it holds fewer. So the
-    memoized `_sweep_step` always sees V^min(total, s) (+) core, where core
-    is the carrier without its leading V columns, and carriers that differ
-    only in spare vacuum share one cache entry, within a sweep, across
-    widths l and across paths. While the factor widths stay the same and
-    the carrier keeps its vacuum, the step's output goes back in as it is.
-    This is exact by the following lemma, applied k times.
+    Before the move against a factor b of width s, the carrier's columns V
+    and its columns A are each split so that u holds min(total, s) of them:
+    u is trimmed when it holds more, and padded from k (or t) when it holds
+    fewer. So the memoized `_sweep_step` always sees
+    V^min(k', s) (+) core (+) A^min(t', s), where k' and t' count the
+    carrier's columns V and A and core is the rest (V != A, as a <= n), and
+    carriers that differ only in spare V or A columns share one cache
+    entry, within a sweep, across widths l and across paths. While the
+    factor widths stay the same and the carrier keeps both kinds of column,
+    the step's output goes back in as it is. This is exact by the two
+    lemmas below, applied once per spare column.
 
     Lemma. If u in B^{a,l} begins with m >= s columns V and b is a rectangle
     of width s, then _sweep_step(V (+) u, b) = (b', V (+) u', hs), where
@@ -145,37 +164,88 @@ def _sweep_rows(p, a, l, last_image=True):
     entered. The ejected letters, hence b', are the same, and the rows left
     are V (+) u'. By (iii), _move_energies(V (+) u, b) = hs as well.
 
-    The bound is tight: for every class (a, r, s) with n <= 3 some u with
-    m = s - 1 leading columns V breaks the identity. (The trailing columns
-    obey a mirror lemma, which is not used: it saves misses but no time.)
+    Mirror lemma. If u in B^{a,l} ends with m >= s columns A and b is a
+    rectangle of width s, then _sweep_step(u (+) A, b) = (b', u' (+) A, hs)
+    and _move_energies(u (+) A, b) = hs, where (b', u', hs) =
+    _sweep_step(u, b).
+
+    Proof. Letters move left to right, so columns 1..l evolve alike in both
+    runs; it remains to show that in the run of u (+) A the added column
+    l + 1 passes every letter that reaches it. Call one of the m + 1
+    trailing columns A modified once a letter has changed it. (i) A letter
+    x reaching an unmodified column A either equals an entry of it and
+    passes on unchanged, or (x < n-a+2) bumps its top n-a+2, which equals
+    the top of every later unmodified column and passes them. So the
+    modified columns are a prefix of the trailing ones, each letter
+    modifies at most one more (an advance), and every letter that leaves
+    an unmodified column is an entry of A. (ii) Each advance leaves one
+    more letter n-a+2 in row 1 to the right of the trailing columns, and no
+    later letter moves it: only entries of A, all >= n-a+2, get there. The
+    product's shape has lambda_1 <= (l + 1) + s (the Littlewood-Richardson
+    bound of the lemma above), so at most s <= m advances happen: the last
+    trailing column, the added one, is never modified, and so passes every
+    letter (its bottom n+1 takes no cell below it). Hence every product of
+    u (+) A is that of u with the column A inserted after column l: rows
+    < a gain one cell and one cap, and every H_k is the same, as in (iii)
+    above. (iv) `_peel` then picks the same strip cells, shifted one column
+    right in rows < a. An inverse bump raises the entry it replaces and
+    keeps the tableau semistandard; were the lowest entry an ejection
+    raises in the added column in row i < a - 1, the entry below it would
+    still be n-a+3+i and no longer larger, and in row a - 1 it would exceed
+    n+1. So no ejection enters the added column, the rightmost entry < x of
+    each row is the same entry in both runs, the ejected letters, hence b',
+    are the same, and the rows left are u' (+) A.
+
+    Both bounds are tight: for every class (a, r, s) with n <= 3 and s >= 2
+    some u with m = s - 1 leading columns V, and some u with m = s - 1
+    trailing columns A, breaks the identity.
+
+    Successive widths could share more than cache entries: up to the first
+    factor wider than width l's whole V run, width l + 1 is width l with one
+    more spare column V, so the LED could start width l + 1 there. That
+    skips about a third of the LED's moves on the largest benchmark paths,
+    but the skipped moves are cache hits, and it saved about 4% of their
+    cold LED time and nothing end to end, so it is not done.
 
     (a, l) is not checked here: each public sweep checks it once with
     `tableaux.check_kr`, which builds no highest element.
     """
-    carrier = (l, ((),) * a)
+    n = p.rank_n
+    top = n - a + 2
+    k, u, t = carrier = (l, ((),) * a, 0)
     out, carriers, energies = [], [carrier], []
     # the index of the move that peels nothing, or -1 for none
     last = -1 if last_image else len(p.factors) - 1
     for j, b in enumerate(p.factors):
-        k, u = carrier
         b = b.rows
         s = len(b[0])
-        # a column of u is V exactly when its bottom letter is a
+        # a column of u is V exactly when its bottom letter is a, and A
+        # exactly when its top letter is n - a + 2
         v = u[-1].count(a)
         if v > s:
             u = tuple([row[v - s:] for row in u])
             k += v - s
         elif v < s and k:
-            m = min(k, s - v)
+            # min(k, s - v) without the call, which is slow next to a cache hit
+            m = s - v if k > s - v else k
             u = tuple(map(tuple.__add__, _vacuum(a, m), u))
             k -= m
+        # with no spare A columns, u has some only if its last column is A
+        if t or u[0][-1] == top:
+            w = u[0].count(top)
+            if w > s:
+                u = tuple([row[: s - w] for row in u])
+                t += w - s
+            elif w < s and t:
+                m = s - w if t > s - w else t
+                u = tuple(map(tuple.__add__, u, _top(n, a, m)))
+                t -= m
         if j == last:
             energies.append(_move_energies(u, b))
             break
         b2, u, hs = _sweep_step(u, b)
-        carrier = (k, u)
         out.append(b2)
-        carriers.append(carrier)
+        carriers.append((k, u, t))
         energies.append(hs)
     return out, carriers, energies
 
@@ -191,7 +261,7 @@ def carrier_sweep(p, a, l):
     out, carriers, _ = _sweep_rows(p, a, l)
     return (
         [Tableau._trusted(n, rows) for rows in out],
-        [Tableau._trusted(n, _expand(a, c)) for c in carriers],
+        [Tableau._trusted(n, _expand(n, a, c)) for c in carriers],
     )
 
 
@@ -288,7 +358,7 @@ def local_energy_distribution(p):
             e_cur = _sweep_rows(p, a, l, False)[2]
             d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise AssertionError("negative local energy entry")
             if not any(row):
                 raise AssertionError(
@@ -307,4 +377,4 @@ def local_energy_distribution(p):
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
     check_kr(a, l, p.rank_n)
-    return sum(hs[-1] for hs in _sweep_rows(p, a, l, False)[2])
+    return sum([hs[-1] for hs in _sweep_rows(p, a, l, False)[2]])

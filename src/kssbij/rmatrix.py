@@ -12,12 +12,13 @@ of u against every column prefix of b on the way; the step then peels R off
 the last product, one `kernels.eject_strip` per vertical strip, and checks
 each ejected column. It serves every caller: the carrier sweeps of
 `evolution` use every prefix energy, and hand it carriers cut down to as
-many leading vacuum columns as b is wide, so sweeps at every carrier width
-share entries; `apply_R`, `energy_H` and `apply_affine_R` use R and the
-last energy. A second cache, `_move_energies`, keeps the product pass's
-energies alone: the sweeps that read only energies (`total_energy`,
-`energy_matrix`, `local_energy_distribution`) use it for their last move,
-whose R image nothing reads. Both caches hold CACHE_SIZE entries (sized
+many leading vacuum columns and trailing top columns as b is wide, so
+sweeps at every carrier width share entries; `apply_R`, `energy_H` and
+`apply_affine_R` use R and the last energy. A second cache,
+`_move_energies`, keeps the product pass's energies alone: the sweeps that
+read only energies (`total_energy`, `energy_matrix`,
+`local_energy_distribution`) use it for their last move, whose R image
+nothing reads. Both caches hold CACHE_SIZE entries (sized
 below). `apply_R` wraps the cached image in tableaux without re-validating
 its rows: they come from factors that were checked when they were built.
 `apply_affine_R` works on row tuples with modes and builds no tableau or
@@ -35,9 +36,9 @@ from kssbij.tableaux import Tableau
 # Entries kept by each of the two caches behind R and H: the full steps and
 # the energies of the sweeps' last moves. Each `verify` suite walks its finite
 # family in order, so a cache smaller than the working set evicts each entry
-# before it comes round again. `verify` at its defaults touches 485 distinct
-# steps and 540 distinct last moves, which 1024 holds (each misses once); at
-# --max-n 3 it touches 4,780 and 5,758, and misses 42,592 and 14,956 times.
+# before it comes round again. `verify` at its defaults touches 473 distinct
+# steps and 516 distinct last moves, which 1024 holds (each misses once); at
+# --max-n 3 it touches 4,738 and 5,674, and misses 42,365 and 14,705 times.
 # A step entry costs about 0.7-0.8 KB, and the bound keeps memory flat on
 # workloads whose pairs rarely repeat (carrier sweeps over random paths): the
 # second cache added 0.3-0.35 MB (+1.5%) to the peak RSS of the path-to-rc

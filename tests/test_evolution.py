@@ -1,5 +1,6 @@
 import re
 from itertools import product
+from random import Random
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from kssbij.evolution import (
     time_evolution,
     total_energy,
 )
+from kssbij.kss import phi_energy, phi_inverse
 from kssbij.rmatrix import _sweep_step
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 
@@ -244,6 +246,16 @@ def vacuum_columns(rows):
     return rows[-1].count(len(rows))
 
 
+def top_columns(n, rows):
+    # a column is A = (n - a + 2, ..., n + 1) exactly when its top letter is n - a + 2
+    return rows[0].count(n - len(rows) + 2)
+
+
+def append_top(n, rows):
+    """One more column A = (n - a + 2, ..., n + 1) behind the rows of B^{a,l}."""
+    return tuple(row + (n - len(rows) + i,) for i, row in enumerate(rows, start=2))
+
+
 def reference_sweep(p, a, l):
     """The carrier u_l^(a) threaded through p on full rows, uncached."""
     u = highest_element(a, l, p.rank_n).rows
@@ -294,6 +306,32 @@ class TestVacuumLemma:
         assert step(pad(u), b) == (((1, 1),), ((2, 2),), (1, 2))
 
 
+class TestMirrorLemma:
+    def test_trailing_column_commutes_with_the_step(self):
+        # u with m >= s trailing columns A against every b of width s:
+        # step(u + A, b) = (b', u' + A, hs) where step(u, b) = (b', u', hs),
+        # and the energies alone are hs
+        step = _sweep_step.__wrapped__
+        energies = rmatrix._move_energies.__wrapped__
+        checked = 0
+        for n in (1, 2, 3):
+            for a, l, r, s in product(range(1, n + 1), range(1, 6), range(1, n + 1), range(1, 4)):
+                us = [u.rows for u in enumerate_kr(a, l, n) if top_columns(n, u.rows) >= s]
+                for u, b in product(us, [b.rows for b in enumerate_kr(r, s, n)]):
+                    b2, u2, hs = step(u, b)
+                    assert step(append_top(n, u), b) == (b2, append_top(n, u2), hs)
+                    assert energies(append_top(n, u), b) == hs
+                    checked += 1
+        assert checked == 16902
+
+    def test_threshold_is_tight(self):
+        # m = s - 1 = 1 column A = (2) at n = 1 against a factor of width 2
+        step = _sweep_step.__wrapped__
+        u, b = ((2,),), ((1, 1),)
+        assert step(u, b) == (((1, 2),), ((1,),), (0, 0))
+        assert step(append_top(1, u), b) == (((2, 2),), ((1, 1),), (0, 0))
+
+
 class TestCompressedSweep:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -314,11 +352,13 @@ class TestCompressedSweep:
         ):
             got_out, got_carriers, got_energies = evolution._sweep_rows(p, a, l)
         assert (got_out, got_energies) == (out, energies)
-        assert [evolution._expand(a, c) for c in got_carriers] == carriers
-        # the step sees each carrier with min(its vacuum, s) leading V columns
+        assert [evolution._expand(n, a, c) for c in got_carriers] == carriers
+        # the step sees each carrier with min(V, s) leading columns V and
+        # min(A, s) trailing columns A
         for u, key, b in zip(carriers, keys, p.factors):
-            spare = max(0, vacuum_columns(u) - b.width())
-            assert key == tuple(row[spare:] for row in u)
+            lead = max(0, vacuum_columns(u) - b.width())
+            trail = max(0, top_columns(n, u) - b.width())
+            assert key == tuple(row[lead : len(row) - trail] for row in u)
         factors, tableaux = carrier_sweep(p, a, l)
         assert [f.rows for f in factors] == out
         assert [t.rows for t in tableaux] == carriers
@@ -377,3 +417,63 @@ class TestCompressedSweep:
         _sweep_step.cache_clear()
         assert len(local_energy_distribution(q).tables[0]) == 3
         assert _sweep_step.cache_info().hits > 0
+
+    def test_top_columns_share_step_entries(self, monkeypatch):
+        # at n = 1 the carrier of level 1 fills with the top letter 2, whose
+        # column is A: the step sees at most s = 1 of its columns A, so the
+        # 30 steps of widths 1..6 use 5 keys, though the carriers hold up to
+        # three columns A
+        p = path(1, [[2]], [[2]], [[2]], [[1]], [[2]])
+        keys = []
+        monkeypatch.setattr(
+            evolution, "_sweep_step", lambda u, b: keys.append((u, b)) or _sweep_step(u, b)
+        )
+        for l in range(1, 7):
+            _, carriers, _ = evolution._sweep_rows(p, 1, l)
+            # one column A is in u, the others are set aside
+            assert max(t for _, _, t in carriers) == min(l, 3) - 1
+            assert [evolution._expand(1, 1, c) for c in carriers] == reference_sweep(p, 1, l)[1]
+        assert len(keys) == 30
+        assert set(keys) == {
+            (((1,),), ((2,),)),
+            (((1, 2),), ((2,),)),
+            (((2,),), ((2,),)),
+            (((2,),), ((1,),)),
+            (((1, 2),), ((1,),)),
+        }
+
+
+def random_factor(rng, r, s, n):
+    # a semistandard r x s tableau over 1..n+1, each cell uniform on its range
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(s):
+            lo = max(row[j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
+            row.append(rng.randint(lo, n + 1 - (r - 1 - i)))
+        rows.append(row)
+    return Tableau(n, rows)
+
+
+class TestHeavyPaths:
+    def test_led_and_round_trip_against_the_reference(self, monkeypatch):
+        # the largest paths of the path-to-rc benchmark: n = 4, six factors
+        # B^{r,s} with r, s <= 4, where carriers set aside both kinds of
+        # column; the oracle sweeps full rows, uncached, at every width
+        spare = []
+        sweep = evolution._sweep_rows
+
+        def recording(p, a, l, last_image=True):
+            out = sweep(p, a, l, last_image)
+            spare.extend((k > 0, t > 0) for k, _, t in out[1][1:])
+            return out
+
+        monkeypatch.setattr(evolution, "_sweep_rows", recording)
+        rng = Random(20261019)
+        for _ in range(8):
+            p = Path(4, [random_factor(rng, rng.randint(1, 4), rng.randint(1, 4), 4)
+                         for _ in range(6)])
+            assert local_energy_distribution(p).tables == reference_tables(p)
+            assert phi_inverse(phi_energy(p)) == p
+        # carriers past the first factor hold spare V and spare A columns
+        assert (True, True) in spare

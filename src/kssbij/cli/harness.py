@@ -1,13 +1,16 @@
 """Invariant checks, each run on a family given as data.
 
-Each check_* takes its family as an iterable and returns (cases, failure
-descriptions). `verify` binds each to its families in SUITES: for every rank
-n up to the bound, chains (paths in B^{1,1} tensored L times, L <= max_l) and
-pairs (two-factor paths over the shape menu r <= n, s <= max_s). Criteria
-5-10 of the acceptance gate run the same checks on its families A and B:
+Each check_* but Yang-Baxter takes its family as an iterable, and each
+returns (cases, failure descriptions). `verify` binds each to its families in
+SUITES: for every rank n up to the bound, chains (paths in B^{1,1} tensored L
+times, L <= max_l) and pairs (two-factor paths over the shape menu r <= n,
+s <= max_s). Criteria 5-10 of the acceptance gate run the same checks on its
+families A and B:
 
-  check_yang_baxter           verify: shape-menu triples; gate, rmatrix tests:
-                              n = 2 triples of shapes (1,1), (1,2), (2,1)
+  check_yang_baxter           (n, shape triples, mode triples), walking every
+                              element of each shape; verify: shape-menu
+                              triples; gate, rmatrix tests: n = 2 triples of
+                              shapes (1,1), (1,2), (2,1)
   check_involutivity          verify: pairs
   check_swapping_pairs        verify: highest pairs, highest u past two-letter
                               v; gate: highest pairs with r, s <= 3, n = 3
@@ -146,17 +149,6 @@ def family_paths(max_n, max_l, max_s):
         yield from pair_paths(n, max_s)
 
 
-def affine_triples(n, shape_triples, modes):
-    """Affine triples over all elements of each shape triple, one per mode
-    triple; each affine element is a (rows, mode) pair."""
-    shape_triples = list(shape_triples)
-    pools = {sh: list(enumerate_kr(*sh, n)) for sh in set().union(*shape_triples)}
-    for shapes in shape_triples:
-        elements = product(*(pools[sh] for sh in shapes))
-        for (b1, b2, b3), (m1, m2, m3) in product(elements, modes):
-            yield (b1.rows, m1), (b2.rows, m2), (b3.rows, m3)
-
-
 def highest_pairs(n, menu):
     """(u, v) for every ordered pair of shapes in menu, u and v highest."""
     for (r1, s1), (r2, s2) in product(menu, repeat=2):
@@ -193,20 +185,29 @@ def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
 
-def check_yang_baxter(triples):
+def check_yang_baxter(n, shape_triples, modes):
     """The affine R satisfies the Yang-Baxter equation on each triple x (x) y (x) z:
-    (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R)."""
+    (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R), over all rank-n elements of
+    each shape triple and each mode triple; an affine element is a (rows, mode)
+    pair. R(x (x) y) is shared across every z, and R(y (x) z) across every x."""
     cases, failures = 0, []
-    for x, y, z in triples:
-        cases += 1
-        a, b = apply_affine_R(x, y)
-        b, c = apply_affine_R(b, z)
-        a, b = apply_affine_R(a, b)
-        e, f = apply_affine_R(y, z)
-        d, e = apply_affine_R(x, e)
-        e, f = apply_affine_R(e, f)
-        if (a, b, c) != (d, e, f):
-            failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
+    shape_triples = list(shape_triples)
+    pools = {sh: [b.rows for b in enumerate_kr(*sh, n)] for sh in set().union(*shape_triples)}
+    for shapes, mode in product(shape_triples, modes):
+        xs, ys, zs = ([(u, m) for u in pools[sh]] for sh, m in zip(shapes, mode))
+        cases += len(xs) * len(ys) * len(zs)
+        yz = [[apply_affine_R(y, z) for z in zs] for y in ys]
+        for x in xs:
+            for y, y_z in zip(ys, yz):
+                xy = apply_affine_R(x, y)
+                for z, (e, f) in zip(zs, y_z):
+                    a, b = xy
+                    b, c = apply_affine_R(b, z)
+                    a, b = apply_affine_R(a, b)
+                    d, e = apply_affine_R(x, e)
+                    e, f = apply_affine_R(e, f)
+                    if (a, b, c) != (d, e, f):
+                        failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
     return cases, failures
 
 
@@ -374,11 +375,9 @@ def check_linearization(items):
 
 def suite_yang_baxter(max_n, max_l, max_s):
     modes = ((0, 0, 0), (5, 3, 1))
-    return check_yang_baxter(
-        t
-        for n in range(1, max_n + 1)
-        for t in affine_triples(n, product(shape_menu(n, max_s), repeat=3), modes)
-    )
+    per_n = [check_yang_baxter(n, product(shape_menu(n, max_s), repeat=3), modes)
+             for n in range(1, max_n + 1)]
+    return sum(c for c, _ in per_n), [msg for _, f in per_n for msg in f]
 
 
 def suite_involutivity(max_n, max_l, max_s):

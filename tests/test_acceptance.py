@@ -15,7 +15,6 @@ import itertools
 import time
 
 from kssbij.cli.harness import (
-    affine_triples,
     check_energy_equals_q,
     check_energy_padding,
     check_linearization,
@@ -216,10 +215,9 @@ def test_criterion_06_energy_equals_q():
 def test_criterion_07_yang_baxter():
     def work():
         shapes = ((1, 1), (1, 2), (2, 1))
-        triples = affine_triples(
+        cases, failures = check_yang_baxter(
             2, itertools.product(shapes, repeat=3), ((0, 0, 0), (5, 3, 1))
         )
-        cases, failures = check_yang_baxter(triples)
         assert failures == []
         assert cases == 2 * (3 + 6 + 3) ** 3
 

@@ -436,6 +436,45 @@ class TestVerifyVerb:
         assert payload["total_cases"] == 18800
 
 
+def _untimed(out):
+    # a verify report with its wall times dropped, the only part that varies
+    payload = json.loads(out)
+    del payload["elapsed_seconds"]
+    for suite in payload["suites"]:
+        del suite["elapsed_seconds"]
+    return payload
+
+
+class TestVerbSequence:
+    """Verbs run one after another through `run` in one process give the
+    same (exit code, stdout) in either order: no parser default or other
+    state carries from one call to the next."""
+
+    STEPS = [
+        (("verify", "--suite", "yang-baxter", "--format", "json"), None, None),
+        (("phi", str(GOLDEN / "path_3factor.json"), "--format", "json"), "rc_3factor.json", None),
+        (("phi-inverse", str(GOLDEN / "rc_a1.json"), "--order", "1,2,0", "--format", "json"),
+         "path_3factor.json", None),
+        (("rc-validate", str(GOLDEN / "rc_a1.json"), "--mode", "restricted"), None, None),
+        (("bbs", "--a", "1", "--l", "2", "--steps", "2"), None, golden("path_3factor.json")),
+    ]
+
+    def test_forwards_then_reverse(self):
+        first = {}
+        for argv, gold, stdin in self.STEPS + self.STEPS[::-1]:
+            code, out, _ = cli(*argv, stdin=stdin)
+            got = (code, _untimed(out) if argv[0] == "verify" else out)
+            assert got == first.setdefault(argv, got), argv
+            assert code == 0, argv
+            if gold is not None:
+                assert json.loads(out) == json.loads(golden(gold)), argv
+        outputs = [first[argv][1] for argv, _, _ in self.STEPS]
+        assert outputs[1] == golden("rc_3factor.json")
+        # the text verbs keep their own default format
+        assert outputs[3] == "valid (restricted)\n"
+        assert outputs[4].startswith("t=0:\n")
+
+
 class TestPhiMemo:
     def test_warm_memo_gives_the_same_report(self):
         harness._phi_memo.cache_clear()

@@ -1,15 +1,16 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kssbij import kernels, rmatrix
+from kssbij.cli import harness
 from kssbij.cli.harness import (
     _phi_memo,
-    affine_triples,
     check_involutivity,
     check_swapping_pairs,
     check_yang_baxter,
@@ -145,12 +146,67 @@ class TestAffine:
                     assert (x[1] - m, k - y[1]) == (h, h)
 
 
+def _yang_baxter_reference(n, shape_triples, modes):
+    """The six-call loop that check_yang_baxter shares moves of: every case
+    applies the affine R three times on each side."""
+    failures = []
+    for shapes in shape_triples:
+        pools = [[b.rows for b in enumerate_kr(*sh, n)] for sh in shapes]
+        for (u, v, w), (m1, m2, m3) in itertools.product(itertools.product(*pools), modes):
+            x, y, z = (u, m1), (v, m2), (w, m3)
+            a, b = harness.apply_affine_R(x, y)
+            b, c = harness.apply_affine_R(b, z)
+            a, b = harness.apply_affine_R(a, b)
+            e, f = harness.apply_affine_R(y, z)
+            d, e = harness.apply_affine_R(x, e)
+            e, f = harness.apply_affine_R(e, f)
+            if (a, b, c) != (d, e, f):
+                failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
+    return failures
+
+
+def _mode_dependent_shift(x, y):
+    # x' gains one more when its mode and the energy are both positive
+    image, (u_new, m_new) = apply_affine_R(x, y)
+    m = x[1]
+    return image, (u_new, m_new + 1 if m > 0 and m_new > m else m_new)
+
+
+def _flip_on_one_shape_pair(x, y):
+    # u (x) v -> v (x) u, modes shifted as by R, for u in B^{2,1}, v in B^{1,2}
+    y_new, x_new = apply_affine_R(x, y)
+    (u, _), (v, _) = x, y
+    if (len(u), len(u[0]), len(v), len(v[0])) == (2, 1, 1, 2):
+        return (v, y_new[1]), (u, x_new[1])
+    return y_new, x_new
+
+
 class TestYangBaxter:
     def test_small_triple(self):
-        triples = affine_triples(2, [((1, 1), (1, 2), (2, 1))], [(0, 0, 0)])
-        cases, failures = check_yang_baxter(triples)
+        cases, failures = check_yang_baxter(2, [((1, 1), (1, 2), (2, 1))], [(0, 0, 0)])
         assert failures == []
         assert cases == 3 * 6 * 3
+
+    @pytest.mark.parametrize(
+        "mutant, expected",
+        [(_mode_dependent_shift, 2646), (_flip_on_one_shape_pair, 960)],
+    )
+    def test_shared_moves_compare_every_case(self, monkeypatch, mutant, expected):
+        # a wrong affine R fails the same cases as in the unshared six-call
+        # loop, over verify's default Yang-Baxter family
+        monkeypatch.setattr(harness, "apply_affine_R", mutant)
+        modes = ((0, 0, 0), (5, 3, 1))
+        shared, reference = Counter(), Counter()
+        cases = 0
+        for n in (1, 2):
+            triples = list(itertools.product(shape_menu(n, 2), repeat=3))
+            c, failures = check_yang_baxter(n, triples, modes)
+            cases += c
+            shared.update(failures)
+            reference.update(_yang_baxter_reference(n, triples, modes))
+        assert cases == 11914
+        assert shared == reference
+        assert sum(shared.values()) == expected
 
 
 class TestSweepStep:

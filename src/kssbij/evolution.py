@@ -35,9 +35,14 @@ from kssbij.tableaux import Tableau, check_kr
 
 
 class Path:
-    """Ordered tensor product of rectangular tableaux over one alphabet."""
+    """Ordered tensor product of rectangular tableaux over one alphabet.
 
-    __slots__ = ("rank_n", "factors")
+    The hash is computed on first use and kept in the slot `_hash`, since
+    `verify` looks the same family paths up in its phi memo suite after
+    suite; neither constructor fills it, so a path that is never hashed
+    pays nothing for it."""
+
+    __slots__ = ("rank_n", "factors", "_hash")
 
     def __init__(self, rank_n, factors):
         factors = tuple(factors)
@@ -78,7 +83,12 @@ class Path:
         return self.rank_n == other.rank_n and self.factors == other.factors
 
     def __hash__(self):
-        return hash((self.rank_n, self.factors))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank_n, self.factors))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return "Path(n=%d, %s)" % (
@@ -93,7 +103,8 @@ class Path:
 # at 193 MB with an unbounded `_vacuum`, 146 MB with these bounds).
 @lru_cache(maxsize=256)
 def _vacuum(a, m):
-    # the rows of m columns V = (1, ..., a), m at most the widest factor
+    # the rows of m columns V = (1, ..., a), m at most the widest factor or
+    # the carrier's width
     return tuple((i,) * m for i in range(1, a + 1))
 
 
@@ -110,7 +121,9 @@ def _expand(n, a, carrier):
     k, u, t = carrier
     if t:
         u = map(tuple.__add__, u, _top(n, a, t))
-    return tuple([(i,) * k + row for i, row in enumerate(u, start=1)])
+    if k:
+        u = map(tuple.__add__, _vacuum(a, k), u)
+    return tuple(u)
 
 
 def _sweep_rows(p, a, l, last_image=True):

@@ -7,8 +7,6 @@ indexed by a; Q and vacancy follow the usual conventions with level 0 and
 n+1 contributions equal to zero.
 """
 
-from collections import Counter
-
 
 def _integer(x, what):
     # bool is a subclass of int, and int() would truncate a float silently
@@ -108,9 +106,7 @@ class RiggedConfiguration:
         return (
             self.rank_n == other.rank_n
             and self.nu == other.nu
-            and all(
-                Counter(a) == Counter(b) for a, b in zip(self.mu, other.mu)
-            )
+            and all(sorted(a) == sorted(b) for a, b in zip(self.mu, other.mu))
         )
 
     def __hash__(self):

@@ -502,6 +502,47 @@ class TestPhiMemo:
         assert set(seen.values()) == {1}
 
 
+class TestSharedFamily:
+    def test_one_tuple_per_bounds(self):
+        family = harness.family_paths(2, 3, 2)
+        assert harness.family_paths(2, 3, 2) is family
+        generated = [
+            p
+            for n in (1, 2)
+            for chunk in (harness.chain_paths(n, 3), harness.pair_paths(n, 2))
+            for p in chunk
+        ]
+        assert type(family) is tuple and list(family) == generated
+        assert (len(family), len(set(family))) == (402, 389)
+        # a path that is both a chain and a pair is one object
+        assert len(set(map(id, family))) == 389
+        # a new set of bounds replaces the kept tuple
+        harness.family_paths(1, 1, 1)
+        again = harness.family_paths(2, 3, 2)
+        assert again == family and again is not family
+
+    def test_phi_suites_look_paths_up_by_identity(self, monkeypatch):
+        calls = Counter()
+        real_phi, real_eq = kss.phi_energy, Path.__eq__
+
+        def counting_phi(p):
+            calls["phi"] += 1
+            return real_phi(p)
+
+        def counting_eq(self, other):
+            calls["eq"] += 1
+            return real_eq(self, other)
+
+        harness._phi_memo.cache_clear()
+        monkeypatch.setattr(kss, "phi_energy", counting_phi)
+        assert run_verify().ok
+        assert calls["phi"] == 389
+        monkeypatch.setattr(Path, "__eq__", counting_eq)
+        report = run_verify(suites=["round-trip", "removal-order"])
+        assert report.ok and [r[1] for r in report.results] == [402, 467]
+        assert calls == {"phi": 389}
+
+
 class TestErrorPaths:
     def test_malformed_json_reports_location(self):
         code, _, err = cli("energy", stdin="{oops")

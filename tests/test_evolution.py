@@ -235,6 +235,21 @@ class TestPathType:
         assert p == path(2, [[1, 2]], [[2]])
         assert p.shapes() == [(1, 2), (1, 1)]
 
+    def test_hash_is_cached_and_agrees_across_constructors(self):
+        p = path(2, [[1, 2]], [[2]])
+        trusted = Path._trusted(2, tuple(Tableau._trusted(2, b.rows) for b in p.factors))
+        back = phi_inverse(phi_energy(p))
+        # neither constructor computes the hash
+        assert not any(hasattr(x, "_hash") for x in (p, trusted, back))
+        assert p == trusted == back
+        first = hash(p)
+        assert hash(trusted) == hash(back) == first
+        assert hash(p) == p._hash == first
+        with pytest.raises(AttributeError, match="^Path is immutable$"):
+            p._hash = 0
+        assert hash(p) == first
+        assert repr(p) == "Path(n=2, %r (x) %r)" % p.factors
+
 
 def pad(rows):
     """One more vacuum column (1, ..., a) in front of the rows of B^{a,l}."""

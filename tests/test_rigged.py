@@ -217,6 +217,15 @@ class TestEquality:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_levels_compare_as_multisets(self):
+        def rc(level):
+            return RiggedConfiguration(1, [[3]], [level])
+
+        assert rc([(1, 0), (2, 1), (1, 0)]) == rc([(2, 1), (1, 0), (1, 0)])
+        # the same distinct rows, but different multiplicities
+        assert rc([(1, 0), (1, 0), (2, 1)]) != rc([(1, 0), (2, 1), (2, 1)])
+        assert rc([(1, 0)]) != rc([(1, 0), (1, 0)])
+
     def test_quantum_space_order_matters(self):
         a = RiggedConfiguration(2, [[2, 1], []], [[], []])
         b = RiggedConfiguration(2, [[1, 2], []], [[], []])

@@ -24,6 +24,14 @@ Failure messages name their input in the codec's JSON, so it can be fed back
 to the CLI: a path to `led`, `phi` or `bbs`, a pair to `rmatrix` or `energy`.
 Yang-Baxter names its (rows, mode) triples, which no verb reads.
 
+Yang-Baxter runs on interned affine elements: each (rows, mode) element
+gets a small int id, and a table (`_AffineTable`) maps a pair of ids x, y to
+the ids of y', x', filling each entry by one call of the module-global
+apply_affine_R. The table is keyed by whole elements, modes included, and
+lives for one scope of `check_yang_baxter` (a rank, a mode triple and the
+consecutive shape triples with one first shape), so it bounds memory and a
+patch of apply_affine_R between calls is never hidden by an old entry.
+
 The checks that need phi of a path (energy-equals-q, round-trip,
 removal-order, evolution-linearization) read it through `phi`, a bounded
 memo: phi of a family path is computed once per process and shared by the
@@ -32,12 +40,15 @@ suites, so a suite's reported time leaves out any phi that an earlier suite
 family objects as well: `family_paths` builds one tuple per set of bounds and
 keeps it for the process, so every suite hands the memo the very Path objects
 that key it, each lookup matches by identity (no `Path.__eq__`) and each
-path's hash is computed once.
+path's hash is computed once. Evolution-linearization reads phi of T(p)
+through `family_index`, the same objects keyed by factors, and builds a new
+Path only for a T(p) outside the family.
 """
 
 import time
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, groupby, product
+from operator import itemgetter
 
 from kssbij import kss
 from kssbij.cli import codec
@@ -52,10 +63,10 @@ from kssbij.tableaux import Tableau, enumerate_kr, highest_element
 # 4096 holds that whole family, so each path misses once (verify --max-n 3
 # max RSS 19.7 -> 20.5 MB). The library keeps no such memo: the CLI's phi
 # and phi-inverse inputs do not repeat, and it would only add to their memory.
-# The family is kept too (`family_paths`), held while the process lives.
-# Up to --max-n 3 its paths are the memo's keys, so it adds one tuple and
-# verify --max-n 3 max RSS stays at 20.7-20.8 MB; at --max-n 4 it holds
-# 29,157 paths, more than the memo keeps.
+# The family is kept too (`family_paths`, with `family_index`), held while
+# the process lives. Up to --max-n 3 its paths are the memo's keys, so it
+# adds one tuple and one dict, and verify --max-n 3 max RSS stays at
+# 20.7-21.0 MB; at --max-n 4 it holds 29,157 paths, more than the memo keeps.
 PHI_CACHE_SIZE = 4096
 
 
@@ -150,6 +161,17 @@ def pair_paths(n, max_s):
 
 
 @lru_cache(maxsize=1)
+def _family(max_n, max_l, max_s):
+    # (family_paths, family_index) for one set of bounds
+    index = {}
+    paths = tuple(
+        index.setdefault(p.factors, p)
+        for n in range(1, max_n + 1)
+        for p in chain(chain_paths(n, max_l), pair_paths(n, max_s))
+    )
+    return paths, index
+
+
 def family_paths(max_n, max_l, max_s):
     """The chains and pairs of every rank up to max_n, deterministic order:
     per rank, `chain_paths` then `pair_paths`.
@@ -157,12 +179,14 @@ def family_paths(max_n, max_l, max_s):
     One tuple per set of bounds, kept for the process (a new set replaces
     it), so the phi suites share its Path objects. A path that is both a
     chain and a pair (two single boxes) is one object in both places."""
-    seen = {}
-    return tuple(
-        seen.setdefault(p, p)
-        for n in range(1, max_n + 1)
-        for p in chain(chain_paths(n, max_l), pair_paths(n, max_s))
-    )
+    return _family(max_n, max_l, max_s)[0]
+
+
+def family_index(max_n, max_l, max_s):
+    """The objects of `family_paths` keyed by their factors, kept with it.
+    Time evolution keeps a path's factor shapes, so T(p) of a family path is
+    in the family, and check_linearization looks it up here."""
+    return _family(max_n, max_l, max_s)[1]
 
 
 def highest_pairs(n, menu):
@@ -201,29 +225,89 @@ def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
 
+def _intern(ids, elements, element):
+    # the id of an affine element: its index in elements, added if new
+    i = ids.get(element)
+    if i is None:
+        i = ids[element] = len(elements)
+        elements.append(element)
+    return i
+
+
+class _Moves(dict):
+    """The affine R moves of one interned element x: the id of y maps to
+    (id of y', id of x') for x (x) y -> y' (x) x'. A missing entry is filled
+    by one call of the module-global apply_affine_R on the decoded elements."""
+
+    __slots__ = ("x", "ids", "elements")
+
+    def __missing__(self, j):
+        ids, elements = self.ids, self.elements
+        y_new, x_new = apply_affine_R(self.x, elements[j])
+        image = self[j] = _intern(ids, elements, y_new), _intern(ids, elements, x_new)
+        return image
+
+
+class _AffineTable(dict):
+    """The affine R on interned elements, for one scope of the Yang-Baxter
+    check: table[i][j] is (id of y', id of x') for the move of element i past
+    element j. Elements are (rows, mode) pairs and get ids by value, modes
+    included, so an entry is exact for any deterministic affine R. The moves
+    of an element (`_Moves`) are made the first time it is on the left."""
+
+    def __init__(self):
+        self.ids, self.elements = {}, []
+
+    def intern(self, element):
+        return _intern(self.ids, self.elements, element)
+
+    def __missing__(self, i):
+        moves = self[i] = _Moves()
+        moves.x, moves.ids, moves.elements = self.elements[i], self.ids, self.elements
+        return moves
+
+
 def check_yang_baxter(n, shape_triples, modes):
     """The affine R satisfies the Yang-Baxter equation on each triple x (x) y (x) z:
     (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R), over all rank-n elements of
     each shape triple and each mode triple; an affine element is a (rows, mode)
-    pair. R(x (x) y) is shared across every z, and R(y (x) z) across every x."""
+    pair.
+
+    The check runs on interned elements. Each run of consecutive shape triples
+    with one first shape, under one mode triple, is a scope with its own
+    `_AffineTable`: it maps the ids of a pair x, y of elements to the ids of
+    the image y', x', computed by one apply_affine_R call the first time the
+    scope needs that pair (9,310 calls over verify's default family, for
+    53,040 moves). A case is then four table lookups and a comparison of ids.
+    No table outlives its scope, so a patch of apply_affine_R between calls
+    is always seen; a failure names the decoded (rows, mode) triple."""
     cases, failures = 0, []
-    shape_triples = list(shape_triples)
+    shape_triples, modes = list(shape_triples), list(modes)
     pools = {sh: [b.rows for b in enumerate_kr(*sh, n)] for sh in set().union(*shape_triples)}
-    for shapes, mode in product(shape_triples, modes):
-        xs, ys, zs = ([(u, m) for u in pools[sh]] for sh, m in zip(shapes, mode))
-        cases += len(xs) * len(ys) * len(zs)
-        yz = [[apply_affine_R(y, z) for z in zs] for y in ys]
-        for x in xs:
-            for y, y_z in zip(ys, yz):
-                xy = apply_affine_R(x, y)
-                for z, (e, f) in zip(zs, y_z):
-                    a, b = xy
-                    b, c = apply_affine_R(b, z)
-                    a, b = apply_affine_R(a, b)
-                    d, e = apply_affine_R(x, e)
-                    e, f = apply_affine_R(e, f)
-                    if (a, b, c) != (d, e, f):
-                        failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
+    for _, group in groupby(shape_triples, itemgetter(0)):
+        group = list(group)
+        for mode in modes:
+            table = _AffineTable()
+            for shapes in group:
+                xs, ys, zs = (
+                    [table.intern((u, m)) for u in pools[sh]] for sh, m in zip(shapes, mode)
+                )
+                cases += len(xs) * len(ys) * len(zs)
+                # R(y (x) z) is shared across every x, R(x (x) y) across every z
+                yz = [[table[y][z] for z in zs] for y in ys]
+                for x in xs:
+                    x_moves = table[x]
+                    for y, y_z in zip(ys, yz):
+                        p, q = x_moves[y]
+                        p_moves, q_moves = table[p], table[q]
+                        for z, (e, f) in zip(zs, y_z):
+                            b, c = q_moves[z]
+                            a, b = p_moves[b]
+                            d, e = x_moves[e]
+                            e, f = table[e][f]
+                            if a != d or b != e or c != f:
+                                x_, y_, z_ = (table.elements[i] for i in (x, y, z))
+                                failures.append("yang-baxter mismatch %r %r %r" % (x_, y_, z_))
     return cases, failures
 
 
@@ -362,14 +446,17 @@ def check_removal_order(items):
     return cases, failures
 
 
-def check_linearization(items):
+def check_linearization(items, family=None):
     """Box-ball updates act on riggings as r += min(l, row length) whenever the
     shifted configuration is still valid; otherwise the soliton exits the
     finite path, certified by the carrier coming back loaded. items: (path,
     a, l); consecutive items that hold one Path object share its phi.
-    Returns (cases, failures, loaded sweeps)."""
+    family, if given, maps factors to the path object that phi of T(p) is
+    read for (`family_index`); T(p) is built as a new Path only when its
+    factors are not there. Returns (cases, failures, loaded sweeps)."""
     cases = loaded = 0
     failures = []
+    family = family or {}
     last = None
     for p, a, l in items:
         if p is not last:
@@ -385,10 +472,14 @@ def check_linearization(items):
             failures.append(
                 "carrier %s shift: T_%d^(%d) %s" % (state, l, a, _path_json(p))
             )
-        elif valid and phi(Path(p.rank_n, factors)) != shifted:
-            failures.append(
-                "T_%d^(%d) did not linearize for %s" % (l, a, _path_json(p))
-            )
+        elif valid:
+            evolved = family.get(tuple(factors))
+            if evolved is None:
+                evolved = Path(p.rank_n, factors)
+            if phi(evolved) != shifted:
+                failures.append(
+                    "T_%d^(%d) did not linearize for %s" % (l, a, _path_json(p))
+                )
     return cases, failures, loaded
 
 
@@ -463,10 +554,13 @@ def suite_removal_order(max_n, max_l, max_s):
 
 def suite_evolution_linearization(max_n, max_l, max_s):
     cases, failures, _ = check_linearization(
-        (p, a, l)
-        for p in family_paths(max_n, max_l, max_s)
-        for a in range(1, p.rank_n + 1)
-        for l in range(1, max_l + 1)
+        (
+            (p, a, l)
+            for p in family_paths(max_n, max_l, max_s)
+            for a in range(1, p.rank_n + 1)
+            for l in range(1, max_l + 1)
+        ),
+        family_index(max_n, max_l, max_s),
     )
     return cases, failures
 

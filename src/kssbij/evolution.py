@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from kssbij.rmatrix import _move_energies, _sweep_step
-from kssbij.tableaux import Tableau, check_kr
+from kssbij.tableaux import Tableau, check_kr, check_rank
 
 
 class Path:
@@ -47,8 +47,7 @@ class Path:
     def __init__(self, rank_n, factors):
         factors = tuple(factors)
         # a path without factors has no tableau that would check its rank
-        if type(rank_n) is not int or rank_n < 1:
-            raise ValueError("rank_n must be an integer >= 1")
+        check_rank(rank_n)
         for b in factors:
             if b.rank_n != rank_n:
                 raise ValueError("factor alphabet differs from path alphabet")

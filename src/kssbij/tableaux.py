@@ -26,8 +26,7 @@ class Tableau:
 
     def __init__(self, rank_n, rows):
         rows = tuple(tuple(r) for r in rows)
-        if type(rank_n) is not int or rank_n < 1:
-            raise ValueError("rank_n must be an integer >= 1")
+        check_rank(rank_n)
         for i, row in enumerate(rows):
             if not row:
                 raise ValueError("empty row")
@@ -150,6 +149,14 @@ def inverse_insert(t, cell):
     return Tableau(t.rank_n, rows), x
 
 
+def check_rank(rank_n):
+    """Raises ValueError unless rank_n is an int >= 1 (a bool or a float
+    raises). The entries that take a bare rank check it before anything that
+    names the rank in a message."""
+    if type(rank_n) is not int or rank_n < 1:
+        raise ValueError("rank_n must be an integer >= 1")
+
+
 def check_kr(a, l, rank_n):
     """Raises ValueError unless B^{a,l} exists over rank n: a and l ints
     (a bool or a float raises), 1 <= a <= rank_n and l >= 1. The sweeps check
@@ -162,6 +169,7 @@ def check_kr(a, l, rank_n):
 
 def highest_element(a, l, rank_n):
     """The element of B^{a,l} whose i-th row is filled with i."""
+    check_rank(rank_n)
     check_kr(a, l, rank_n)
     return Tableau._trusted(rank_n, tuple((i,) * l for i in range(1, a + 1)))
 
@@ -192,8 +200,9 @@ def enumerate_kr(r, s, rank_n):
 
     The order is lexicographic on row_word; the full set is materialized
     internally, which is fine at the intended small sizes. r and s are
-    checked by check_kr.
+    checked by check_kr, after the rank by check_rank.
     """
+    check_rank(rank_n)
     check_kr(r, s, rank_n)
     found = [Tableau(rank_n, rows) for rows in _fillings((s,) * r, rank_n)]
     found.sort(key=row_word)

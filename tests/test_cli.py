@@ -352,6 +352,12 @@ class TestEnumerateVerb:
         code, out, err = cli("enumerate", "--r", r, "--s", s, "--n", "1")
         assert (code, out, err) == (3, "", message + "\n")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_rank_message(self, n):
+        # the rank is checked first, so no message names a range 1..n
+        code, out, err = cli("enumerate", "--r", "1", "--s", "1", "--n", n)
+        assert (code, out, err) == (3, "", "error: rank_n must be an integer >= 1\n")
+
 
 class TestInsertVerb:
     def test_sequence(self):
@@ -541,6 +547,23 @@ class TestSharedFamily:
         report = run_verify(suites=["round-trip", "removal-order"])
         assert report.ok and [r[1] for r in report.results] == [402, 467]
         assert calls == {"phi": 389}
+
+    def test_linearization_reads_evolved_paths_from_the_family(self, monkeypatch):
+        # T(p) of a family path is looked up in `family_index`, so a warm run
+        # hands the phi memo family objects only and never compares paths
+        calls = Counter()
+        real_eq = Path.__eq__
+
+        def counting_eq(self, other):
+            calls["eq"] += 1
+            return real_eq(self, other)
+
+        argv = ("verify", "--suite", "evolution-linearization", "--format", "json")
+        assert cli(*argv)[0] == 0
+        monkeypatch.setattr(Path, "__eq__", counting_eq)
+        code, out, _ = cli(*argv)
+        assert (code, json.loads(out)["total_cases"]) == (0, 2295)
+        assert calls == {}
 
 
 class TestErrorPaths:

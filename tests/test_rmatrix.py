@@ -208,6 +208,31 @@ class TestYangBaxter:
         assert shared == reference
         assert sum(shared.values()) == expected
 
+    def test_no_table_outlives_a_call(self, monkeypatch):
+        # a clean run, then the same call under a mutant: the mutant's
+        # failures show, so no move of the clean run was reused
+        triples = list(itertools.product(shape_menu(2, 2), repeat=3))
+        modes = ((0, 0, 0), (5, 3, 1))
+        assert check_yang_baxter(2, triples, modes) == (11664, [])
+        monkeypatch.setattr(harness, "apply_affine_R", _mode_dependent_shift)
+        cases, failures = check_yang_baxter(2, triples, modes)
+        assert cases == 11664 and failures
+        assert Counter(failures) == Counter(_yang_baxter_reference(2, triples, modes))
+
+    def test_each_move_computed_once_per_scope(self, monkeypatch):
+        # verify's default family looks 53,040 moves up; a scope (one first
+        # shape, one mode triple) computes each distinct pair once
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return apply_affine_R(x, y)
+
+        monkeypatch.setattr(harness, "apply_affine_R", counting)
+        report = run_verify(suites=["yang-baxter"])
+        assert report.ok and report.total_cases == 11914
+        assert len(calls) == 9310
+
 
 class TestSweepStep:
     """rmatrix._sweep_step(u, b) = (b', u', (H_1, ..., H_beta)) against the

@@ -3,7 +3,6 @@ R-matrix with energy, box-ball time evolutions, rigged configurations, and the
 KSS correspondence computed both by box removal and from energy functions."""
 
 from kssbij.evolution import (
-    EnergyMatrix,
     LocalEnergyDistribution,
     Path,
     carrier_sweep,
@@ -39,22 +38,18 @@ from kssbij.rmatrix import (
     product_tableau,
 )
 from kssbij.tableaux import (
-    Cell,
     Tableau,
     enumerate_kr,
     highest_element,
     insert,
     insert_word,
     inverse_insert,
-    is_corner,
     row_word,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
-    "EnergyMatrix",
     "LocalEnergyDistribution",
     "Path",
     "RemovalTrace",
@@ -74,7 +69,6 @@ __all__ = [
     "insert",
     "insert_word",
     "inverse_insert",
-    "is_corner",
     "linearized_image",
     "local_energy_distribution",
     "phi_energy",

@@ -30,8 +30,9 @@ path.
 from collections import namedtuple
 from functools import lru_cache
 
+from kssbij.rigged import check_rank
 from kssbij.rmatrix import _move_energies, _sweep_step
-from kssbij.tableaux import Tableau, check_kr, check_rank
+from kssbij.tableaux import Tableau, check_kr
 
 
 class Path:
@@ -284,34 +285,15 @@ def time_evolution(p, a, l):
     return Path(n, [Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0]])
 
 
-class EnergyMatrix:
-    """Carrier energies E[l][j][k] of one level a, with zero boundaries.
-
-    E(l, j, k) is the energy of the carrier after j-1 factors against the
-    rightmost-k-column prefix of factor j. E(0, j, k) = E(l, j, 0) = 0.
-    """
-
-    __slots__ = ("a", "l_max", "betas", "_rows")
-
-    def __init__(self, a, l_max, betas, rows):
-        self.a = a
-        self.l_max = l_max
-        self.betas = tuple(betas)
-        self._rows = rows
-
-    def E(self, l, j, k):
-        if l == 0 or k == 0:
-            return 0
-        return self._rows[l - 1][j - 1][k - 1]
-
-
 def energy_matrix(p, a, l_max):
-    """Computes E[l][j][k] for l = 1..l_max over the whole path."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+    """The carrier energies of level a for the widths l = 1..l_max.
+
+    Returns E with E[l-1][j-1][k-1] the energy of the carrier u_l^(a), after
+    the first j - 1 factors, against the rightmost k columns of factor j, for
+    k = 1..beta_j: lists over l and j of tuples over k.
+    """
     check_kr(a, l_max, p.rank_n)
-    rows = [_sweep_rows(p, a, l, False)[2] for l in range(1, l_max + 1)]
-    return EnergyMatrix(a, l_max, [b.width() for b in p.factors], rows)
+    return [_sweep_rows(p, a, l, False)[2] for l in range(1, l_max + 1)]
 
 
 # Double differences of carrier energies, one table per level a = 1..n:

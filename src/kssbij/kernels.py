@@ -7,8 +7,10 @@ mutate it in place.
 The memoized step of `rmatrix`, behind every R and H, builds its products
 by a column insertion written inline and peels the R image off with one
 `eject_strip` per vertical strip. Row insertion (`bump`, `insert_word`) and
-`inverse_bump`, a one-cell `eject_strip`, serve the tableau API of
-`tableaux` and the row-insertion oracle `rmatrix.product_tableau`.
+`inverse_bump`, a one-cell `eject_strip`, serve only the tableau API of
+`tableaux`, which checks every letter and cell before they run; the
+row-insertion oracle `rmatrix.product_tableau` goes through
+`tableaux.insert_word` too.
 """
 
 from bisect import bisect_right, bisect_left

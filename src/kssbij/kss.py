@@ -76,9 +76,13 @@ def compute_rigging(p, led, group):
     for j, k in led.columns[:width]:
         if k <= mu_s and p.factors[j - 1].n_rows == a:
             shape_part += 1
-    # w[b]: the first mu_s rows of table b inside the window; 0 off levels 1..n
-    w = [0] + [sum(sum(r[:width]) for r in rows[:mu_s]) for rows in led.tables] + [0]
-    return shape_part + w[a - 1] - 2 * w[a] + w[a + 1]
+    # the first mu_s rows of the tables of levels a - 1, a and a + 1 inside
+    # the window, 0 off levels 1..n; no other level's table is read
+    w = [
+        sum(sum(r[:width]) for r in led.tables[b - 1][:mu_s]) if 1 <= b <= p.rank_n else 0
+        for b in (a - 1, a, a + 1)
+    ]
+    return shape_part + w[0] - 2 * w[1] + w[2]
 
 
 def quantum_space_of(p):

@@ -15,6 +15,14 @@ def _integer(x, what):
     return x
 
 
+def check_rank(rank_n):
+    """Raises ValueError unless rank_n is an int >= 1 (a bool or a float
+    raises). The entries that take a bare rank check it before anything that
+    names the rank in a message."""
+    if type(rank_n) is not int or rank_n < 1:
+        raise ValueError("rank_n must be an integer >= 1")
+
+
 class RiggedConfiguration:
     """Immutable rigged configuration.
 
@@ -43,8 +51,7 @@ class RiggedConfiguration:
     __slots__ = ("rank_n", "nu", "mu", "origins")
 
     def __init__(self, rank_n, nu, mu, origins=None):
-        if _integer(rank_n, "rank_n") < 1:
-            raise ValueError("rank_n must be >= 1")
+        check_rank(rank_n)
         nu = tuple(tuple(_integer(x, "quantum space row length") for x in level) for level in nu)
         mu = tuple(
             tuple(

@@ -22,8 +22,9 @@ nothing reads. Both caches hold CACHE_SIZE entries (sized
 below). `apply_R` wraps the cached image in tableaux without re-validating
 its rows: they come from factors that were checked when they were built.
 `apply_affine_R` works on row tuples with modes and builds no tableau or
-pair. `product_tableau` builds the product by row insertion instead; it is
-the tests' oracle for the step.
+pair. `product_tableau` builds the product by row insertion instead,
+through `tableaux.insert_word`, the one checked entry into row insertion;
+it is the tests' oracle for the step.
 """
 
 from bisect import bisect_left
@@ -31,7 +32,7 @@ from functools import lru_cache
 from operator import le, lt
 
 from kssbij import kernels
-from kssbij.tableaux import Tableau
+from kssbij.tableaux import Tableau, insert_word, row_word
 
 # Entries kept by each of the two caches behind R and H: the full steps and
 # the energies of the sweeps' last moves. Each `verify` suite walks its finite
@@ -80,10 +81,10 @@ class TensorPair:
 
 
 def product_tableau(p):
-    """(right <- row(left))."""
-    rows = [list(row) for row in p.right.rows]
-    kernels.insert_word(rows, [x for row in reversed(p.left.rows) for x in row])
-    return Tableau(p.rank_n, rows)
+    """(right <- row(left)), by row insertion (`tableaux.insert_word`): the
+    tests' oracle for the step, which builds the same product by column
+    insertion."""
+    return insert_word(p.right, row_word(p.left))
 
 
 def _excess(lengths, r, s, rp, sp):

@@ -5,12 +5,8 @@ tableaux with r rows of length s. Cells are addressed (row, col), 1-based,
 with col counted from the left.
 """
 
-from collections import namedtuple
-
 from kssbij import kernels
-from kssbij.rigged import _integer
-
-Cell = namedtuple("Cell", ["row", "col"])
+from kssbij.rigged import _integer, check_rank
 
 
 class Tableau:
@@ -109,52 +105,53 @@ def row_word(t):
     return tuple(out)
 
 
-def insert(t, x):
-    """Schensted row insertion of one letter. Returns (new tableau, new cell)."""
-    if not 1 <= x <= t.rank_n + 1:
+def _letter(t, x):
+    # the letter check of row insertion: an int (a bool or a float raises)
+    # in t's alphabet
+    if not 1 <= _integer(x, "letter") <= t.rank_n + 1:
         raise ValueError("letter %r outside alphabet 1..%d" % (x, t.rank_n + 1))
+    return x
+
+
+def insert(t, x):
+    """Schensted row insertion of one letter. Returns (new tableau, (row, col)),
+    the new cell, 1-based."""
     rows = t.to_lists()
-    i, j = kernels.bump(rows, x)
-    return Tableau(t.rank_n, rows), Cell(i + 1, j + 1)
+    i, j = kernels.bump(rows, _letter(t, x))
+    return Tableau(t.rank_n, rows), (i + 1, j + 1)
 
 
 def insert_word(t, letters):
-    """Insert letters left to right; (t <- xy) = ((t <- x) <- y)."""
-    # one list, so that an iterator is both checked and inserted
-    letters = list(letters)
-    for x in letters:
-        if not 1 <= x <= t.rank_n + 1:
-            raise ValueError("letter %r outside alphabet 1..%d" % (x, t.rank_n + 1))
+    """Insert letters left to right; (t <- xy) = ((t <- x) <- y). Every
+    letter is checked before any is inserted."""
+    letters = [_letter(t, x) for x in letters]
     rows = t.to_lists()
     kernels.insert_word(rows, letters)
     return Tableau(t.rank_n, rows)
 
 
-def is_corner(t, cell):
-    """True if cell is the last cell of its row and removable."""
-    i, j = cell.row - 1, cell.col - 1
-    if not (0 <= i < t.n_rows and j == len(t.rows[i]) - 1):
-        return False
-    if i + 1 < t.n_rows and len(t.rows[i + 1]) > j:
-        return False
-    return True
-
-
 def inverse_insert(t, cell):
-    """Exact inverse of insert: removes the given corner, returns (tableau, ejected letter)."""
-    if not is_corner(t, cell):
+    """Exact inverse of insert: removes the corner cell = (row, col), 1-based,
+    and returns (tableau, ejected letter).
+
+    cell must be a pair of ints (anything else, a bool or a float too, raises
+    ValueError), and the last cell of its row, with the row below it (if
+    any) shorter.
+    """
+    try:
+        row, col = cell
+    except (TypeError, ValueError):
+        raise ValueError("cell %r is not a (row, col) pair" % (cell,)) from None
+    i, j = _integer(row, "row") - 1, _integer(col, "col") - 1
+    if not (
+        0 <= i < t.n_rows
+        and j == len(t.rows[i]) - 1
+        and (i + 1 == t.n_rows or len(t.rows[i + 1]) <= j)
+    ):
         raise ValueError("not a corner: %r" % (cell,))
     rows = t.to_lists()
-    x = kernels.inverse_bump(rows, cell.row - 1)
+    x = kernels.inverse_bump(rows, i)
     return Tableau(t.rank_n, rows), x
-
-
-def check_rank(rank_n):
-    """Raises ValueError unless rank_n is an int >= 1 (a bool or a float
-    raises). The entries that take a bare rank check it before anything that
-    names the rank in a message."""
-    if type(rank_n) is not int or rank_n < 1:
-        raise ValueError("rank_n must be an integer >= 1")
 
 
 def check_kr(a, l, rank_n):

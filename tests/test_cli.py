@@ -326,6 +326,12 @@ class TestValidateVerb:
         assert payload["valid"] is False
         assert payload["violations"]
 
+    @pytest.mark.parametrize("verb", ["rc-validate", "phi-inverse"])
+    def test_bad_configuration_rank_message(self, verb):
+        # a configuration's rank gets the check and message of enumerate's
+        code, out, err = cli(verb, stdin='{"n": 0, "nu": [], "mu": []}')
+        assert (code, out, err) == (3, "", "error: rank_n must be an integer >= 1\n")
+
 
 class TestEnumerateVerb:
     def test_counts(self):

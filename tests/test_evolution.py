@@ -30,6 +30,12 @@ def path(n, *factor_rows):
 EXAMPLE = path(4, [[1, 1, 1, 1]], [[1, 2], [2, 3], [3, 4]], [[1, 1, 2, 4], [2, 2, 3, 5]])
 
 
+def energy(em, l, j, k):
+    # E(l, j, k) of an energy_matrix, with the zero boundaries
+    # E(0, j, k) = E(l, j, 0) = 0
+    return em[l - 1][j - 1][k - 1] if l and k else 0
+
+
 class TestTimeEvolution:
     def test_ball_transport(self):
         p = path(1, [[2]], [[2]], [[1]], [[1]], [[1]])
@@ -80,12 +86,16 @@ class TestTimeEvolution:
 
 class TestEnergyMatrix:
     def test_boundary_zeros(self):
+        # the matrix holds l = 1..l_max and k = 1..beta_j, no boundary
         em = energy_matrix(EXAMPLE, 1, 3)
+        assert len(em) == 3
+        for row in em:
+            assert [len(es) for es in row] == [b.width() for b in EXAMPLE.factors]
         for j in (1, 2, 3):
             for k in range(EXAMPLE.factors[j - 1].shape[0] + 1):
-                assert em.E(0, j, k) == 0
+                assert energy(em, 0, j, k) == 0
             for l in (1, 2, 3):
-                assert em.E(l, j, 0) == 0
+                assert energy(em, l, j, 0) == 0
 
     def test_monotone_in_l_and_k(self):
         for a in (1, 2, 3, 4):
@@ -93,8 +103,8 @@ class TestEnergyMatrix:
             for j, b in enumerate(EXAMPLE.factors, start=1):
                 for l in range(1, 5):
                     for k in range(1, b.shape[0] + 1):
-                        assert em.E(l, j, k) >= em.E(l - 1, j, k)
-                        assert em.E(l, j, k) >= em.E(l, j, k - 1)
+                        assert energy(em, l, j, k) >= energy(em, l - 1, j, k)
+                        assert energy(em, l, j, k) >= energy(em, l, j, k - 1)
 
 
 class TestTotalEnergy:
@@ -179,8 +189,8 @@ class TestLocalEnergyDistribution:
             em = energy_matrix(EXAMPLE, a, len(rows))
             want = [
                 [
-                    (em.E(l, j, k) - em.E(l, j, k - 1))
-                    - (em.E(l - 1, j, k) - em.E(l - 1, j, k - 1))
+                    (energy(em, l, j, k) - energy(em, l, j, k - 1))
+                    - (energy(em, l - 1, j, k) - energy(em, l - 1, j, k - 1))
                     for j, k in led.columns
                 ]
                 for l in range(1, len(rows) + 1)
@@ -382,7 +392,7 @@ class TestCompressedSweep:
         assert total_energy(p, a, l) == sum(hs[-1] for hs in energies)
         em = energy_matrix(p, a, l)
         columns = [(j, k) for j, b in enumerate(p.factors, 1) for k in range(1, b.width() + 1)]
-        assert [[em.E(m, j, k) for j, k in columns] for m in range(1, l + 1)] == [
+        assert [[energy(em, m, j, k) for j, k in columns] for m in range(1, l + 1)] == [
             [e for hs in reference_sweep(p, a, m)[2] for e in hs] for m in range(1, l + 1)
         ]
         assert local_energy_distribution(p).tables == reference_tables(p)

@@ -110,6 +110,26 @@ class TestRigging:
         ] == [0, 0]
         assert compute_rigging(EXAMPLE, led, extract_groups(led, 4)[0]) == 0
 
+    def test_reads_only_neighbouring_levels(self):
+        # a group of level a reads the tables of levels a - 1, a and a + 1;
+        # the other tables raise when read
+        class Unread:
+            def __getitem__(self, i):
+                raise AssertionError("table read")
+
+            def __iter__(self):
+                raise AssertionError("table read")
+
+        led = local_energy_distribution(EXAMPLE)
+        checked = 0
+        for a in range(1, EXAMPLE.rank_n + 1):
+            tables = [t if abs(b - a) <= 1 else Unread() for b, t in enumerate(led.tables, 1)]
+            for g in extract_groups(led, a):
+                got = compute_rigging(EXAMPLE, led._replace(tables=tables), g)
+                assert got == compute_rigging(EXAMPLE, led, g)
+                checked += 1
+        assert checked == 6
+
 
 class TestQuantumSpace:
     def test_example_shapes(self):

@@ -72,6 +72,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RiggedConfiguration(True, [[2]], [[(1, 0)]])
 
+    def test_rank_message(self):
+        # the constructor's rank check is check_rank, with its one message
+        for n in (0, -1, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="^rank_n must be an integer >= 1$"):
+                RiggedConfiguration(n, [], [])
+
     def test_rejects_bad_origins(self):
         # origins are 1-based factor indices: ints >= 1, known ones distinct
         for nu, origins, match in (

@@ -3,14 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kssbij.tableaux import (
-    Cell,
     Tableau,
     enumerate_kr,
     highest_element,
     insert,
     insert_word,
     inverse_insert,
-    is_corner,
     row_word,
 )
 
@@ -78,17 +76,17 @@ class TestInsertion:
             [3, 4, 4, 5, 6],
             [5],
         ]
-        assert cell == Cell(4, 1)
+        assert cell == (4, 1)
 
     def test_append_when_largest(self):
         out, cell = insert(Tableau(3, [[1, 2]]), 4)
         assert out.to_lists() == [[1, 2, 4]]
-        assert cell == Cell(1, 3)
+        assert cell == (1, 3)
 
     def test_insert_into_empty(self):
         out, cell = insert(Tableau(3, ()), 2)
         assert out.to_lists() == [[2]]
-        assert cell == Cell(1, 1)
+        assert cell == (1, 1)
 
     def test_word_rebuilds_tableau(self):
         # inserting the row word of a tableau reproduces it
@@ -100,6 +98,18 @@ class TestInsertion:
         assert insert_word(Tableau(2, ()), iter([2, 1, 3])).to_lists() == [[1, 3], [2]]
         with pytest.raises(ValueError):
             insert_word(Tableau(2, ()), iter([1, 4]))
+
+    def test_rejects_non_integer_letters(self):
+        # a str or None raised TypeError, and 2.0 or True reached the
+        # tableau's own check, which named a cell of the result
+        t = Tableau(2, [[1, 2]])
+        for x in ("a", None, 2.0, True):
+            with pytest.raises(ValueError, match="letter .* is not an integer"):
+                insert(t, x)
+            with pytest.raises(ValueError, match="letter .* is not an integer"):
+                insert_word(Tableau(2, ()), [1, x])
+        with pytest.raises(ValueError, match="outside alphabet 1..3"):
+            insert(t, 4)
 
     def test_row_word_order(self):
         t = Tableau(4, [[1, 2], [3, 4], [5, 5]])
@@ -117,10 +127,23 @@ class TestInverseInsertion:
 
     def test_rejects_non_corner(self):
         t = Tableau(3, [[1, 1], [2, 2]])
-        assert is_corner(t, Cell(2, 2))
-        assert not is_corner(t, Cell(1, 2))
-        with pytest.raises(ValueError):
-            inverse_insert(t, Cell(1, 2))
+        back, letter = inverse_insert(t, (2, 2))
+        assert (back.to_lists(), letter) == ([[1, 2], [2]], 1)
+        for cell in ((1, 2), (1, 1), (2, 1), (2, 3), (3, 1), (0, 2)):
+            with pytest.raises(ValueError, match="not a corner"):
+                inverse_insert(t, cell)
+
+    def test_rejects_malformed_cell(self):
+        # a float raised TypeError, and a bool or an integral float removed
+        # the box of row 1 or col 1
+        t = Tableau(2, [[1]])
+        for cell in ((1.0, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
+            with pytest.raises(ValueError, match="not an integer"):
+                inverse_insert(t, cell)
+        for cell in (1, None, (1,), (1, 1, 1)):
+            with pytest.raises(ValueError, match=r"not a \(row, col\) pair"):
+                inverse_insert(t, cell)
+        assert inverse_insert(t, (1, 1))[1] == 1
 
     @given(
         st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12)

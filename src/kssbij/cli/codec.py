@@ -15,7 +15,7 @@ path; domain violations are left to the constructors, which raise ValueError.
 import json
 
 from kssbij.evolution import Path
-from kssbij.rigged import RiggedConfiguration
+from kssbij.rigged import RiggedConfiguration, check_rank
 from kssbij.tableaux import Tableau
 
 
@@ -118,6 +118,8 @@ def encode_path(p):
 def decode_rc(obj, where="$"):
     _need_dict(obj, where)
     n = _need_int(_field(obj, "n", where), where + ".n")
+    # before the level counts, whose messages name the rank
+    check_rank(n)
     nu_raw = _need_list(_field(obj, "nu", where), where + ".nu")
     if len(nu_raw) != n:
         raise MalformedInput(where + ".nu", "expected %d levels, got %d" % (n, len(nu_raw)))

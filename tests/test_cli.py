@@ -332,6 +332,13 @@ class TestValidateVerb:
         code, out, err = cli(verb, stdin='{"n": 0, "nu": [], "mu": []}')
         assert (code, out, err) == (3, "", "error: rank_n must be an integer >= 1\n")
 
+    @pytest.mark.parametrize("verb", ["rc-validate", "phi-inverse"])
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_rank_checked_before_levels(self, verb, n):
+        # the rank is checked first, so no message names -1 or -3 levels
+        code, out, err = cli(verb, stdin='{"n": %d, "nu": [], "mu": []}' % n)
+        assert (code, out, err) == (3, "", "error: rank_n must be an integer >= 1\n")
+
 
 class TestEnumerateVerb:
     def test_counts(self):

@@ -288,6 +288,24 @@ class TestRemoveRow:
             run()
             assert calls == [rc]
 
+    def test_equal_lengths_share_a_vacancy(self, monkeypatch):
+        # a 200-box chain of B^{1,1}, n = 3: a micro-step asked for the
+        # vacancy of every candidate row (6,696 calls); candidates of one
+        # length at one level now share one
+        rng = random.Random(3)
+        p = Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(200)])
+        rc = phi_energy(p)
+        calls = []
+        vacancy_ = kss._vacancy
+
+        def counted(state, a, l):
+            calls.append((a, l))
+            return vacancy_(state, a, l)
+
+        monkeypatch.setattr(kss, "_vacancy", counted)
+        assert phi_inverse(rc) == p
+        assert len(calls) <= 6696 // 3
+
 
 class TestRemovalOrder:
     def test_example_swap(self):

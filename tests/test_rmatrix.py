@@ -220,8 +220,8 @@ class TestYangBaxter:
         assert Counter(failures) == Counter(_yang_baxter_reference(2, triples, modes))
 
     def test_each_move_computed_once_per_scope(self, monkeypatch):
-        # verify's default family looks 53,040 moves up; a scope (one first
-        # shape, one mode triple) computes each distinct pair once
+        # verify's default family looks 53,040 moves up; a scope (one rank,
+        # one mode triple, every shape triple) computes each distinct pair once
         calls = []
 
         def counting(x, y):
@@ -231,7 +231,24 @@ class TestYangBaxter:
         monkeypatch.setattr(harness, "apply_affine_R", counting)
         report = run_verify(suites=["yang-baxter"])
         assert report.ok and report.total_cases == 11914
-        assert len(calls) == 9310
+        assert len(calls) == 5312
+
+    def test_no_pair_computed_twice_under_one_mode_triple(self, monkeypatch):
+        # over verify's default family, one check per rank and mode triple:
+        # its table holds every shape triple, so no (x, y) repeats
+        calls = Counter()
+
+        def counting(x, y):
+            calls[x, y] += 1
+            return apply_affine_R(x, y)
+
+        monkeypatch.setattr(harness, "apply_affine_R", counting)
+        for n in (1, 2):
+            triples = list(itertools.product(shape_menu(n, 2), repeat=3))
+            for mode in ((0, 0, 0), (5, 3, 1)):
+                calls.clear()
+                assert check_yang_baxter(n, triples, [mode])[1] == []
+                assert calls and max(calls.values()) == 1, (n, mode)
 
 
 class TestSweepStep:

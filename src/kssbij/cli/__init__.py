@@ -3,9 +3,12 @@
 Exit codes: 0 success, 2 malformed input (with location), 3 semantic
 violation (with the violations listed), 4 internal error (an invariant of
 the library failed; a bug, not bad input). verify exits 1 when a suite fails.
+Any verb exits 1, without a traceback, when its stdout is closed before it
+has written all of its output (as by `kssbij verify | head -0`).
 """
 
 import argparse
+import os
 import sys
 
 from kssbij import evolution, kss, rigged, rmatrix, tableaux
@@ -243,4 +246,12 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's recipe: output left in the buffer would raise again when
+        # the interpreter flushes stdout at exit, so point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -1,11 +1,12 @@
 """Invariant checks, each run on a family given as data.
 
-Each check_* but Yang-Baxter takes its family as an iterable, and each
-returns (cases, failure descriptions). `verify` binds each to its families in
-SUITES: for every rank n up to the bound, chains (paths in B^{1,1} tensored L
-times, L <= max_l) and pairs (two-factor paths over the shape menu r <= n,
-s <= max_s). Criteria 5-10 of the acceptance gate run the same checks on its
-families A and B:
+Each check_* returns (cases, failure descriptions). Yang-Baxter takes a rank
+and its shape and mode triples, the checks that need phi of a path take a
+`Family` (and items drawn from it), and the others take an iterable. `verify`
+binds each to its families in SUITES: for every rank n up to the bound,
+chains (paths in B^{1,1} tensored L times, L <= max_l) and pairs (two-factor
+paths over the shape menu r <= n, s <= max_s). Criteria 5-10 of the
+acceptance gate run the same checks on its families A and B:
 
   check_yang_baxter           (n, shape triples, mode triples), walking every
                               element of each shape; verify: shape-menu
@@ -34,16 +35,15 @@ defaults. No table outlives the call, so a patch of apply_affine_R between
 calls is never hidden by an old entry.
 
 The checks that need phi of a path (energy-equals-q, round-trip,
-removal-order, evolution-linearization) read it through `phi`, a bounded
-memo: phi of a family path is computed once per process and shared by the
-suites, so a suite's reported time leaves out any phi that an earlier suite
-(or an earlier `run_verify`) already computed. The four suites share the
-family objects as well: `family_paths` builds one tuple per set of bounds and
-keeps it for the process, so every suite hands the memo the very Path objects
-that key it, each lookup matches by identity (no `Path.__eq__`) and each
-path's hash is computed once. Evolution-linearization reads phi of T(p)
-through `family_index`, the same objects keyed by factors, and builds a new
-Path only for a T(p) outside the family.
+removal-order, evolution-linearization) read it from the `Family` they walk:
+its paths, one object per tuple of factors, and their phi, each computed at
+most once while the Family lives. `family` keeps the Family of one set of
+bounds for the process (a new set replaces it), so the four suites of one
+`verify`, and of a later one with the same bounds, share phi: a suite's
+reported time leaves out any phi that an earlier suite already computed.
+Every lookup matches a Path by identity, and its hash is computed once.
+Time evolution keeps factor shapes, so evolution-linearization finds T(p) in
+the Family by its factors, and a T(p) outside it is a failure.
 """
 
 import time
@@ -57,31 +57,6 @@ from kssbij.kss import linearized_image, phi_inverse, removal_order_equivalence
 from kssbij.rigged import q_l, validate
 from kssbij.rmatrix import TensorPair, apply_R, apply_affine_R, energy_H
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
-
-# Entries of the phi memo. `verify` touches 389 distinct family paths at its
-# defaults and 3,373 at --max-n 3, where the suites ask for phi 18,890 times;
-# 4096 holds that whole family, so each path misses once (verify --max-n 3
-# max RSS 19.7 -> 20.5 MB). The library keeps no such memo: the CLI's phi
-# and phi-inverse inputs do not repeat, and it would only add to their memory.
-# The family is kept too (`family_paths`, with `family_index`), held while
-# the process lives. Up to --max-n 3 its paths are the memo's keys, so it
-# adds one tuple and one dict, and verify --max-n 3 max RSS stays at
-# 20.7-21.0 MB; at --max-n 4 it holds 29,157 paths, more than the memo keeps.
-PHI_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=PHI_CACHE_SIZE)
-def _phi_memo(phi_energy, p):
-    return phi_energy(p)
-
-
-def phi(p):
-    """kss.phi_energy(p), memoized. The function is looked up at each call
-    and is part of the key, so a tracer or a patch of kss.phi_energy sees
-    every path the memo computes, and never a result of the function it
-    replaced."""
-    return _phi_memo(kss.phi_energy, p)
-
 
 class Report:
     """Per-suite case and failure counts and wall times, plus the total time.
@@ -160,33 +135,46 @@ def pair_paths(n, max_s):
             yield Path(n, (b1, b2))
 
 
+class Family:
+    """The paths of a family and their phi. paths is a tuple with one object
+    per tuple of factors, and index maps the factors to it (a path that is
+    both a chain and a pair is one object in both places).
+
+    phi(p) is kss.phi_energy(p), kept in phis, so it is computed at most once
+    per path while the Family lives. phis holds results of filled_by, the
+    kss.phi_energy of the Family's construction. The function is looked up
+    at each call, and one that is not filled_by empties phis first, so a
+    tracer or a patch of kss.phi_energy sees every path that phis misses, and
+    never a result of the function it replaced."""
+
+    def __init__(self, paths):
+        self.index = {}
+        self.paths = tuple(self.index.setdefault(p.factors, p) for p in paths)
+        self.phis = {}
+        self.filled_by = kss.phi_energy
+
+    def phi(self, p):
+        phi_energy = kss.phi_energy
+        if phi_energy is not self.filled_by:
+            self.phis.clear()
+            self.filled_by = phi_energy
+        rc = self.phis.get(p)
+        if rc is None:
+            rc = self.phis[p] = phi_energy(p)
+        return rc
+
+
 @lru_cache(maxsize=1)
-def _family(max_n, max_l, max_s):
-    # (family_paths, family_index) for one set of bounds
-    index = {}
-    paths = tuple(
-        index.setdefault(p.factors, p)
+def family(max_n, max_l, max_s):
+    """The Family of the chains and pairs of every rank up to max_n, in a
+    fixed order: per rank, `chain_paths` then `pair_paths`. One Family is
+    kept for the process (a new set of bounds replaces it), so the phi
+    suites share its paths and their phi."""
+    return Family(
+        p
         for n in range(1, max_n + 1)
         for p in chain(chain_paths(n, max_l), pair_paths(n, max_s))
     )
-    return paths, index
-
-
-def family_paths(max_n, max_l, max_s):
-    """The chains and pairs of every rank up to max_n, deterministic order:
-    per rank, `chain_paths` then `pair_paths`.
-
-    One tuple per set of bounds, kept for the process (a new set replaces
-    it), so the phi suites share its Path objects. A path that is both a
-    chain and a pair (two single boxes) is one object in both places."""
-    return _family(max_n, max_l, max_s)[0]
-
-
-def family_index(max_n, max_l, max_s):
-    """The objects of `family_paths` keyed by their factors, kept with it.
-    Time evolution keeps a path's factor shapes, so T(p) of a family path is
-    in the family, and check_linearization looks it up here."""
-    return _family(max_n, max_l, max_s)[1]
 
 
 def highest_pairs(n, menu):
@@ -386,11 +374,12 @@ def check_two_letter_reduction(pairs):
     return cases, failures
 
 
-def check_energy_equals_q(paths):
-    """E_l^(a)(p) = Q_l^(a)(phi(p)) for every level a and l up to stabilization."""
+def check_energy_equals_q(fam):
+    """E_l^(a)(p) = Q_l^(a)(phi(p)) for every path p of the Family fam, every
+    level a and l up to stabilization."""
     cases, failures = 0, []
-    for p in paths:
-        rc = phi(p)
+    for p in fam.paths:
+        rc = fam.phi(p)
         for a in range(1, p.rank_n + 1):
             for l in range(1, _stabilization_l(p) + 1):
                 cases += 1
@@ -401,14 +390,15 @@ def check_energy_equals_q(paths):
     return cases, failures
 
 
-def check_round_trip(paths):
-    """phi_inverse(phi(p)) = p, and phi is injective on the family. phi_inverse
-    validates phi(p) first; its ValueError is a failure."""
+def check_round_trip(fam):
+    """phi_inverse(phi(p)) = p for every path p of the Family fam, and phi is
+    injective on it. phi_inverse validates phi(p) first; its ValueError is a
+    failure."""
     cases, failures = 0, []
     seen = {}
-    for p in paths:
+    for p in fam.paths:
         cases += 1
-        rc = phi(p)
+        rc = fam.phi(p)
         try:
             back = phi_inverse(rc)
         except ValueError as exc:
@@ -418,49 +408,41 @@ def check_round_trip(paths):
         if (back.rank_n, back.factors) != (p.rank_n, p.factors):
             failures.append("round trip failed for %s" % _path_json(p))
             continue
-        # configurations compare by rank, quantum space and riggings
+        # configurations compare by rank, quantum space and riggings; the
+        # paths of a Family are distinct objects with distinct factors
         first = seen.setdefault((tuple(p.shapes()), rc), p)
-        if first is not p and first != p:
+        if first is not p:
             failures.append(
                 "phi not injective: %s and %s collide" % (_path_json(first), _path_json(p))
             )
     return cases, failures
 
 
-def check_removal_order(items):
+def check_removal_order(fam, items):
     """Removing quantum rows i and j of phi(p) in either order gives factor
-    pairs related by R. items: (path, i, j); consecutive items that hold one
-    Path object share its phi."""
+    pairs related by R. items: (path, i, j), phi read from the Family fam."""
     cases, failures = 0, []
-    last = None
     for p, i, j in items:
-        if p is not last:
-            last, rc = p, phi(p)
         cases += 1
-        if not removal_order_equivalence(rc, i, j):
+        if not removal_order_equivalence(fam.phi(p), i, j):
             failures.append(
                 "removal order swap (%d,%d) failed for %s" % (i, j, _path_json(p))
             )
     return cases, failures
 
 
-def check_linearization(items, family=None):
+def check_linearization(fam, items):
     """Box-ball updates act on riggings as r += min(l, row length) whenever the
     shifted configuration is still valid; otherwise the soliton exits the
     finite path, certified by the carrier coming back loaded. items: (path,
-    a, l); consecutive items that hold one Path object share its phi.
-    family, if given, maps factors to the path object that phi of T(p) is
-    read for (`family_index`); T(p) is built as a new Path only when its
-    factors are not there. Returns (cases, failures, loaded sweeps)."""
+    a, l), phi read from the Family fam. T(p) keeps factor shapes, so it is
+    looked up in fam by its factors; one outside fam is a failure. Returns
+    (cases, failures, loaded sweeps)."""
     cases = loaded = 0
     failures = []
-    family = family or {}
-    last = None
     for p, a, l in items:
-        if p is not last:
-            last, rc = p, phi(p)
         cases += 1
-        shifted = linearized_image(rc, a, l)
+        shifted = linearized_image(fam.phi(p), a, l)
         factors, carriers = carrier_sweep(p, a, l)
         clean = carriers[-1] == carriers[0]
         valid = not validate(shifted, "unrestricted")
@@ -471,10 +453,12 @@ def check_linearization(items, family=None):
                 "carrier %s shift: T_%d^(%d) %s" % (state, l, a, _path_json(p))
             )
         elif valid:
-            evolved = family.get(tuple(factors))
+            evolved = fam.index.get(tuple(factors))
             if evolved is None:
-                evolved = Path(p.rank_n, factors)
-            if phi(evolved) != shifted:
+                failures.append(
+                    "T_%d^(%d) leaves the family for %s" % (l, a, _path_json(p))
+                )
+            elif fam.phi(evolved) != shifted:
                 failures.append(
                     "T_%d^(%d) did not linearize for %s" % (l, a, _path_json(p))
                 )
@@ -534,31 +518,36 @@ def suite_two_letter_reduction(max_n, max_l, max_s):
 
 
 def suite_energy_equals_q(max_n, max_l, max_s):
-    return check_energy_equals_q(family_paths(max_n, max_l, max_s))
+    return check_energy_equals_q(family(max_n, max_l, max_s))
 
 
 def suite_round_trip(max_n, max_l, max_s):
-    return check_round_trip(family_paths(max_n, max_l, max_s))
+    return check_round_trip(family(max_n, max_l, max_s))
 
 
 def suite_removal_order(max_n, max_l, max_s):
+    fam = family(max_n, max_l, max_s)
     return check_removal_order(
-        (p, i, j)
-        for p in family_paths(max_n, max_l, max_s)
-        if 2 <= len(p) <= 3
-        for i, j in combinations(range(len(p)), 2)
+        fam,
+        (
+            (p, i, j)
+            for p in fam.paths
+            if 2 <= len(p) <= 3
+            for i, j in combinations(range(len(p)), 2)
+        ),
     )
 
 
 def suite_evolution_linearization(max_n, max_l, max_s):
+    fam = family(max_n, max_l, max_s)
     cases, failures, _ = check_linearization(
+        fam,
         (
             (p, a, l)
-            for p in family_paths(max_n, max_l, max_s)
+            for p in fam.paths
             for a in range(1, p.rank_n + 1)
             for l in range(1, max_l + 1)
         ),
-        family_index(max_n, max_l, max_s),
     )
     return cases, failures
 

@@ -39,7 +39,7 @@ class Path:
     """Ordered tensor product of rectangular tableaux over one alphabet.
 
     The hash is computed on first use and kept in the slot `_hash`, since
-    `verify` looks the same family paths up in its phi memo suite after
+    `verify` looks the same family paths up in its Family's phi suite after
     suite; neither constructor fills it, so a path that is never hashed
     pays nothing for it."""
 

@@ -15,6 +15,7 @@ import itertools
 import time
 
 from kssbij.cli.harness import (
+    Family,
     check_energy_equals_q,
     check_energy_padding,
     check_linearization,
@@ -198,7 +199,7 @@ def test_criterion_04_box_removal_example():
 def test_criterion_05_round_trip():
     def work():
         # phi_inverse validates phi(p) before it removes a box
-        cases, failures = check_round_trip(families())
+        cases, failures = check_round_trip(Family(families()))
         assert failures == []
         assert cases == FAMILY_SIZE
 
@@ -207,7 +208,7 @@ def test_criterion_05_round_trip():
 
 
 def test_criterion_06_energy_equals_q():
-    cases, failures = check_energy_equals_q(families())
+    cases, failures = check_energy_equals_q(Family(families()))
     assert failures == []
     assert cases > 0
 
@@ -256,10 +257,14 @@ def test_criterion_08_energy_identities():
 
 def test_criterion_09_removal_order_swaps():
     # phi(p) has one quantum row per factor of p
+    fam = Family(families())
     cases, failures = check_removal_order(
-        (p, i, j)
-        for p in families()
-        for i, j in itertools.permutations(range(len(p)), 2)
+        fam,
+        (
+            (p, i, j)
+            for p in fam.paths
+            for i, j in itertools.permutations(range(len(p)), 2)
+        ),
     )
     assert failures == []
     assert cases > 0
@@ -276,11 +281,10 @@ def test_criterion_10_evolution_linearization():
     # evolved path lies in the same family (A and B hold every element of
     # their factor shapes, so time evolution keeps them inside), and
     # criterion 5 shows that phi of every path of the family is valid.
+    fam = Family(families())
     cases, failures, escapes = check_linearization(
-        (p, a, l)
-        for p in families()
-        for a in range(1, p.rank_n + 1)
-        for l in (1, 2, 3)
+        fam,
+        ((p, a, l) for p in fam.paths for a in range(1, p.rank_n + 1) for l in (1, 2, 3)),
     )
     assert failures == []
     eligible = cases - escapes

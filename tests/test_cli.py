@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path as FsPath
@@ -23,11 +25,13 @@ from kssbij.cli import harness
 from kssbij.cli.harness import run_verify
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.kss import phi_energy
+from kssbij.rigged import RiggedConfiguration
 from kssbij.rmatrix import TensorPair
 from kssbij.tableaux import Tableau, enumerate_kr
 
 GOLDEN = FsPath(__file__).parent / "golden"
 README = FsPath(__file__).parent.parent / "README.md"
+SRC = FsPath(__file__).parent.parent / "src"
 
 
 def cli(*argv, stdin=None):
@@ -391,7 +395,7 @@ class TestReplayableFailures:
         real = harness.q_l
         monkeypatch.setattr(harness, "q_l", lambda rc, a, l: real(rc, a, l) + 1)
         p = decode_path({"n": 2, "factors": [[[1, 3]], [[2], [3]]]})
-        cases, failures = harness.check_energy_equals_q([p])
+        cases, failures = harness.check_energy_equals_q(harness.Family([p]))
         assert len(failures) == cases > 0
         for msg in failures:
             assert msg.startswith("E_")
@@ -405,6 +409,102 @@ class TestReplayableFailures:
         assert [decode_tableau(x) for x in json.loads(text)] == [u, v]
         code, out, _ = cli("energy", "--format", "json", stdin=text)
         assert (code, json.loads(out)) == (0, {"H": 0})
+
+
+def _named_paths(msg):
+    # every path a failure message names, decoded from its JSON
+    decoder, paths, i = json.JSONDecoder(), [], msg.find("{")
+    while i >= 0:
+        obj, end = decoder.raw_decode(msg, i)
+        paths.append(decode_path(obj))
+        i = msg.find("{", end)
+    return paths
+
+
+class TestPhiCheckFailures:
+    """Each failure branch of the four checks that read phi from a Family,
+    reached through a hand-filled `Family.phis`. Two n = 1 paths: one ball
+    that a carrier of width 1 moves right, cleanly, onto the other path, and
+    one ball at the right edge, which it carries out of the path."""
+
+    CLEAN = decode_path({"n": 1, "factors": [[[2]], [[1]]]})
+    LOADED = decode_path({"n": 1, "factors": [[[1]], [[2]]]})
+
+    def test_phi_inverse_rejects(self):
+        fam = harness.Family([self.CLEAN])
+        rc = phi_energy(self.CLEAN)
+        # a rigging above its vacancy number
+        fam.phis[self.CLEAN] = RiggedConfiguration(
+            1, rc.nu, [[(m, r + 5) for m, r in level] for level in rc.mu]
+        )
+        cases, failures = harness.check_round_trip(fam)
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("phi_inverse rejected phi(")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+
+    def test_round_trip_fails(self):
+        fam = harness.Family([self.CLEAN])
+        fam.phis[self.CLEAN] = phi_energy(self.LOADED)
+        cases, failures = harness.check_round_trip(fam)
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("round trip failed for ")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+
+    def test_phi_not_injective(self, monkeypatch):
+        # a phi_inverse that undoes the one phi of both paths into each of them
+        fam = harness.Family([self.CLEAN, self.LOADED])
+        fam.phis[self.CLEAN] = fam.phis[self.LOADED] = phi_energy(self.CLEAN)
+        backs = iter([self.CLEAN, self.LOADED])
+        monkeypatch.setattr(harness, "phi_inverse", lambda rc: next(backs))
+        cases, failures = harness.check_round_trip(fam)
+        assert (cases, len(failures)) == (2, 1)
+        assert failures[0].startswith("phi not injective: ")
+        assert _named_paths(failures[0]) == [self.CLEAN, self.LOADED]
+
+    def test_removal_order_fails(self, monkeypatch):
+        # no configuration that phis could hold makes the real equivalence
+        # false: valid ones satisfy it, and invalid ones raise ValueError
+        monkeypatch.setattr(harness, "removal_order_equivalence", lambda rc, i, j: False)
+        fam = harness.Family([self.CLEAN])
+        cases, failures = harness.check_removal_order(fam, [(self.CLEAN, 0, 1)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("removal order swap (0,1) failed for ")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+
+    @pytest.mark.parametrize(
+        "swept, phi_of, state",
+        [
+            ("CLEAN", "LOADED", "clean despite invalid"),
+            ("LOADED", "CLEAN", "loaded despite valid"),
+        ],
+    )
+    def test_carrier_disagrees_with_shift(self, swept, phi_of, state):
+        p = getattr(self, swept)
+        fam = harness.Family([p])
+        fam.phis[p] = phi_energy(getattr(self, phi_of))
+        cases, failures, loaded = harness.check_linearization(fam, [(p, 1, 1)])
+        assert (cases, len(failures), loaded) == (1, 1, int(p is self.LOADED))
+        assert failures[0].startswith("carrier %s shift: T_1^(1) " % state)
+        assert _named_paths(failures[0]) == [p]
+
+    def test_did_not_linearize(self):
+        # T(CLEAN) is LOADED, whose phi is filled with phi of CLEAN
+        fam = harness.Family([self.CLEAN, self.LOADED])
+        fam.phis[self.LOADED] = phi_energy(self.CLEAN)
+        cases, failures, _ = harness.check_linearization(fam, [(self.CLEAN, 1, 1)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("T_1^(1) did not linearize for ")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+
+    def test_evolved_path_outside_the_family(self):
+        fam = harness.Family([self.CLEAN])
+        cases, failures, _ = harness.check_linearization(fam, [(self.CLEAN, 1, 1)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("T_1^(1) leaves the family for ")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+        # with T(CLEAN) in the Family, the same sweep linearizes
+        fam = harness.Family([self.CLEAN, self.LOADED])
+        assert harness.check_linearization(fam, [(self.CLEAN, 1, 1)]) == (1, [], 0)
 
 
 class TestVerifyVerb:
@@ -495,14 +595,24 @@ class TestVerbSequence:
 
 
 class TestPhiMemo:
-    def test_warm_memo_gives_the_same_report(self):
-        harness._phi_memo.cache_clear()
+    def test_warm_memo_gives_the_same_report(self, monkeypatch):
+        calls = Counter()
+        real = kss.phi_energy
+
+        def guarded(p):
+            # counts the paths that miss, and refuses once the run is warm
+            assert not calls["warm"], "phi computed again"
+            calls["phi"] += 1
+            return real(p)
+
+        monkeypatch.setattr(kss, "phi_energy", guarded)
+        harness.family.cache_clear()
         cold = run_verify(2, 3, 2)
-        info = harness._phi_memo.cache_info()
-        assert info.misses == len(set(harness.family_paths(2, 3, 2))) == 389
-        assert isinstance(info.maxsize, int) and info.maxsize == harness.PHI_CACHE_SIZE
+        fam = harness.family(2, 3, 2)
+        assert calls["phi"] == len(fam.phis) == len(set(fam.paths)) == 389
+        calls["warm"] = 1
         warm = run_verify(2, 3, 2)
-        assert harness._phi_memo.cache_info().misses == info.misses
+        assert harness.family(2, 3, 2) is fam and calls["phi"] == 389
         assert [r[:3] for r in warm.results] == [r[:3] for r in cold.results]
 
     def test_patch_sees_each_family_path_once(self, monkeypatch):
@@ -513,18 +623,31 @@ class TestPhiMemo:
             seen[p] += 1
             return real(p)
 
-        harness._phi_memo.cache_clear()
-        monkeypatch.setattr(kss, "phi_energy", counting)
         phi_suites = ["energy-equals-q", "round-trip", "removal-order", "evolution-linearization"]
+        # a warm family, then a patch: every path misses once more
         assert run_verify(2, 3, 2, phi_suites).ok
-        assert set(seen) == set(harness.family_paths(2, 3, 2))
+        monkeypatch.setattr(kss, "phi_energy", counting)
+        assert run_verify(2, 3, 2, phi_suites).ok
+        assert set(seen) == set(harness.family(2, 3, 2).paths)
         assert set(seen.values()) == {1}
+
+    def test_replaced_phi_energy_empties_phis(self, monkeypatch):
+        p = decode_path({"n": 2, "factors": [[[1, 3]], [[2], [3]]]})
+        fam = harness.Family([p])
+        rc = fam.phi(p)
+        assert fam.phis == {p: rc} and fam.filled_by is phi_energy
+        other = phi_energy(decode_path({"n": 2, "factors": [[[1, 1]], [[1], [2]]]}))
+        monkeypatch.setattr(kss, "phi_energy", lambda q: other)
+        assert fam.phi(p) is other and fam.phis == {p: other}
+        monkeypatch.undo()
+        assert fam.phi(p) == rc and fam.phis == {p: rc}
 
 
 class TestSharedFamily:
     def test_one_tuple_per_bounds(self):
-        family = harness.family_paths(2, 3, 2)
-        assert harness.family_paths(2, 3, 2) is family
+        fam = harness.family(2, 3, 2)
+        assert harness.family(2, 3, 2) is fam
+        family = fam.paths
         generated = [
             p
             for n in (1, 2)
@@ -535,10 +658,11 @@ class TestSharedFamily:
         assert (len(family), len(set(family))) == (402, 389)
         # a path that is both a chain and a pair is one object
         assert len(set(map(id, family))) == 389
-        # a new set of bounds replaces the kept tuple
-        harness.family_paths(1, 1, 1)
-        again = harness.family_paths(2, 3, 2)
-        assert again == family and again is not family
+        assert fam.index == {p.factors: p for p in family}
+        # a new set of bounds replaces the kept Family
+        harness.family(1, 1, 1)
+        again = harness.family(2, 3, 2)
+        assert again is not fam and again.paths == family and again.phis == {}
 
     def test_phi_suites_look_paths_up_by_identity(self, monkeypatch):
         calls = Counter()
@@ -552,18 +676,18 @@ class TestSharedFamily:
             calls["eq"] += 1
             return real_eq(self, other)
 
-        harness._phi_memo.cache_clear()
+        harness.family.cache_clear()
         monkeypatch.setattr(kss, "phi_energy", counting_phi)
         assert run_verify().ok
         assert calls["phi"] == 389
         monkeypatch.setattr(Path, "__eq__", counting_eq)
-        report = run_verify(suites=["round-trip", "removal-order"])
-        assert report.ok and [r[1] for r in report.results] == [402, 467]
+        report = run_verify(suites=["round-trip", "removal-order", "evolution-linearization"])
+        assert report.ok and [r[1] for r in report.results] == [402, 467, 2295]
         assert calls == {"phi": 389}
 
     def test_linearization_reads_evolved_paths_from_the_family(self, monkeypatch):
-        # T(p) of a family path is looked up in `family_index`, so a warm run
-        # hands the phi memo family objects only and never compares paths
+        # T(p) of a family path is looked up in the Family's index, so a warm
+        # run reads phi of family objects only and never compares paths
         calls = Counter()
         real_eq = Path.__eq__
 
@@ -602,6 +726,25 @@ class TestErrorPaths:
     def test_missing_file(self):
         code, _, err = cli("phi", "/no/such/file.json")
         assert code == 2
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # a reader that has gone away, as in `kssbij verify | head -0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        argv = [sys.executable, "-m", "kssbij", "verify", "--max-n", "1", "--suite", "round-trip"]
+        try:
+            proc = subprocess.run(
+                argv,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_internal_error_has_own_exit_code(self, monkeypatch):
         def broken(p):

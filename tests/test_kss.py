@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kssbij import kss
 from kssbij.cli import run as cli_run
 from kssbij.cli.codec import encode_rc
-from kssbij.cli.harness import check_energy_equals_q, check_removal_order, family_paths
+from kssbij.cli.harness import Family, check_energy_equals_q, check_removal_order, family
 from kssbij.evolution import LocalEnergyDistribution, Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
@@ -172,7 +172,7 @@ class TestPhi:
         assert rc.nu == ((), (3,), ())
 
     def test_energy_equals_q(self):
-        cases, failures = check_energy_equals_q([EXAMPLE])
+        cases, failures = check_energy_equals_q(Family([EXAMPLE]))
         assert failures == []
         assert cases == 4 * 11  # a <= 4, l <= 10 columns + 1
 
@@ -357,7 +357,7 @@ class TestRemovalOrder:
     def test_all_pairs_small(self):
         p = path(2, [[1], [2]], [[1, 2]], [[2]])
         pairs = itertools.permutations(range(3), 2)
-        assert check_removal_order((p, i, j) for i, j in pairs) == (6, [])
+        assert check_removal_order(Family([p]), ((p, i, j) for i, j in pairs)) == (6, [])
 
 
 # Corrupted micro-steps: each wraps the real one, step, and breaks one thing
@@ -495,7 +495,7 @@ class TestTrustedResults:
     def test_phi_and_linearized_images_over_the_family(self):
         # the `verify` family at its defaults, every (a, l) of its
         # linearization suite, and one row removal of each image
-        for p in family_paths(2, 3, 2):
+        for p in family(2, 3, 2).paths:
             rc = phi_energy(p)
             assert_constructor_agrees(rc)
             for a in range(1, p.rank_n + 1):

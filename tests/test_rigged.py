@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kssbij.cli.harness import family_paths
+from kssbij.cli.harness import family
 from kssbij.kss import phi_energy
 from kssbij.rigged import (
     RiggedConfiguration,
@@ -159,7 +159,7 @@ class TestVacancy:
 
     def test_matches_reference_on_family_images(self):
         # every phi image of the `verify` family at its defaults (n <= 2)
-        for p in family_paths(2, 3, 2):
+        for p in family(2, 3, 2).paths:
             assert_vacancy_matches_reference(phi_energy(p))
 
     def test_matches_reference_on_random_configurations(self):

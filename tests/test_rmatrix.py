@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from kssbij import kernels, rmatrix
 from kssbij.cli import harness
 from kssbij.cli.harness import (
-    _phi_memo,
     check_involutivity,
     check_swapping_pairs,
     check_yang_baxter,
+    family,
     run_verify,
     shape_menu,
 )
@@ -419,14 +419,14 @@ class TestCaches:
         assert info.misses > rmatrix.CACHE_SIZE
 
     def test_bounded_after_verify(self):
-        # the full steps and the energies of the sweeps' last moves; a warm
-        # phi memo would skip the steps of the phi suites
+        # the full steps and the energies of the sweeps' last moves; the phi of
+        # a kept family would skip the steps of the phi suites
         caches = (rmatrix._sweep_step, rmatrix._move_energies)
 
         def run_cold(*bounds):
             for cache in caches:
                 cache.cache_clear()
-            _phi_memo.cache_clear()
+            family.cache_clear()
             run_verify(*bounds)
             return [cache.cache_info() for cache in caches]
 

@@ -1,18 +1,18 @@
 """Invariant checks, each run on a family given as data.
 
-Each check_* returns (cases, failure descriptions). Yang-Baxter takes a rank
-and its shape and mode triples, the checks that need phi of a path take a
+Each check_* returns (cases, failure descriptions). Yang-Baxter takes an
+element pool and mode triples, the checks that need phi of a path take a
 `Family` (and items drawn from it), and the others take an iterable. `verify`
 binds each to its families in SUITES: for every rank n up to the bound,
-chains (paths in B^{1,1} tensored L times, L <= max_l) and pairs (two-factor
-paths over the shape menu r <= n, s <= max_s). Criteria 5-10 of the
-acceptance gate run the same checks on its families A and B:
+elements (every element of the shape menu r <= n, s <= max_s), chains (paths
+in B^{1,1} tensored L times, L <= max_l) and pairs (two-factor paths over the
+shape menu). Criteria 5-10 of the acceptance gate run the same checks on its
+families A and B:
 
-  check_yang_baxter           (n, shape triples, mode triples), walking every
-                              element of each shape; verify: shape-menu
-                              triples; gate, rmatrix tests: n = 2 triples of
-                              shapes (1,1), (1,2), (2,1)
-  check_involutivity          verify: pairs
+  check_yang_baxter           (elements, mode triples); verify: elements;
+                              gate, rmatrix tests: the n = 2 pool of shapes
+                              (1,1), (1,2), (2,1)
+  check_involutivity          verify: pairs of elements
   check_swapping_pairs        verify: highest pairs, highest u past two-letter
                               v; gate: highest pairs with r, s <= 3, n = 3
   check_energy_padding        verify: single factors; gate: A and B
@@ -23,14 +23,14 @@ acceptance gate run the same checks on its families A and B:
 
 Failure messages name their input in the codec's JSON, so it can be fed back
 to the CLI: a path to `led`, `phi` or `bbs`, a pair to `rmatrix` or `energy`.
-Yang-Baxter names its (rows, mode) triples, which no verb reads.
+Yang-Baxter names its mode triple and x (x) y (x) z as a path.
 
 Yang-Baxter runs on interned affine elements: each (rows, mode) element
-gets a small int id, and a table (`_AffineTable`) maps a pair of ids x, y to
-the ids of y', x', filling each entry by one call of the module-global
-apply_affine_R. The table is keyed by whole elements, modes included, and
-lives for one scope of `check_yang_baxter` (a rank and a mode triple, over
-every shape triple): 5,312 calls for verify's 53,040 lookups at the
+gets a small int id, its index in a table (`_AffineTable`) whose entry i
+holds the affine R moves of element i, each filled by one call of the
+module-global apply_affine_R. A table is keyed by whole elements, modes
+included, and lives for one mode triple of one `check_yang_baxter` call (for
+verify, a rank's whole pool): 5,312 calls for verify's 53,040 lookups at the
 defaults. No table outlives the call, so a patch of apply_affine_R between
 calls is never hidden by an old entry.
 
@@ -116,6 +116,11 @@ class Report:
 
 def shape_menu(n, max_s):
     return [(r, s) for r in range(1, n + 1) for s in range(1, max_s + 1)]
+
+
+def elements(n, max_s):
+    """Every element of the shape menu, shape by shape."""
+    return [b for r, s in shape_menu(n, max_s) for b in enumerate_kr(r, s, n)]
 
 
 def chain_paths(n, max_l):
@@ -213,87 +218,79 @@ def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
 
-def _intern(ids, elements, element):
-    # the id of an affine element: its index in elements, added if new
-    i = ids.get(element)
-    if i is None:
-        i = ids[element] = len(elements)
-        elements.append(element)
-    return i
-
-
 class _Moves(dict):
-    """The affine R moves of one interned element x: the id of y maps to
-    (id of y', id of x') for x (x) y -> y' (x) x'. A missing entry is filled
-    by one call of the module-global apply_affine_R on the decoded elements."""
+    """The affine R moves of one interned element x of a table: the id of y
+    maps to (id of y', id of x') for x (x) y -> y' (x) x'. A missing entry is
+    filled by one call of the module-global apply_affine_R."""
 
-    __slots__ = ("x", "ids", "elements")
+    __slots__ = ("x", "table")
 
     def __missing__(self, j):
-        ids, elements = self.ids, self.elements
-        y_new, x_new = apply_affine_R(self.x, elements[j])
-        image = self[j] = _intern(ids, elements, y_new), _intern(ids, elements, x_new)
+        table = self.table
+        y_new, x_new = apply_affine_R(self.x, table[j].x)
+        image = self[j] = table.intern(y_new), table.intern(x_new)
         return image
 
 
-class _AffineTable(dict):
-    """The affine R on interned elements, for one scope of the Yang-Baxter
-    check: table[i][j] is (id of y', id of x') for the move of element i past
+class _AffineTable(list):
+    """The affine R on interned elements, for one mode triple of the
+    Yang-Baxter check: table[i] holds the moves (`_Moves`) of element i, and
+    table[i][j] is (id of y', id of x') for the move of element i past
     element j. Elements are (rows, mode) pairs and get ids by value, modes
-    included, so an entry is exact for any deterministic affine R. The moves
-    of an element (`_Moves`) are made the first time it is on the left."""
+    included, so an entry is exact for any deterministic affine R."""
+
+    __slots__ = ("ids",)
 
     def __init__(self):
-        self.ids, self.elements = {}, []
+        self.ids = {}
 
     def intern(self, element):
-        return _intern(self.ids, self.elements, element)
+        # the id of an affine element: its index in the table, added if new
+        i = self.ids.get(element)
+        if i is None:
+            i = self.ids[element] = len(self)
+            moves = _Moves()
+            moves.x, moves.table = element, self
+            self.append(moves)
+        return i
 
-    def __missing__(self, i):
-        moves = self[i] = _Moves()
-        moves.x, moves.ids, moves.elements = self.elements[i], self.ids, self.elements
-        return moves
 
-
-def check_yang_baxter(n, shape_triples, modes):
+def check_yang_baxter(elements, modes):
     """The affine R satisfies the Yang-Baxter equation on each triple x (x) y (x) z:
-    (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R), over all rank-n elements of
-    each shape triple and each mode triple; an affine element is a (rows, mode)
-    pair.
+    (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R), for x, y and z each over
+    the list of rank-n Tableaux elements and each mode triple; an affine
+    element is a (rows, mode) pair. len(elements) ** 3 * len(modes) cases.
 
-    The check runs on interned elements. Each mode triple is a scope with
-    its own `_AffineTable`, shared by every shape triple: it maps the ids of
-    a pair x, y of elements to the ids of the image y', x', computed by one
-    apply_affine_R call the first time the scope needs that pair (5,312
-    calls over verify's default family, for 53,040 lookups). A case is then
-    four table lookups and a comparison of ids. No table outlives its scope,
-    so a patch of apply_affine_R between calls is always seen; a failure
-    names the decoded (rows, mode) triple."""
+    Each mode triple has its own `_AffineTable`, which maps the ids of a pair
+    x, y to the ids of the image y', x', computed by one apply_affine_R call
+    the first time the pair is needed (5,312 calls over verify's default
+    family, for 53,040 lookups). A case is then four table lookups and a
+    comparison of ids. No table outlives its mode triple, so a patch of
+    apply_affine_R between calls is always seen. A failure names its modes
+    and x (x) y (x) z as a path."""
     cases, failures = 0, []
-    shape_triples = list(shape_triples)
-    pools = {sh: [b.rows for b in enumerate_kr(*sh, n)] for sh in set().union(*shape_triples)}
     for mode in modes:
         table = _AffineTable()
-        for shapes in shape_triples:
-            xs, ys, zs = (
-                [table.intern((u, m)) for u in pools[sh]] for sh, m in zip(shapes, mode)
-            )
-            cases += len(xs) * len(ys) * len(zs)
-            # R(y (x) z) is shared across every x, R(x (x) y) across every z
-            yz = [[table[y][z] for z in zs] for y in ys]
-            for x in xs:
-                x_moves = table[x]
-                for y, y_z in zip(ys, yz):
-                    p, q = x_moves[y]
-                    p_moves, q_moves = table[p], table[q]
-                    for z, (e, f) in zip(zs, y_z):
-                        b, c = q_moves[z]
-                        a, b = p_moves[b]
-                        d, e = x_moves[e]
-                        e, f = table[e][f]
-                        if a != d or b != e or c != f:
-                            x_, y_, z_ = (table.elements[i] for i in (x, y, z))
-                            failures.append("yang-baxter mismatch %r %r %r" % (x_, y_, z_))
+        pools = xs, ys, zs = [[table.intern((b.rows, m)) for b in elements] for m in mode]
+        cases += len(xs) * len(ys) * len(zs)
+        # R(y (x) z) is shared across every x, R(x (x) y) across every z
+        yz = [[table[y][z] for z in zs] for y in ys]
+        for x in xs:
+            x_moves = table[x]
+            for y, y_z in zip(ys, yz):
+                p, q = x_moves[y]
+                p_moves, q_moves = table[p], table[q]
+                for z, (e, f) in zip(zs, y_z):
+                    b, c = q_moves[z]
+                    a, b = p_moves[b]
+                    d, e = x_moves[e]
+                    e, f = table[e][f]
+                    if a != d or b != e or c != f:
+                        triple = [elements[ids.index(i)] for ids, i in zip(pools, (x, y, z))]
+                        failures.append(
+                            "yang-baxter mismatch at modes (%d, %d, %d) for %s"
+                            % (*mode, _path_json(Path(triple[0].rank_n, triple)))
+                        )
     return cases, failures
 
 
@@ -420,14 +417,19 @@ def check_round_trip(fam):
 
 def check_removal_order(fam, items):
     """Removing quantum rows i and j of phi(p) in either order gives factor
-    pairs related by R. items: (path, i, j), phi read from the Family fam."""
+    pairs related by R. items: (path, i, j), phi read from the Family fam.
+    The equivalence validates phi(p) first; its ValueError is a failure."""
     cases, failures = 0, []
     for p, i, j in items:
         cases += 1
-        if not removal_order_equivalence(fam.phi(p), i, j):
-            failures.append(
-                "removal order swap (%d,%d) failed for %s" % (i, j, _path_json(p))
-            )
+        rc = fam.phi(p)
+        try:
+            if removal_order_equivalence(rc, i, j):
+                continue
+            failure = "failed for %s" % _path_json(p)
+        except ValueError as exc:
+            failure = "rejected phi(%s): %s" % (_path_json(p), exc)
+        failures.append("removal order swap (%d,%d) %s" % (i, j, failure))
     return cases, failures
 
 
@@ -467,14 +469,13 @@ def check_linearization(fam, items):
 
 def suite_yang_baxter(max_n, max_l, max_s):
     modes = ((0, 0, 0), (5, 3, 1))
-    per_n = [check_yang_baxter(n, product(shape_menu(n, max_s), repeat=3), modes)
-             for n in range(1, max_n + 1)]
+    per_n = [check_yang_baxter(elements(n, max_s), modes) for n in range(1, max_n + 1)]
     return sum(c for c, _ in per_n), [msg for _, f in per_n for msg in f]
 
 
 def suite_involutivity(max_n, max_l, max_s):
-    pairs = (p for n in range(1, max_n + 1) for p in pair_paths(n, max_s))
-    return check_involutivity(TensorPair(*p.factors) for p in pairs)
+    pairs = (uv for n in range(1, max_n + 1) for uv in product(elements(n, max_s), repeat=2))
+    return check_involutivity(TensorPair(*uv) for uv in pairs)
 
 
 def suite_energy_zero_highest(max_n, max_l, max_s):
@@ -488,9 +489,7 @@ def suite_energy_zero_highest(max_n, max_l, max_s):
 def suite_energy_padding(max_n, max_l, max_s):
     def items(n):
         pads = [highest_element(a, k, n) for a, k in shape_menu(n, max_s)]
-        for r, s in shape_menu(n, max_s):
-            for b in enumerate_kr(r, s, n):
-                yield Path(n, (b,)), pads
+        return ((Path(n, (b,)), pads) for b in elements(n, max_s))
 
     return check_energy_padding(it for n in range(1, max_n + 1) for it in items(n))
 

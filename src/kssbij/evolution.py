@@ -61,7 +61,7 @@ class Path:
     def _trusted(cls, rank_n, factors):
         """Internal constructor that skips validation; factors must be a
         tuple of non-empty rectangular tableaux over rank_n by construction,
-        as the factors `kss.phi_inverse` builds are."""
+        as the factors `kss.phi_inverse` and `time_evolution` build are."""
         p = object.__new__(cls)
         object.__setattr__(p, "rank_n", rank_n)
         object.__setattr__(p, "factors", factors)
@@ -279,10 +279,12 @@ def carrier_sweep(p, a, l):
 
 
 def time_evolution(p, a, l):
-    """The box-ball update T_l^(a) applied to the path."""
+    """The box-ball update T_l^(a) applied to the path. Its factors are R
+    images of the validated path's rows, so the result is not re-validated."""
     check_kr(a, l, p.rank_n)
     n = p.rank_n
-    return Path(n, [Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0]])
+    factors = tuple(Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0])
+    return Path._trusted(n, factors)
 
 
 def energy_matrix(p, a, l_max):

@@ -216,9 +216,8 @@ def test_criterion_06_energy_equals_q():
 def test_criterion_07_yang_baxter():
     def work():
         shapes = ((1, 1), (1, 2), (2, 1))
-        cases, failures = check_yang_baxter(
-            2, itertools.product(shapes, repeat=3), ((0, 0, 0), (5, 3, 1))
-        )
+        pool = [b for sh in shapes for b in enumerate_kr(*sh, 2)]
+        cases, failures = check_yang_baxter(pool, ((0, 0, 0), (5, 3, 1)))
         assert failures == []
         assert cases == 2 * (3 + 6 + 3) ** 3
 

@@ -411,6 +411,28 @@ class TestReplayableFailures:
         assert (code, json.loads(out)) == (0, {"H": 0})
 
 
+class TestBrokenPhiReports:
+    @pytest.mark.parametrize("suite", ["round-trip", "removal-order", "evolution-linearization"])
+    def test_invalid_phi_is_a_failure_not_an_abort(self, monkeypatch, suite):
+        # phi with every rigging raised by 5: each phi suite reports its
+        # failures and exits 1, naming paths the codec reads back
+        real = kss.phi_energy
+
+        def raised(p):
+            rc = real(p)
+            return RiggedConfiguration(
+                rc.rank_n, rc.nu, [[(m, r + 5) for m, r in level] for level in rc.mu]
+            )
+
+        monkeypatch.setattr(kss, "phi_energy", raised)
+        code, out, _ = cli("verify", "--max-n", "1", "--suite", suite, "--format", "json")
+        assert code == 1
+        failures = json.loads(out)["suites"][0]["failures"]
+        assert failures
+        for msg in failures:
+            assert _named_paths(msg)
+
+
 def _named_paths(msg):
     # every path a failure message names, decoded from its JSON
     decoder, paths, i = json.JSONDecoder(), [], msg.find("{")
@@ -469,6 +491,19 @@ class TestPhiCheckFailures:
         cases, failures = harness.check_removal_order(fam, [(self.CLEAN, 0, 1)])
         assert (cases, len(failures)) == (1, 1)
         assert failures[0].startswith("removal order swap (0,1) failed for ")
+        assert _named_paths(failures[0]) == [self.CLEAN]
+
+    def test_removal_order_rejects_phi(self):
+        # the equivalence validates phi(p) first; its ValueError is a failure
+        fam = harness.Family([self.CLEAN])
+        rc = phi_energy(self.CLEAN)
+        fam.phis[self.CLEAN] = RiggedConfiguration(
+            1, rc.nu, [[(m, r + 5) for m, r in level] for level in rc.mu]
+        )
+        cases, failures = harness.check_removal_order(fam, [(self.CLEAN, 0, 1)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("removal order swap (0,1) rejected phi(")
+        assert "invalid rigged configuration" in failures[0]
         assert _named_paths(failures[0]) == [self.CLEAN]
 
     @pytest.mark.parametrize(

@@ -53,6 +53,16 @@ class TestTimeEvolution:
         for a, l in ((1, 1), (1, 3), (2, 2)):
             assert time_evolution(p, a, l) == p
 
+    def test_result_is_not_revalidated(self, monkeypatch):
+        # the factors are R images of the validated path's rows
+        want = time_evolution(EXAMPLE, 2, 3)
+
+        def refuse(self, rank_n, factors):
+            raise AssertionError("Path validated again")
+
+        monkeypatch.setattr(Path, "__init__", refuse)
+        assert time_evolution(EXAMPLE, 2, 3) == want
+
     def test_shapes_preserved(self):
         out = time_evolution(EXAMPLE, 2, 3)
         assert out.shapes() == EXAMPLE.shapes()

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -8,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kssbij import kernels, rmatrix
-from kssbij.cli import harness
+from kssbij.cli import harness, run
+from kssbij.cli.codec import decode_path, dump, encode_path
 from kssbij.cli.harness import (
     check_involutivity,
     check_swapping_pairs,
     check_yang_baxter,
+    elements,
     family,
     run_verify,
     shape_menu,
 )
+from kssbij.evolution import Path
 from kssbij.rmatrix import (
     TensorPair,
     apply_R,
@@ -148,12 +152,13 @@ class TestAffine:
 
 def _yang_baxter_reference(n, shape_triples, modes):
     """The six-call loop that check_yang_baxter shares moves of: every case
-    applies the affine R three times on each side."""
+    applies the affine R three times on each side, shape triple by shape
+    triple."""
     failures = []
     for shapes in shape_triples:
-        pools = [[b.rows for b in enumerate_kr(*sh, n)] for sh in shapes]
+        pools = [list(enumerate_kr(*sh, n)) for sh in shapes]
         for (u, v, w), (m1, m2, m3) in itertools.product(itertools.product(*pools), modes):
-            x, y, z = (u, m1), (v, m2), (w, m3)
+            x, y, z = (u.rows, m1), (v.rows, m2), (w.rows, m3)
             a, b = harness.apply_affine_R(x, y)
             b, c = harness.apply_affine_R(b, z)
             a, b = harness.apply_affine_R(a, b)
@@ -161,7 +166,10 @@ def _yang_baxter_reference(n, shape_triples, modes):
             d, e = harness.apply_affine_R(x, e)
             e, f = harness.apply_affine_R(e, f)
             if (a, b, c) != (d, e, f):
-                failures.append("yang-baxter mismatch %r %r %r" % (x, y, z))
+                failures.append(
+                    "yang-baxter mismatch at modes (%d, %d, %d) for %s"
+                    % (m1, m2, m3, dump(encode_path(Path(n, (u, v, w)))).rstrip())
+                )
     return failures
 
 
@@ -183,9 +191,10 @@ def _flip_on_one_shape_pair(x, y):
 
 class TestYangBaxter:
     def test_small_triple(self):
-        cases, failures = check_yang_baxter(2, [((1, 1), (1, 2), (2, 1))], [(0, 0, 0)])
+        pool = [b for sh in ((1, 1), (1, 2), (2, 1)) for b in enumerate_kr(*sh, 2)]
+        cases, failures = check_yang_baxter(pool, [(0, 0, 0)])
         assert failures == []
-        assert cases == 3 * 6 * 3
+        assert cases == (3 + 6 + 3) ** 3
 
     @pytest.mark.parametrize(
         "mutant, expected",
@@ -200,7 +209,7 @@ class TestYangBaxter:
         cases = 0
         for n in (1, 2):
             triples = list(itertools.product(shape_menu(n, 2), repeat=3))
-            c, failures = check_yang_baxter(n, triples, modes)
+            c, failures = check_yang_baxter(elements(n, 2), modes)
             cases += c
             shared.update(failures)
             reference.update(_yang_baxter_reference(n, triples, modes))
@@ -213,15 +222,15 @@ class TestYangBaxter:
         # failures show, so no move of the clean run was reused
         triples = list(itertools.product(shape_menu(2, 2), repeat=3))
         modes = ((0, 0, 0), (5, 3, 1))
-        assert check_yang_baxter(2, triples, modes) == (11664, [])
+        assert check_yang_baxter(elements(2, 2), modes) == (11664, [])
         monkeypatch.setattr(harness, "apply_affine_R", _mode_dependent_shift)
-        cases, failures = check_yang_baxter(2, triples, modes)
+        cases, failures = check_yang_baxter(elements(2, 2), modes)
         assert cases == 11664 and failures
         assert Counter(failures) == Counter(_yang_baxter_reference(2, triples, modes))
 
     def test_each_move_computed_once_per_scope(self, monkeypatch):
-        # verify's default family looks 53,040 moves up; a scope (one rank,
-        # one mode triple, every shape triple) computes each distinct pair once
+        # verify's default family looks 53,040 moves up; a scope (one rank's
+        # pool, one mode triple) computes each distinct pair once
         calls = []
 
         def counting(x, y):
@@ -235,7 +244,7 @@ class TestYangBaxter:
 
     def test_no_pair_computed_twice_under_one_mode_triple(self, monkeypatch):
         # over verify's default family, one check per rank and mode triple:
-        # its table holds every shape triple, so no (x, y) repeats
+        # its table holds the rank's whole pool, so no (x, y) repeats
         calls = Counter()
 
         def counting(x, y):
@@ -244,11 +253,28 @@ class TestYangBaxter:
 
         monkeypatch.setattr(harness, "apply_affine_R", counting)
         for n in (1, 2):
-            triples = list(itertools.product(shape_menu(n, 2), repeat=3))
             for mode in ((0, 0, 0), (5, 3, 1)):
                 calls.clear()
-                assert check_yang_baxter(n, triples, [mode])[1] == []
+                assert check_yang_baxter(elements(n, 2), [mode])[1] == []
                 assert calls and max(calls.values()) == 1, (n, mode)
+
+    def test_failures_name_replayable_paths(self, monkeypatch, tmp_path, capsys):
+        # each failure decodes to x (x) y (x) z, a three-factor path of pool
+        # elements, and the led verb reads it
+        monkeypatch.setattr(harness, "apply_affine_R", _flip_on_one_shape_pair)
+        pool = elements(2, 2)
+        _, failures = check_yang_baxter(pool, ((0, 0, 0), (5, 3, 1)))
+        assert len(failures) == 960
+        for msg in failures:
+            head, doc = msg.split(" for ", 1)
+            assert head in ("yang-baxter mismatch at modes (0, 0, 0)",
+                            "yang-baxter mismatch at modes (5, 3, 1)")
+            p = decode_path(json.loads(doc))
+            assert len(p) == 3 and all(b in pool for b in p.factors)
+        (tmp_path / "path.json").write_text(doc)
+        assert run(["led", str(tmp_path / "path.json")]) == 0
+        out, err = capsys.readouterr()
+        assert out and not err
 
 
 class TestSweepStep:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 malformed input (with location), 3 semantic
-violation (with the violations listed), 4 internal error (an invariant of
+violation (with the violations listed) or an input too large for the
+memory available (`error: out of memory`), 4 internal error (an invariant of
 the library failed; a bug, not bad input). verify exits 1 when a suite fails.
 Any verb exits 1, without a traceback, when its stdout is closed before it
 has written all of its output (as by `kssbij verify | head -0`).
@@ -243,6 +244,10 @@ def run(argv=None):
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
+    except MemoryError:
+        # the failed allocation is released once the stack unwinds
+        print("error: out of memory: the input is too large to compute here", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -32,7 +32,10 @@ module-global apply_affine_R. A table is keyed by whole elements, modes
 included, and lives for one mode triple of one `check_yang_baxter` call (for
 verify, a rank's whole pool): 5,312 calls for verify's 53,040 lookups at the
 defaults. No table outlives the call, so a patch of apply_affine_R between
-calls is never hidden by an old entry.
+calls is never hidden by an old entry. Each `_Moves` points back at its
+table, so the check empties a table once its mode triple is done: that
+breaks the cycle, and reference counting frees the table at once instead
+of the cycle collector some time later.
 
 The checks that need phi of a path (energy-equals-q, round-trip,
 removal-order, evolution-linearization) read it from the `Family` they walk:
@@ -42,8 +45,11 @@ bounds for the process (a new set replaces it), so the four suites of one
 `verify`, and of a later one with the same bounds, share phi: a suite's
 reported time leaves out any phi that an earlier suite already computed.
 Every lookup matches a Path by identity, and its hash is computed once.
-Time evolution keeps factor shapes, so evolution-linearization finds T(p) in
-the Family by its factors, and a T(p) outside it is a failure.
+Evolution-linearization sweeps on rows and builds no tableau. Time
+evolution keeps factor shapes, so it finds T(p) in the Family's index,
+keyed by rank and factor rows, and a T(p) outside it is a failure.
+Removal-order compares the R image of one removal order with the other as
+rows, through the memoized step.
 """
 
 import time
@@ -52,7 +58,7 @@ from itertools import chain, combinations, product
 
 from kssbij import kss
 from kssbij.cli import codec
-from kssbij.evolution import Path, carrier_sweep, total_energy
+from kssbij.evolution import Path, _evolve, total_energy
 from kssbij.kss import linearized_image, phi_inverse, removal_order_equivalence
 from kssbij.rigged import q_l, validate
 from kssbij.rmatrix import TensorPair, apply_R, apply_affine_R, energy_H
@@ -142,8 +148,10 @@ def pair_paths(n, max_s):
 
 class Family:
     """The paths of a family and their phi. paths is a tuple with one object
-    per tuple of factors, and index maps the factors to it (a path that is
-    both a chain and a pair is one object in both places).
+    per tuple of factors, and index maps (rank, the factors' rows) to it (a
+    path that is both a chain and a pair is one object in both places). The
+    rank is part of the key: the rank-1 path 1 (x) 2 and the rank-2 path
+    1 (x) 2 have the same rows.
 
     phi(p) is kss.phi_energy(p), kept in phis, so it is computed at most once
     per path while the Family lives. phis holds results of filled_by, the
@@ -154,7 +162,10 @@ class Family:
 
     def __init__(self, paths):
         self.index = {}
-        self.paths = tuple(self.index.setdefault(p.factors, p) for p in paths)
+        self.paths = tuple(
+            self.index.setdefault((p.rank_n, tuple([b.rows for b in p.factors])), p)
+            for p in paths
+        )
         self.phis = {}
         self.filled_by = kss.phi_energy
 
@@ -266,8 +277,10 @@ def check_yang_baxter(elements, modes):
     the first time the pair is needed (5,312 calls over verify's default
     family, for 53,040 lookups). A case is then four table lookups and a
     comparison of ids. No table outlives its mode triple, so a patch of
-    apply_affine_R between calls is always seen. A failure names its modes
-    and x (x) y (x) z as a path."""
+    apply_affine_R between calls is always seen, and each table is emptied
+    when its mode triple is done, so it is freed then and not left to the
+    cycle collector. A failure names its modes and x (x) y (x) z as a
+    path."""
     cases, failures = 0, []
     for mode in modes:
         table = _AffineTable()
@@ -291,6 +304,8 @@ def check_yang_baxter(elements, modes):
                             "yang-baxter mismatch at modes (%d, %d, %d) for %s"
                             % (*mode, _path_json(Path(triple[0].rank_n, triple)))
                         )
+        # each _Moves points back at the table: break the cycle
+        table.clear()
     return cases, failures
 
 
@@ -437,16 +452,16 @@ def check_linearization(fam, items):
     """Box-ball updates act on riggings as r += min(l, row length) whenever the
     shifted configuration is still valid; otherwise the soliton exits the
     finite path, certified by the carrier coming back loaded. items: (path,
-    a, l), phi read from the Family fam. T(p) keeps factor shapes, so it is
-    looked up in fam by its factors; one outside fam is a failure. Returns
-    (cases, failures, loaded sweeps)."""
+    a, l), phi read from the Family fam. The sweep runs on rows
+    (`evolution._evolve`) and builds no tableau: T(p) keeps factor shapes,
+    so it is looked up in fam.index by its rank and factor rows; one outside
+    fam is a failure. Returns (cases, failures, loaded sweeps)."""
     cases = loaded = 0
     failures = []
     for p, a, l in items:
         cases += 1
         shifted = linearized_image(fam.phi(p), a, l)
-        factors, carriers = carrier_sweep(p, a, l)
-        clean = carriers[-1] == carriers[0]
+        rows, clean = _evolve(p, a, l)
         valid = not validate(shifted, "unrestricted")
         loaded += not clean
         if clean != valid:
@@ -455,7 +470,7 @@ def check_linearization(fam, items):
                 "carrier %s shift: T_%d^(%d) %s" % (state, l, a, _path_json(p))
             )
         elif valid:
-            evolved = fam.index.get(tuple(factors))
+            evolved = fam.index.get((p.rank_n, rows))
             if evolved is None:
                 failures.append(
                     "T_%d^(%d) leaves the family for %s" % (l, a, _path_json(p))

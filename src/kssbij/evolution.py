@@ -22,9 +22,11 @@ top columns A = (n-a+2, ..., n+1) behind, and gives the step only as many
 of each as b is wide, which changes nothing (the two lemmas are in
 `_sweep_rows`); so carriers of every width l, and carriers that have taken
 up different numbers of top letters, share cache entries. Only
-`carrier_sweep` expands carriers to full rows. Carriers and R images become
-tableaux without re-validation, since their rows come from the validated
-path.
+`carrier_sweep` expands carriers to full rows; `_evolve` gives T's factor
+rows and reads off the last compressed carrier whether it came back as
+u_l^(a), for `time_evolution` and for verify's linearization check, which
+builds no tableau. Carriers and R images become tableaux without
+re-validation, since their rows come from the validated path.
 """
 
 from collections import namedtuple
@@ -278,13 +280,25 @@ def carrier_sweep(p, a, l):
     )
 
 
+def _evolve(p, a, l):
+    """T_l^(a)(p) on rows: (its factor rows, a tuple of row tuples, and
+    whether the carrier came back as u_l^(a)), with no tableau built.
+
+    The carrier is u_l^(a) exactly when it keeps no spare columns A and
+    every letter of its core's bottom row is a: a column of height a that
+    ends in a is V = (1, ..., a), and A is not V. (a, l) is not checked.
+    """
+    out, carriers, _ = _sweep_rows(p, a, l)
+    _, u, t = carriers[-1]
+    return tuple(out), not t and u[-1].count(a) == len(u[-1])
+
+
 def time_evolution(p, a, l):
     """The box-ball update T_l^(a) applied to the path. Its factors are R
     images of the validated path's rows, so the result is not re-validated."""
     check_kr(a, l, p.rank_n)
     n = p.rank_n
-    factors = tuple(Tableau._trusted(n, rows) for rows in _sweep_rows(p, a, l)[0])
-    return Path._trusted(n, factors)
+    return Path._trusted(n, tuple(Tableau._trusted(n, rows) for rows in _evolve(p, a, l)[0]))
 
 
 def energy_matrix(p, a, l_max):

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.rigged import RiggedConfiguration, _integer, _vacancy, validate
-from kssbij.rmatrix import TensorPair, apply_R
+from kssbij.rmatrix import _sweep_step
 from kssbij.tableaux import Tableau, check_kr
 
 
@@ -399,10 +399,12 @@ def remove_row(rc, flat_index):
 
 def removal_order_equivalence(rc, row_a, row_b):
     """Removes row_a then row_b and the other way round; True iff the two
-    factor pairs correspond under the combinatorial R."""
+    factor pairs correspond under the combinatorial R. The R image of the
+    first pair is read as rows from the memoized step (`rmatrix._sweep_step`)
+    and compared with the second pair's rows, so no pair is built."""
     rows = _checked_rows(rc, [row_a, row_b])
     if row_a == row_b:
         raise ValueError("rows must be distinct")
     (a1, b1), _ = _remove_rows(rc, rows, [row_a, row_b])
     (b2, a2), _ = _remove_rows(rc, rows, [row_b, row_a])
-    return apply_R(TensorPair(b1, a1)) == TensorPair(a2, b2)
+    return _sweep_step(b1.rows, a1.rows)[:2] == (a2.rows, b2.rows)

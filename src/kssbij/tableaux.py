@@ -173,23 +173,31 @@ def highest_element(a, l, rank_n):
 
 def _fillings(shape, rank_n):
     # all semistandard fillings of the given shape, backtracking cell by cell
+    # (rows top to bottom, each left to right) on an explicit cell index, so
+    # a shape of any size stays within Python's recursion limit. A cell
+    # holds 0 until it is first filled, and goes back to 0 when its letters
+    # run out.
+    cells = [(i, j) for i, w in enumerate(shape) for j in range(w)]
     rows = [[0] * w for w in shape]
-
-    def fill(i, j):
-        if i == len(shape):
+    k = 0
+    while k >= 0:
+        if k == len(cells):
             yield [list(r) for r in rows]
-            return
-        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for x in range(lo, rank_n + 2):
+            k -= 1
+            continue
+        i, j = cells[k]
+        x = rows[i][j] + 1
+        if x == 1:
+            if j > 0:
+                x = rows[i][j - 1]
+            if i > 0 and rows[i - 1][j] >= x:
+                x = rows[i - 1][j] + 1
+        if x > rank_n + 1:
+            rows[i][j] = 0
+            k -= 1
+        else:
             rows[i][j] = x
-            yield from fill(ni, nj)
-
-    yield from fill(0, 0)
+            k += 1
 
 
 def enumerate_kr(r, s, rank_n):

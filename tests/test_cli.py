@@ -369,6 +369,14 @@ class TestEnumerateVerb:
         code, out, err = cli("enumerate", "--r", r, "--s", s, "--n", "1")
         assert (code, out, err) == (3, "", message + "\n")
 
+    def test_thousand_cells(self):
+        # B^{1,1000} of rank 1; a generator per cell passed the recursion limit
+        code, out, err = cli("enumerate", "--r", "1", "--s", "1000", "--n", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "1001 elements of B^{1,1000}, n=1" and len(lines) == 1002
+        assert lines[1] == " ".join(["1"] * 1000) and lines[-1] == " ".join(["2"] * 1000)
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_bad_rank_message(self, n):
         # the rank is checked first, so no message names a range 1..n
@@ -693,7 +701,10 @@ class TestSharedFamily:
         assert (len(family), len(set(family))) == (402, 389)
         # a path that is both a chain and a pair is one object
         assert len(set(map(id, family))) == 389
-        assert fam.index == {p.factors: p for p in family}
+        # keyed by rank and factor rows: one rows key alone would merge the
+        # rank-1 and rank-2 chains of the same letters
+        assert fam.index == {(p.rank_n, tuple(b.rows for b in p.factors)): p for p in family}
+        assert len(fam.index) == 389
         # a new set of bounds replaces the kept Family
         harness.family(1, 1, 1)
         again = harness.family(2, 3, 2)
@@ -780,6 +791,31 @@ class TestErrorPaths:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    @pytest.mark.parametrize("verb", ["phi", "led"])
+    def test_out_of_memory_is_a_clear_error(self, verb):
+        # the LED's per-level lists of a rank-10^8 path need far more than
+        # the 512 MB address space the child gets, so the allocation fails
+        # at once; the child never runs without the limit
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kssbij", verb],
+            input='{"n": 100000000, "factors": [[[1]]]}',
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=cap,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr
 
     def test_internal_error_has_own_exit_code(self, monkeypatch):
         def broken(p):

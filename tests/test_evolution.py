@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import product
 from random import Random
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kssbij import evolution, rmatrix
-from kssbij.cli.harness import check_energy_padding
+from kssbij.cli.harness import check_energy_padding, family
 from kssbij.evolution import (
     Path,
     carrier_sweep,
@@ -85,6 +86,21 @@ class TestTimeEvolution:
         for n in (0, -1, True, 2.0):
             with pytest.raises(ValueError):
                 Path(n, [])
+
+    def test_rows_sweep_matches_carrier_sweep(self):
+        # verify's linearization check reads T(p) and the returning carrier
+        # off _evolve; carrier_sweep, with full carrier tableaux, is the
+        # reference, over every (p, a, l) of the suite at the defaults
+        fam = family(2, 3, 2)
+        returned = Counter()
+        for p in fam.paths:
+            for a in range(1, p.rank_n + 1):
+                for l in range(1, 4):
+                    factors, carriers = carrier_sweep(p, a, l)
+                    clean = carriers[-1] == carriers[0]
+                    assert evolution._evolve(p, a, l) == (tuple(f.rows for f in factors), clean)
+                    returned[clean] += 1
+        assert returned == {True: 634, False: 1661}
 
     def test_sweep_returns_all_carriers(self):
         out, carriers = carrier_sweep(EXAMPLE, 1, 2)
@@ -397,6 +413,7 @@ class TestCompressedSweep:
         factors, tableaux = carrier_sweep(p, a, l)
         assert [f.rows for f in factors] == out
         assert [t.rows for t in tableaux] == carriers
+        assert evolution._evolve(p, a, l) == (tuple(out), carriers[-1] == carriers[0])
         # the energy sweeps, whose last move peels no image, against sweeps
         # that peel every image
         assert total_energy(p, a, l) == sum(hs[-1] for hs in energies)

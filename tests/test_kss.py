@@ -316,6 +316,19 @@ class TestRemovalOrder:
         with pytest.raises(ValueError):
             removal_order_equivalence(rc_a1(), 1, 1)
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_compares_both_image_factors(self, monkeypatch, side):
+        # the R image is compared as rows, its left factor and its right one
+        step = kss._sweep_step
+
+        def altered(u, b):
+            image = list(step(u, b))
+            image[side] = tuple(tuple(x + 100 for x in row) for row in image[side])
+            return tuple(image)
+
+        monkeypatch.setattr(kss, "_sweep_step", altered)
+        assert not removal_order_equivalence(rc_a1(), 0, 2)
+
     @pytest.mark.parametrize("i, j, bad", [(0, 99, 99), (99, 0, 99), (2, 3, 3)])
     def test_bad_index_named_as_given(self, i, j, bad):
         with pytest.raises(ValueError, match="no quantum row %d$" % bad):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import random
@@ -227,6 +228,18 @@ class TestYangBaxter:
         cases, failures = check_yang_baxter(elements(2, 2), modes)
         assert cases == 11664 and failures
         assert Counter(failures) == Counter(_yang_baxter_reference(2, triples, modes))
+
+    def test_tables_freed_without_the_cycle_collector(self):
+        # each _Moves points back at its table; with the collector off, a
+        # table that is not emptied would stay alive as a cycle
+        gc.collect()
+        gc.disable()
+        try:
+            assert check_yang_baxter(elements(2, 2), ((0, 0, 0), (5, 3, 1))) == (11664, [])
+            alive = [o for o in gc.get_objects() if type(o) in (harness._AffineTable, harness._Moves)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_each_move_computed_once_per_scope(self, monkeypatch):
         # verify's default family looks 53,040 moves up; a scope (one rank's

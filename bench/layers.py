@@ -1,4 +1,5 @@
-"""Per-suite `verify` times and end-to-end benchmark pairs, written as one BENCH_*.json.
+"""Per-suite `verify` times, the carrier sweep layer and end-to-end benchmark
+pairs, written as one BENCH_*.json.
 
 Run from the repository root:
 
@@ -11,17 +12,25 @@ process, once per set of bounds (by default the `verify` defaults 2,3,2 and
 with the total time and the process's max RSS. The file holds the median and
 quartiles of each over the rounds.
 
-With --parent REV, the same rounds also run on a `git archive` copy of REV,
-the two sides alternating which runs first, and then --pairs alternating
-pairs of `perfbench/run.py --workload W --seed i --seconds S --trace 0` run
-end to end for each --workload, pair i with seed i on both sides. Each run gets a fresh copy of
-`src` and `perfbench` (REV's, or this working tree's without `__pycache__`),
-so neither side runs on a warm bytecode cache. Per metric of BENCHMARK.json,
+Sweep layer: on this working tree only, each round times two passes of one
+sweep function over evolution-linearization's (p, a, l) items at the first
+set of bounds, in a fresh process per function: `evolution._evolve`, the
+rows sweep that `verify` runs (and perfbench's tracer does not see), and
+`evolution.carrier_sweep`, the public one. The first pass starts on an
+empty step cache (cold), the second reuses it (warm).
+
+With --parent REV, the suite rounds also run on a `git archive` copy of REV,
+the two sides alternating which runs first, and then 10 alternating pairs
+of `perfbench/run.py --workload W --seed i --seconds S --trace 0` run end
+to end for each --workload, pair i with seed i on both sides, S being
+BENCHMARK.json's run_seconds. Each run gets a fresh copy of `src` and
+`perfbench` (REV's, or this working tree's without `__pycache__`), so
+neither side runs on a warm bytecode cache. Per metric of BENCHMARK.json,
 the file holds each side's median and quartiles and how many pairs the
 working tree won (ties count for neither side).
 
-`perfbench/` is read and run, never edited. The copies live in --workdir
-(a new temporary directory by default, removed at the end).
+`perfbench/` is read and run, never edited. The copies live in a new
+temporary directory, removed at the end.
 """
 
 import argparse
@@ -45,6 +54,9 @@ DEFAULT_BOUNDS = ("2,3,2", "3,3,2")
 SKIP = ("__pycache__", "runs")
 # a suite round or a benchmark run that takes longer than this is stopped
 TIMEOUT_S = 900
+# end-to-end pairs per workload
+PAIRS = 10
+SWEEPS = ("_evolve", "carrier_sweep")
 
 SUITE_ROUND = """
 import json, resource, sys
@@ -57,6 +69,23 @@ print(json.dumps({
     "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "suites": [[name, cases, elapsed] for name, cases, _, elapsed in report.results],
 }))
+"""
+
+SWEEP_ROUND = """
+import json, sys, time
+from kssbij import evolution
+from kssbij.cli.harness import family
+sweep = getattr(evolution, sys.argv[1])
+max_n, max_l, max_s = map(int, sys.argv[2:5])
+items = [(p, a, l) for p in family(max_n, max_l, max_s).paths
+         for a in range(1, p.rank_n + 1) for l in range(1, max_l + 1)]
+passes = []
+for _ in range(2):
+    start = time.perf_counter()
+    for item in items:
+        sweep(*item)
+    passes.append(time.perf_counter() - start)
+print(json.dumps({"items": len(items), "cold_s": passes[0], "warm_s": passes[1]}))
 """
 
 
@@ -129,9 +158,10 @@ def git(*args):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def suite_round(copy, bounds):
+def child(copy, script, *args):
+    """The JSON that a script prints when run on a copy's src in a fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-c", SUITE_ROUND, *map(str, bounds)],
+        [sys.executable, "-c", script, *map(str, args)],
         cwd=copy,
         env=dict(os.environ, PYTHONPATH=str(copy / "src")),
         capture_output=True,
@@ -139,7 +169,7 @@ def suite_round(copy, bounds):
         timeout=TIMEOUT_S,
     )
     if proc.returncode != 0:
-        raise SystemExit("verify round at %s failed:\n%s" % (bounds, proc.stderr))
+        raise SystemExit("round %s failed:\n%s" % (args, proc.stderr))
     return json.loads(proc.stdout)
 
 
@@ -150,7 +180,7 @@ def suite_times(sides, bounds, rounds):
     for r in range(rounds):
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for side in order:
-            data[side].append(suite_round(sides[side], bounds))
+            data[side].append(child(sides[side], SUITE_ROUND, *bounds))
     out = {"bounds": list(bounds), "rounds": rounds}
     for side, results in data.items():
         counts = {(res["cases"], res["failures"]) for res in results}
@@ -171,6 +201,17 @@ def suite_times(sides, bounds, rounds):
                 for i, name in enumerate(names)
             },
         }
+    return out
+
+
+def sweep_times(copy, bounds, rounds):
+    """Per sweep function, the spread of its cold and warm pass over the
+    rounds, with the item count."""
+    out = {"bounds": list(bounds), "rounds": rounds}
+    for name in SWEEPS:
+        results = [child(copy, SWEEP_ROUND, name, *bounds) for _ in range(rounds)]
+        out["items"] = results[0]["items"]
+        out[name] = {key: spread([res[key] for res in results]) for key in ("cold_s", "warm_s")}
     return out
 
 
@@ -198,9 +239,9 @@ def benchmark_run(source, scratch, workload, seed, seconds):
     }
 
 
-def end_to_end(sides, workdir, workload, seconds, pairs, metrics):
+def end_to_end(sides, workdir, workload, seconds, metrics):
     runs = []
-    for i in range(1, pairs + 1):
+    for i in range(1, PAIRS + 1):
         order = ["parent", "change"] if i % 2 else ["change", "parent"]
         for side in order:
             run = benchmark_run(sides[side], workdir / "run", workload, i, seconds)
@@ -210,7 +251,7 @@ def end_to_end(sides, workdir, workload, seconds, pairs, metrics):
     return {
         "workload": workload,
         "seconds": seconds,
-        "pairs": pairs,
+        "pairs": PAIRS,
         "runs": runs,
         "metrics": compare(runs, metrics),
     }
@@ -222,18 +263,14 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--bounds", action="append", help="max_n,max_l,max_s (repeatable); "
                         "default %s" % " and ".join(DEFAULT_BOUNDS))
-    parser.add_argument("--rounds", type=int, default=5, help="fresh processes per side and bounds")
+    parser.add_argument("--rounds", type=int, default=11, help="fresh processes per side and bounds")
     parser.add_argument("--parent", help="the revision to compare with")
-    parser.add_argument("--pairs", type=int, default=10, help="end-to-end pairs, with --parent")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]],
                         help="end-to-end workload (repeatable); default verify-default")
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"],
-                        help="timed seconds per end-to-end run")
-    parser.add_argument("--workdir", help="where the copies go; default a new temporary directory")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.pairs < 0:
-        parser.error("--rounds must be >= 1 and --pairs >= 0")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     bounds = []
     for text in args.bounds or DEFAULT_BOUNDS:
         try:
@@ -245,7 +282,8 @@ def main(argv=None):
         bounds.append(b)
 
     workloads = args.workload or ["verify-default"]
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="kssbij-bench-"))
+    seconds = spec["run_seconds"]
+    workdir = Path(tempfile.mkdtemp(prefix="kssbij-bench-"))
     try:
         sides = {}
         if args.parent:
@@ -261,19 +299,19 @@ def main(argv=None):
             "sources": {side: digest(copy) for side, copy in sides.items()},
             "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                         "platform": platform.platform()},
-            "settings": {"bounds": bounds, "rounds": args.rounds, "pairs": args.pairs,
-                         "workloads": workloads, "seconds": args.seconds},
+            "settings": {"bounds": bounds, "rounds": args.rounds, "pairs": PAIRS,
+                         "workloads": workloads, "seconds": seconds},
             "suite_times": [suite_times(sides, b, args.rounds) for b in bounds],
+            "sweep": sweep_times(sides["change"], bounds[0], args.rounds),
             "end_to_end": None,
         }
-        if args.parent and args.pairs:
+        if args.parent:
             metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
             report["end_to_end"] = [
-                end_to_end(sides, workdir, w, args.seconds, args.pairs, metrics) for w in workloads
+                end_to_end(sides, workdir, w, seconds, metrics) for w in workloads
             ]
     finally:
-        if not args.workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 

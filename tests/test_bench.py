@@ -32,8 +32,12 @@ def test_smallest_run_schema(tmp_path):
     report = json.loads(out.read_text())
     assert set(report) == {
         "commit", "dirty", "end_to_end", "machine", "parent", "settings", "sources", "suite_times",
+        "sweep",
     }
-    assert report["settings"]["bounds"] == [[1, 1, 1]] and report["settings"]["rounds"] == 1
+    assert report["settings"] == {
+        "bounds": [[1, 1, 1]], "rounds": 1, "pairs": 10, "workloads": ["verify-default"],
+        "seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+    }
     assert report["end_to_end"] is None and report["parent"] is None
     assert set(report["machine"]) == {"cores", "platform", "python"}
     assert set(report["sources"]) == {"change"} and len(report["sources"]["change"]) == 64
@@ -45,6 +49,13 @@ def test_smallest_run_schema(tmp_path):
     assert sorted(change["suites"]) == sorted(suite_names())
     assert sum(s["cases"] for s in change["suites"].values()) == 55
     assert all(is_spread(s["seconds"], 1) for s in change["suites"].values())
+    sweep = report["sweep"]
+    assert set(sweep) == {"bounds", "rounds", "items", "_evolve", "carrier_sweep"}
+    assert (sweep["bounds"], sweep["rounds"]) == ([1, 1, 1], 1)
+    assert sweep["items"] == change["suites"]["evolution-linearization"]["cases"]
+    for name in ("_evolve", "carrier_sweep"):
+        assert set(sweep[name]) == {"cold_s", "warm_s"}
+        assert all(is_spread(v, 1) for v in sweep[name].values())
 
 
 def test_wins_follow_each_metric_direction():

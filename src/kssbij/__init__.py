@@ -12,15 +12,12 @@ from kssbij.evolution import (
     total_energy,
 )
 from kssbij.kss import (
-    RemovalTrace,
     linearized_image,
     SolitonGroup,
     compute_rigging,
-    default_order,
     extract_groups,
     phi_energy,
     phi_inverse,
-    phi_inverse_trace,
     quantum_space_of,
     removal_order_equivalence,
     remove_row,
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LocalEnergyDistribution",
     "Path",
-    "RemovalTrace",
     "RiggedConfiguration",
     "SolitonGroup",
     "Tableau",
@@ -60,7 +56,6 @@ __all__ = [
     "apply_R",
     "carrier_sweep",
     "compute_rigging",
-    "default_order",
     "energy_H",
     "energy_matrix",
     "enumerate_kr",
@@ -73,7 +68,6 @@ __all__ = [
     "local_energy_distribution",
     "phi_energy",
     "phi_inverse",
-    "phi_inverse_trace",
     "product_tableau",
     "q_l",
     "quantum_space_of",

@@ -8,12 +8,12 @@ length s at level a produces one path factor in B^{a+1,s}, column by column.
 Box removal works on a mutable copy of the configuration in which the box in
 transport is a length-1 quantum row, so the vacancy formula of rigged gives
 every vacancy number and one driver, _remove_rows, serves phi_inverse,
-phi_inverse_trace, remove_row and removal_order_equivalence. Each of these
-checks the configuration and its flat indices once, in _checked_rows; after
-that box removal re-derives nothing it builds. A micro-step holds its chosen
-rows by reference and lists the removed boxes only for a trace, and
-_remove_row checks each letter against its neighbours as it comes, so the
-factors and the path are wrapped without being validated again.
+remove_row and removal_order_equivalence. Each of these checks the
+configuration and its flat indices once, in _checked_rows; after that box
+removal re-derives nothing it builds. A micro-step holds its chosen rows by
+reference, and _remove_row checks each letter against its neighbours as it
+comes, so the factors and the path are wrapped without being validated
+again.
 """
 
 from collections import namedtuple
@@ -133,14 +133,6 @@ def linearized_image(rc, a, l):
     return RiggedConfiguration._trusted(rc.rank_n, rc.nu, tuple(mu), rc.origins)
 
 
-TraceStep = namedtuple("TraceStep", ["level", "letter", "removed", "state"])
-RowTrace = namedtuple("RowTrace", ["flat_index", "level", "columns"])
-
-
-# Diagnostic record of phi_inverse_trace: one RowTrace per removed row.
-RemovalTrace = namedtuple("RemovalTrace", ["rows"])
-
-
 class _State:
     """Mutable working copy of a rigged configuration during box removal.
 
@@ -182,7 +174,7 @@ class _State:
         )
 
 
-def _micro_step(state, i, pos, removed):
+def _micro_step(state, i, pos):
     """Moves the last box of row pos of nu^(i) one level down; returns its
     letter.
 
@@ -192,8 +184,7 @@ def _micro_step(state, i, pos, removed):
     the box leaves); ties go to the first in storage order. The letter is
     the first level where no choice exists. All removals are simultaneous;
     the box lands at the end of nu^(i-1) (it leaves at i = 0), and shortened
-    rows get their new vacancy number as rigging. When removed is a list,
-    the removed boxes are appended to it as (part, level, column).
+    rows get their new vacancy number as rigging.
     """
     mu = state.mu
     level = state.nu[i]
@@ -222,8 +213,6 @@ def _micro_step(state, i, pos, removed):
         prev = best[0]
         m += 1
 
-    if removed is not None:
-        removed.append(("nu", i, col_x))
     if col_x > 1:
         level[pos] = col_x - 1
     else:
@@ -235,21 +224,15 @@ def _micro_step(state, i, pos, removed):
     # the selection takes no row shorter than the one before, so a column
     # can only go down here when one row sits at two levels (a corrupt state)
     prev = col_x
-    lev = i
     for row in chosen:
-        lev += 1
         length = row[0]
         if length < prev:
             raise AssertionError("removed box columns must weakly increase with level")
-        if removed is not None:
-            removed.append(("mu", lev, length))
         row[0] = length - 1
         prev = length
     # a row of length 0 adds nothing to any Q, and each level holds at most
     # one chosen row, so deleting one leaves the others' vacancies alone
-    lev = i
-    for row in chosen:
-        lev += 1
+    for lev, row in enumerate(chosen, i + 1):
         if row[0]:
             row[1] = _vacancy(state, lev, row[0])
         else:
@@ -257,15 +240,13 @@ def _micro_step(state, i, pos, removed):
     return m
 
 
-def _remove_row(state, a, flat, traces):
+def _remove_row(state, a, flat):
     """Dismantles one quantum row of nu^(a) box by box, right to left, and
     returns its factor tableau in B^{a+1, s}.
 
     The letters of each box form the leftmost empty column, top to bottom.
     Each letter is checked as it comes against the one below it and the one
-    to its left, so the factor is semistandard when it is wrapped. When
-    traces is a list, one RowTrace is appended to it: per column, one
-    TraceStep per micro-step, with a view of the state after it.
+    to its left, so the factor is semistandard when it is wrapped.
     """
     flats = state.flats
     pos = flats[a].index(flat)
@@ -273,15 +254,12 @@ def _remove_row(state, a, flat, traces):
     # columns bottom to top; the first is checked against a column of zeros
     columns = []
     left = (0,) * (a + 1)
-    col_traces = None if traces is None else []
     for b in range(1, s + 1):
         column = []
         below = state.rank_n + 2
         p = pos
-        steps = None if traces is None else []
         for i, to_left in zip(range(a, -1, -1), left):
-            removed = None if traces is None else []
-            letter = _micro_step(state, i, p, removed)
+            letter = _micro_step(state, i, p)
             p = -1
             if letter >= below:
                 raise AssertionError(
@@ -295,27 +273,16 @@ def _remove_row(state, a, flat, traces):
                 )
             column.append(letter)
             below = letter
-            if traces is not None:
-                steps.append(TraceStep(i, letter, removed, state.view()))
         for level in flats:
             if None in level:
                 raise AssertionError("transported box left behind")
         columns.append(column)
         left = column
-        if traces is not None:
-            col_traces.append(steps)
     if flat in flats[a]:
         raise AssertionError("quantum row not exhausted")
-    if traces is not None:
-        traces.append(RowTrace(flat, a, col_traces))
     # valid by construction: letters lie in 1..n+1, and the checks above
     # make the rows weakly and the columns strictly increasing
     return Tableau._trusted(state.rank_n, tuple(zip(*columns))[::-1])
-
-
-def default_order(rc):
-    """Reverse provenance order when known, else reverse flat order."""
-    return _default_order(rc.quantum_rows())
 
 
 def _default_order(rows):
@@ -341,16 +308,25 @@ def _checked_rows(rc, flats=()):
     return rows
 
 
-def _remove_rows(rc, rows, order, traces=None):
+def _remove_rows(rc, rows, order):
     """The box-removal driver: removes the quantum rows (rows =
     _checked_rows(rc, order)) of a valid rc in the given order of flat
-    indices; returns (factors in removal order, remaining state). Appends one
-    RowTrace per row to traces when it is a list."""
+    indices; returns (factors in removal order, remaining state)."""
     state = _State(rc, rows)
-    return [_remove_row(state, rows[flat][1], flat, traces) for flat in order], state
+    return [_remove_row(state, rows[flat][1], flat) for flat in order], state
 
 
-def _phi_inverse(rc, order, traces):
+def phi_inverse(rc, order=None):
+    """Reconstructs the path; the first removed row gives the rightmost factor.
+
+    order, when given, is the removal order: a permutation of the flat
+    indices of the quantum rows, each an int (a bool or a float raises
+    ValueError). By default the rows are removed in reverse origin order
+    when every quantum row has an origin, else in reverse flat order.
+
+    Raises ValueError when boxes of mu are left once every quantum row is
+    removed: such a configuration is not the image of any path.
+    """
     if order is None:
         rows = _checked_rows(rc)
         order = _default_order(rows)
@@ -359,7 +335,7 @@ def _phi_inverse(rc, order, traces):
         rows = _checked_rows(rc, order)
         if sorted(order) != list(range(len(rows))):
             raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
-    produced, state = _remove_rows(rc, rows, order, traces)
+    produced, state = _remove_rows(rc, rows, order)
     if any(state.mu):
         left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
         raise ValueError(
@@ -368,26 +344,6 @@ def _phi_inverse(rc, order, traces):
         )
     # valid by construction: each factor is a non-empty rectangle over rc.rank_n
     return Path._trusted(rc.rank_n, tuple(produced[::-1]))
-
-
-def phi_inverse_trace(rc, order=None):
-    """phi_inverse with its full diagnostic trace; returns (Path, RemovalTrace)."""
-    traces = []
-    path = _phi_inverse(rc, order, traces)
-    return path, RemovalTrace(traces)
-
-
-def phi_inverse(rc, order=None):
-    """Reconstructs the path; the first removed row gives the rightmost factor.
-
-    order, when given, is the removal order: a permutation of the flat
-    indices of the quantum rows, each an int (a bool or a float raises
-    ValueError). By default it is `default_order(rc)`.
-
-    Raises ValueError when boxes of mu are left once every quantum row is
-    removed: such a configuration is not the image of any path.
-    """
-    return _phi_inverse(rc, order, None)
 
 
 def remove_row(rc, flat_index):

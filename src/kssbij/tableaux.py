@@ -48,12 +48,14 @@ class Tableau:
         tuples that is semistandard by construction. The library uses it
         where that holds: the R images of `rmatrix.apply_R`, the factors and
         carriers of the `evolution` sweeps (all from rows of tableaux that
-        were already validated), highest_element (rows of constant i) and
-        the factors of box removal (`kss._remove_row` checks each letter
-        against its neighbours as it places it). These are built on every R
-        move, sweep and removed row, where a re-check would cost more than
-        the work. Tableaux from user data and from insertion go through the
-        validating constructor."""
+        were already validated), highest_element (rows of constant i),
+        enumerate_kr (`_fillings` bounds each letter by its neighbours above
+        and to the left) and the factors of box removal (`kss._remove_row`
+        checks each letter against its neighbours as it places it). These
+        are built on every R move, sweep, enumerated element and removed
+        row, where a re-check would cost more than the work. Tableaux from
+        user data and from insertion go through the validating
+        constructor."""
         t = object.__new__(cls)
         object.__setattr__(t, "rank_n", rank_n)
         object.__setattr__(t, "rows", rows)
@@ -182,7 +184,7 @@ def _fillings(shape, rank_n):
     k = 0
     while k >= 0:
         if k == len(cells):
-            yield [list(r) for r in rows]
+            yield tuple(map(tuple, rows))
             k -= 1
             continue
         i, j = cells[k]
@@ -209,6 +211,7 @@ def enumerate_kr(r, s, rank_n):
     """
     check_rank(rank_n)
     check_kr(r, s, rank_n)
-    found = [Tableau(rank_n, rows) for rows in _fillings((s,) * r, rank_n)]
+    # valid by construction: _fillings gives only semistandard fillings
+    found = [Tableau._trusted(rank_n, rows) for rows in _fillings((s,) * r, rank_n)]
     found.sort(key=row_word)
     yield from found

@@ -14,6 +14,7 @@ Criteria 5-10 run the invariant checks of kssbij.cli.harness, the ones that
 import itertools
 import time
 
+from kssbij import kss
 from kssbij.cli.harness import (
     Family,
     check_energy_equals_q,
@@ -29,7 +30,7 @@ from kssbij.cli.harness import (
     two_letter,
 )
 from kssbij.evolution import Path, local_energy_distribution
-from kssbij.kss import phi_energy, phi_inverse_trace
+from kssbij.kss import phi_energy, phi_inverse
 from kssbij.rigged import RiggedConfiguration, vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R, energy_H
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element
@@ -188,10 +189,14 @@ def test_criterion_04_box_removal_example():
         assert vacancy(rc, 3, 2) == 0
         assert vacancy(rc, 3, 1) == 0
         assert vacancy(rc, 4, 1) == 0
-        p, trace = phi_inverse_trace(rc, order=[1, 2, 0])
-        assert p == EXAMPLE_PATH
-        # during the first box removal the transit box raises p_3^(1) to 2
-        assert vacancy(trace.rows[0].columns[0][0].state, 1, 3) == 2
+        assert phi_inverse(rc, order=[1, 2, 0]) == EXAMPLE_PATH
+        # during the first box removal the transit box raises p_3^(1) to 2,
+        # and it reads 1 again once the box has left
+        state = kss._State(rc, rc.quantum_rows())
+        kss._micro_step(state, 1, state.flats[1].index(1))
+        assert vacancy(state, 1, 3) == 2
+        kss._micro_step(state, 0, -1)
+        assert vacancy(state, 1, 3) == 1
 
     timed(BOX_REMOVAL_LIMIT, work)
 

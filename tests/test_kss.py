@@ -1,8 +1,10 @@
+import importlib.util
 import io
 import itertools
 import json
 import random
 import sys
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,17 +12,15 @@ from hypothesis import strategies as st
 
 from kssbij import kss
 from kssbij.cli import run as cli_run
-from kssbij.cli.codec import encode_rc
+from kssbij.cli.codec import decode_rc, encode_rc
 from kssbij.cli.harness import Family, check_energy_equals_q, check_removal_order, family
 from kssbij.evolution import LocalEnergyDistribution, Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
-    default_order,
     extract_groups,
     linearized_image,
     phi_energy,
     phi_inverse,
-    phi_inverse_trace,
     quantum_space_of,
     remove_row,
     removal_order_equivalence,
@@ -199,51 +199,31 @@ class TestPhiInverse:
     def test_rejects_non_integer_order(self):
         # int() used to truncate [1.9, 2.2, 0.1] to the valid order [1, 2, 0]
         for order in ([1.9, 2.2, 0.1], [1.0, 2, 0], [True, 2, 0], ["1", 2, 0]):
-            for fn in (phi_inverse, phi_inverse_trace):
-                with pytest.raises(ValueError, match="not an integer"):
-                    fn(rc_a1(), order)
+            with pytest.raises(ValueError, match="not an integer"):
+                phi_inverse(rc_a1(), order)
 
     def test_default_order_prefers_origins(self):
+        # reverse origin order, which here is not reverse flat order
         rc = phi_energy(EXAMPLE)
-        assert default_order(rc) == [1, 2, 0]
-        assert phi_inverse(rc) == EXAMPLE
+        assert rc.origins == ((1,), (3,), (2,), ())
+        assert phi_inverse(rc) == phi_inverse(rc, [1, 2, 0]) == EXAMPLE
 
     def test_default_order_without_origins(self):
-        assert default_order(rc_a1()) == [2, 1, 0]
+        assert phi_inverse(rc_a1()) == phi_inverse(rc_a1(), [2, 1, 0])
 
 
 class TestTrace:
     def test_checkpoints_and_step_invariant(self):
+        # the first micro-steps of removing quantum row 1 (flat index 1)
         rc = rc_a1()
-        assert vacancy(rc, 1, 3) == 1
-        p, trace = phi_inverse_trace(rc, order=[1, 2, 0])
-        assert p == EXAMPLE
-        first = trace.rows[0]
-        assert first.flat_index == 1
-        assert first.level == 1
-        assert len(first.columns) == 4
+        state = kss._State(rc, rc.quantum_rows())
+        assert vacancy(state, 1, 3) == 1
+        assert kss._micro_step(state, 1, state.flats[1].index(1)) == 2
         # while the transit box sits at level 0, p_3^(1) reads 2
-        assert vacancy(first.columns[0][0].state, 1, 3) == 2
+        assert vacancy(state, 1, 3) == 2
         # once the box settles the vacancy returns to 1
-        assert vacancy(first.columns[0][-1].state, 1, 3) == 1
-        for row in trace.rows:
-            for column in row.columns:
-                letters = [s.letter for s in column]
-                assert letters == sorted(letters, reverse=True)
-                assert len(set(letters)) == len(letters)
-                for step in column:
-                    cols = [c for _, _, c in step.removed]
-                    assert cols == sorted(cols)
-
-    def test_letters_form_columns(self):
-        p, trace = phi_inverse_trace(rc_a1(), order=[1, 2, 0])
-        # factor reconstructed from row 1 is the rightmost: 2x4
-        cols = trace.rows[0].columns
-        built = [[None] * len(cols) for _ in range(2)]
-        for c, column in enumerate(cols):
-            for step in column:
-                built[step.level][c] = step.letter
-        assert built == [[1, 1, 2, 4], [2, 2, 3, 5]]
+        assert kss._micro_step(state, 0, -1) == 1
+        assert vacancy(state, 1, 3) == 1
 
 
 class TestRemoveRow:
@@ -280,7 +260,6 @@ class TestRemoveRow:
         for run in (
             lambda: phi_inverse(rc),
             lambda: phi_inverse(rc, [1, 2, 0]),
-            lambda: phi_inverse_trace(rc),
             lambda: remove_row(rc, 1),
             lambda: removal_order_equivalence(rc, 0, 2),
         ):
@@ -374,30 +353,30 @@ class TestRemovalOrder:
 
 
 # Corrupted micro-steps: each wraps the real one, step, and breaks one thing
-def _leave_box(step, state, i, pos, removed):
+def _leave_box(step, state, i, pos):
     # the box goes on sitting at level 0 after it has left
-    letter = step(state, i, pos, removed)
+    letter = step(state, i, pos)
     if i == 0:
         state.nu[0].append(1)
         state.flats[0].append(None)
     return letter
 
 
-def _keep_row(step, state, i, pos, removed):
+def _keep_row(step, state, i, pos):
     # the quantum row's last box is never taken
     if pos >= 0 and state.nu[i][pos] == 1:
         state.nu[i][pos] = 2
-    return step(state, i, pos, removed)
+    return step(state, i, pos)
 
 
-def _same_letter(step, state, i, pos, removed):
-    step(state, i, pos, removed)
+def _same_letter(step, state, i, pos):
+    step(state, i, pos)
     return 1
 
 
-def _falling_letters(step, state, i, pos, removed):
+def _falling_letters(step, state, i, pos):
     # one row: 2 in its first column, 1 in its second
-    step(state, i, pos, removed)
+    step(state, i, pos)
     return 2 if state.nu[0] else 1
 
 
@@ -443,11 +422,7 @@ class TestRemovalChecks:
         else:
             step = kss._micro_step
             monkeypatch.setattr(kss, "_micro_step", lambda *args: corrupt(step, *args))
-        for run in (
-            lambda: phi_inverse(rc),
-            lambda: phi_inverse_trace(rc),
-            lambda: remove_row(rc, 0),
-        ):
+        for run in (lambda: phi_inverse(rc), lambda: remove_row(rc, 0)):
             with pytest.raises(AssertionError) as info:
                 run()
             assert str(info.value) == message
@@ -516,13 +491,6 @@ class TestTrustedResults:
                     assert_constructor_agrees(linearized_image(rc, a, l))
             assert_constructor_agrees(remove_row(rc, 0)[1])
 
-    def test_trace_states(self):
-        _, trace = phi_inverse_trace(phi_energy(EXAMPLE))
-        states = [s.state for row in trace.rows for col in row.columns for s in col]
-        assert states
-        for state in states:
-            assert_constructor_agrees(state)
-
 
 class TestRoundTrip:
     @given(st.data())
@@ -568,4 +536,19 @@ class TestRoundTrip:
         except ValueError:
             return
         assert phi_energy(p) == rc
-        assert phi_inverse_trace(rc)[0] == p
+
+    def test_benchmark_configurations(self, monkeypatch):
+        # highest-weight configurations drawn as the benchmark draws them,
+        # not as phi of a family path; perfbench/inputs.py is loaded by path
+        # and read, not changed, and imports its sibling checks.py
+        perfbench = FilePath(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", perfbench / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        rng = random.Random(2027)
+        for _ in range(200):
+            rc = decode_rc(inputs.highest_weight_rc(rng))
+            back = phi_energy(phi_inverse(rc))
+            assert back == rc
+            assert back.origins == rc.origins

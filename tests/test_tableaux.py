@@ -210,3 +210,25 @@ class TestEnumeration:
 
     def test_contains_highest(self):
         assert highest_element(2, 2, 3) in set(enumerate_kr(2, 2, 3))
+
+    def test_built_without_revalidation(self, monkeypatch):
+        # each element equals the validated tableau of its rows, although
+        # the validating constructor never runs
+        calls = []
+        init = Tableau.__init__
+
+        def counted(self, rank_n, rows):
+            calls.append(rows)
+            init(self, rank_n, rows)
+
+        monkeypatch.setattr(Tableau, "__init__", counted)
+        shapes = [(r, s, n) for n in (1, 2, 3) for r in range(1, n + 1) for s in (1, 2, 3)]
+        found = {(r, s, n): list(enumerate_kr(r, s, n)) for r, s, n in shapes}
+        assert calls == []
+        monkeypatch.undo()
+        for (r, s, n), elements in found.items():
+            assert elements == [Tableau(n, t.rows) for t in elements]
+            for t in elements:
+                assert type(t.rows) is tuple
+                assert all(type(row) is tuple for row in t.rows)
+                assert all(type(x) is int for row in t.rows for x in row)

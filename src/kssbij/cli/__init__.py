@@ -38,8 +38,11 @@ def _emit(args, payload, render_text, code=0):
 
 
 def _parse_ints(raw, flag):
+    # an empty flag is no integers; an empty field between commas is an error
+    if not raw.strip():
+        return []
     try:
-        return [int(x) for x in raw.split(",") if x.strip() != ""]
+        return [int(x) for x in raw.split(",")]
     except ValueError:
         raise codec.MalformedInput(flag, "expected comma-separated integers")
 

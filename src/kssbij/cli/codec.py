@@ -115,53 +115,40 @@ def encode_path(p):
     }
 
 
+def _levels(obj, n, where):
+    levels = _need_list(obj, where)
+    if len(levels) != n:
+        raise MalformedInput(where, "expected %d levels, got %d" % (n, len(levels)))
+    return levels
+
+
 def decode_rc(obj, where="$"):
     _need_dict(obj, where)
     n = _need_int(_field(obj, "n", where), where + ".n")
     # before the level counts, whose messages name the rank
     check_rank(n)
-    nu_raw = _need_list(_field(obj, "nu", where), where + ".nu")
-    if len(nu_raw) != n:
-        raise MalformedInput(where + ".nu", "expected %d levels, got %d" % (n, len(nu_raw)))
-    nu = _int_rows(nu_raw, where + ".nu")
-    mu_raw = _need_list(_field(obj, "mu", where), where + ".mu")
-    if len(mu_raw) != n:
-        raise MalformedInput(where + ".mu", "expected %d levels, got %d" % (n, len(mu_raw)))
+    nu = _int_rows(_levels(_field(obj, "nu", where), n, where + ".nu"), where + ".nu")
     mu = []
-    for a, level in enumerate(mu_raw):
+    for a, level in enumerate(_levels(_field(obj, "mu", where), n, where + ".mu")):
         loc = "%s.mu[%d]" % (where, a)
-        _need_dict(level, loc)
-        rows = []
-        for i, pair in enumerate(_need_list(_field(level, "rows", loc), loc + ".rows")):
-            cells = _need_list(pair, "%s.rows[%d]" % (loc, i))
-            if len(cells) != 2:
+        rows = _int_rows(_field(_need_dict(level, loc), "rows", loc), loc + ".rows")
+        for i, row in enumerate(rows):
+            if len(row) != 2:
                 raise MalformedInput(
                     "%s.rows[%d]" % (loc, i), "expected [length, rigging]"
                 )
-            rows.append(
-                (
-                    _need_int(cells[0], "%s.rows[%d][0]" % (loc, i)),
-                    _need_int(cells[1], "%s.rows[%d][1]" % (loc, i)),
-                )
-            )
         mu.append(rows)
     origins = None
     if "origins" in obj:
-        origins_raw = _need_list(obj["origins"], where + ".origins")
-        if len(origins_raw) != n:
-            raise MalformedInput(
-                where + ".origins", "expected %d levels, got %d" % (n, len(origins_raw))
-            )
         origins = []
-        for a, level in enumerate(origins_raw):
+        for a, level in enumerate(_levels(obj["origins"], n, where + ".origins")):
             loc = "%s.origins[%d]" % (where, a)
-            entries = _need_list(level, loc)
-            if len(entries) != len(nu[a]):
+            if len(_need_list(level, loc)) != len(nu[a]):
                 raise MalformedInput(loc, "origins must mirror nu")
             origins.append(
                 [
                     x if x is None else _need_int(x, "%s[%d]" % (loc, i))
-                    for i, x in enumerate(entries)
+                    for i, x in enumerate(level)
                 ]
             )
     return RiggedConfiguration(n, nu, mu, origins)

@@ -25,31 +25,11 @@ Failure messages name their input in the codec's JSON, so it can be fed back
 to the CLI: a path to `led`, `phi` or `bbs`, a pair to `rmatrix` or `energy`.
 Yang-Baxter names its mode triple and x (x) y (x) z as a path.
 
-Yang-Baxter runs on interned affine elements: each (rows, mode) element
-gets a small int id, its index in a table (`_AffineTable`) whose entry i
-holds the affine R moves of element i, each filled by one call of the
-module-global apply_affine_R. A table is keyed by whole elements, modes
-included, and lives for one mode triple of one `check_yang_baxter` call (for
-verify, a rank's whole pool): 5,312 calls for verify's 53,040 lookups at the
-defaults. No table outlives the call, so a patch of apply_affine_R between
-calls is never hidden by an old entry. Each `_Moves` points back at its
-table, so the check empties a table once its mode triple is done: that
-breaks the cycle, and reference counting frees the table at once instead
-of the cycle collector some time later.
-
-The checks that need phi of a path (energy-equals-q, round-trip,
-removal-order, evolution-linearization) read it from the `Family` they walk:
-its paths, one object per tuple of factors, and their phi, each computed at
-most once while the Family lives. `family` keeps the Family of one set of
-bounds for the process (a new set replaces it), so the four suites of one
-`verify`, and of a later one with the same bounds, share phi: a suite's
-reported time leaves out any phi that an earlier suite already computed.
-Every lookup matches a Path by identity, and its hash is computed once.
-Evolution-linearization sweeps on rows and builds no tableau. Time
-evolution keeps factor shapes, so it finds T(p) in the Family's index,
-keyed by rank and factor rows, and a T(p) outside it is a failure.
-Removal-order compares the R image of one removal order with the other as
-rows, through the memoized step.
+Yang-Baxter runs on interned affine elements; `check_yang_baxter`,
+`_AffineTable` and `_Moves` say how. The checks that need phi of a path
+read it from the `Family` they walk, which `family` keeps for one set of
+bounds, so the phi suites of one `verify` share it; `Family` and `family`
+say how.
 """
 
 import time
@@ -221,10 +201,6 @@ def _pair_json(left, right):
     return codec.dump([codec.encode_tableau(left), codec.encode_tableau(right)]).rstrip()
 
 
-def _tableau_json(t):
-    return codec.dump(codec.encode_tableau(t)).rstrip()
-
-
 def _stabilization_l(p):
     return sum(b.width() for b in p.factors) + 1
 
@@ -338,7 +314,8 @@ def check_swapping_pairs(pairs):
 def check_energy_padding(items):
     """Padding a path with a highest u on either side keeps every E_l^(a),
     l up to stabilization + 1, and H(b (x) u) = 0 for every factor b.
-    items: (path, pads), one case per pad u."""
+    items: (path, pads), one case per pad u. A failure names the padded
+    path whose E changed, or the pair b (x) u, with the path."""
     cases, failures = 0, []
     for p, pads in items:
         n = p.rank_n
@@ -346,19 +323,21 @@ def check_energy_padding(items):
         base = {(a, l): total_energy(p, a, l) for a in levels for l in horizon}
         for u in pads:
             cases += 1
-            left, right = Path(n, (u,) + p.factors), Path(n, p.factors + (u,))
+            padded = Path(n, (u,) + p.factors), Path(n, p.factors + (u,))
             for (a, l), e in base.items():
-                if total_energy(left, a, l) != e or total_energy(right, a, l) != e:
+                q = next((q for q in padded if total_energy(q, a, l) != e), None)
+                if q is not None:
                     failures.append(
-                        "padding with %s changed E_%d^(%d) for %s"
-                        % (_tableau_json(u), l, a, _path_json(p))
+                        "padding changed E_%d^(%d) for %s, padded from %s"
+                        % (l, a, _path_json(q), _path_json(p))
                     )
                     break
             else:
-                if any(energy_H(TensorPair(b, u)) != 0 for b in p.factors):
+                b = next((b for b in p.factors if energy_H(TensorPair(b, u)) != 0), None)
+                if b is not None:
                     failures.append(
-                        "H(b (x) %s) != 0 for a factor b of %s"
-                        % (_tableau_json(u), _path_json(p))
+                        "H(b (x) u) != 0 on %s, b a factor of %s"
+                        % (_pair_json(b, u), _path_json(p))
                     )
     return cases, failures
 

@@ -31,6 +31,7 @@ re-validation, since their rows come from the validated path.
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 
 from kssbij.rigged import check_rank
 from kssbij.rmatrix import _move_energies, _sweep_step
@@ -322,36 +323,30 @@ LocalEnergyDistribution = namedtuple(
 
 
 def _level_weights(p):
-    """W_a for a = 1..n: #{letters > a} - sum of s_j * max(r_j - a, 0) over
-    the factors B^{r_j, s_j}, the letters > a in the first a rows.
+    """W_a for a = 1..n: the letters > a in the first a rows of the factors.
 
-    The LED rows of level a sum to W_a, so W_a is where its table ends. Row
-    r of a factor holds letters >= r, so W_a = 0 once no letter exceeds a.
+    The LED rows of level a sum to W_a, so W_a is where its table ends. A
+    letter x in row i counts toward W_i, ..., W_{x-1} (row i holds letters
+    >= i), so one pass over the cells fills a difference array whose prefix
+    sums are the W_a.
     """
-    count = [0] * (p.rank_n + 2)
+    diff = [0] * (p.rank_n + 2)
     for b in p.factors:
-        for row in b.rows:
+        for i, row in enumerate(b.rows, 1):
+            diff[i] += len(row)
             for x in row:
-                count[x] += 1
-    weights = [0] * p.rank_n
-    above = 0
-    for a in range(p.rank_n, 0, -1):
-        above += count[a + 1]
-        # no letter above a leaves W_a = 0 without a pass over the factors
-        if above:
-            weights[a - 1] = above - sum(
-                len(b.rows[0]) * (len(b.rows) - a) for b in p.factors if len(b.rows) > a
-            )
-    return weights
+                diff[x] -= 1
+    return list(accumulate(diff[1:-1]))
 
 
 def local_energy_distribution(p):
     """Tables of epsilon[l][(j,k)] for every level, each cut at its first all-zero row.
 
-    Level a sweeps l = 1, 2, ... until its rows sum to W_a (`_level_weights`),
-    then appends the zero row; a level with W_a = 0 gets the zero row alone
-    and sweeps nothing. So the cost grows with the largest letter the path
-    uses, not with the rank.
+    Level a sweeps l = 1, 2, ... until its rows sum to W_a, the letters > a
+    in the first a rows of the factors (`_level_weights`), then appends the
+    zero row; a level with W_a = 0 gets the zero row alone and sweeps
+    nothing. So the cost grows with the largest letter the path uses, not
+    with the rank.
     """
     shapes = p.shapes()
     columns = [(j, k) for j, (_, beta) in enumerate(shapes, 1) for k in range(1, beta + 1)]

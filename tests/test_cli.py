@@ -141,6 +141,13 @@ class TestPhiVerbs:
         assert code == 0
         assert json.loads(out) == json.loads(golden("path_3factor.json"))
 
+    @pytest.mark.parametrize("order", ["1,,2,0", "1,2,0,", ",1,2,0"])
+    def test_phi_inverse_order_with_empty_field(self, order):
+        # an empty field is an error, not a dropped index
+        code, out, err = cli("phi-inverse", str(GOLDEN / "rc_a1.json"), "--order", order)
+        assert (code, out) == (2, "")
+        assert err == "error: --order: expected comma-separated integers\n"
+
     def test_phi_inverse_default_order_uses_origins(self):
         code, out, _ = cli(
             "phi-inverse", str(GOLDEN / "rc_3factor.json"), "--format", "json"
@@ -288,6 +295,7 @@ class TestBbsVerb:
             ("1", "0", "1", "error: width must be >= 1"),
             ("3", "1", "0", "error: rows must be in 1..2 (got 3)"),
             ("1", "0", "0", "error: width must be >= 1"),
+            ("1", "1", "-1", "error: --steps must be >= 0"),
         ],
     )
     def test_rejects_bad_carrier_at_any_steps(self, a, l, steps, message):
@@ -396,6 +404,22 @@ class TestInsertVerb:
         )
         assert code == 0
         assert json.loads(out) == {"n": 5, "rows": [[1, 1, 1], [2, 2], [3]]}
+
+
+    @pytest.mark.parametrize("letters", ["1,,2", "1,2,", ",1", "1, ,2"])
+    def test_empty_field_is_malformed(self, letters):
+        code, out, err = cli(
+            "tableau-insert", "--letters", letters, stdin='{"n":1,"rows":[[1,2]]}'
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --letters: expected comma-separated integers\n"
+
+    def test_no_letters_insert_nothing(self):
+        code, out, _ = cli(
+            "tableau-insert", "--letters", "", "--format", "json",
+            stdin='{"n":1,"rows":[[1,2]]}',
+        )
+        assert (code, json.loads(out)) == (0, {"n": 1, "rows": [[1, 2]]})
 
 
 class TestReplayableFailures:
@@ -550,6 +574,91 @@ class TestPhiCheckFailures:
         assert harness.check_linearization(fam, [(self.CLEAN, 1, 1)]) == (1, [], 0)
 
 
+def _named_pair(msg):
+    # the pair of tableaux a failure message names, decoded from its JSON
+    pair, _ = json.JSONDecoder().raw_decode(msg, msg.index("["))
+    return [decode_tableau(obj) for obj in pair]
+
+
+class TestCheckFailures:
+    """Each failure branch of the checks on pairs and padded paths, reached
+    by patching the R, H or E that `harness` calls. Every message names its
+    input in the codec's JSON, which decodes back to it."""
+
+    U = Tableau(2, [[1]])
+
+    def test_r_not_involutive(self, monkeypatch):
+        pair, other = TensorPair(self.U, Tableau(2, [[2]])), TensorPair(Tableau(2, [[2]]), self.U)
+        monkeypatch.setattr(harness, "apply_R", lambda p: other)
+        cases, failures = harness.check_involutivity([pair])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("R not involutive on ")
+        assert _named_pair(failures[0]) == [pair.left, pair.right]
+
+    def test_h_changed_under_r(self, monkeypatch):
+        # R swaps the widths of the two factors, and this H reads the left one
+        pair = TensorPair(self.U, Tableau(2, [[1, 2]]))
+        monkeypatch.setattr(harness, "energy_H", lambda p: p.left.width())
+        cases, failures = harness.check_involutivity([pair])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("H changed under R on ")
+        assert _named_pair(failures[0]) == [pair.left, pair.right]
+
+    def test_r_does_not_swap(self, monkeypatch):
+        u, v = self.U, Tableau(2, [[1, 1]])
+        monkeypatch.setattr(harness, "apply_R", lambda p: p)
+        cases, failures = harness.check_swapping_pairs([(u, v)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("R does not swap ")
+        assert _named_pair(failures[0]) == [u, v]
+
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_padding_changes_e(self, monkeypatch, side):
+        # E reads 1 on the path padded on one side only, and 0 elsewhere
+        p = Path(2, [Tableau(2, [[2]])])
+        padded = Path(2, (self.U,) + p.factors if side == 0 else p.factors + (self.U,))
+        monkeypatch.setattr(
+            harness, "total_energy", lambda q, a, l: int(len(q) > 1 and q.factors[side] is self.U)
+        )
+        cases, failures = harness.check_energy_padding([(p, [self.U])])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("padding changed E_1^(1) for ")
+        assert _named_paths(failures[0]) == [padded, p]
+
+    def test_padding_h_nonzero(self, monkeypatch):
+        p = Path(2, [Tableau(2, [[2]])])
+        monkeypatch.setattr(harness, "energy_H", lambda pair: 1)
+        cases, failures = harness.check_energy_padding([(p, [self.U])])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("H(b (x) u) != 0 on ")
+        assert _named_pair(failures[0]) == [p.factors[0], self.U]
+        text = failures[0].split(" on ", 1)[1].split(", b a factor")[0]
+        code, out, _ = cli("energy", "--format", "json", stdin=text)
+        assert (code, json.loads(out)) == (0, {"H": 0})
+
+    def test_two_letter_h_reduction(self, monkeypatch):
+        # the pair has rank 2 and its bottom rows rank 1
+        v, w = harness.two_letter(2, 1, 1)
+        monkeypatch.setattr(harness, "energy_H", lambda pair: pair.left.rank_n)
+        cases, failures = harness.check_two_letter_reduction([(v, w)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("H reduction failed on ")
+        assert _named_pair(failures[0]) == [v, w]
+
+    def test_two_letter_r_reduction(self, monkeypatch):
+        # an R that swaps the pair but leaves its bottom rows in place
+        v, w = harness.two_letter(2, 1, 1)
+        monkeypatch.setattr(
+            harness,
+            "apply_R",
+            lambda pair: TensorPair(pair.right, pair.left) if pair.left.rank_n > 1 else pair,
+        )
+        cases, failures = harness.check_two_letter_reduction([(v, w)])
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("R reduction failed on ")
+        assert _named_pair(failures[0]) == [v, w]
+
+
 class TestVerifyVerb:
     def test_single_suite(self):
         code, out, _ = cli(
@@ -576,6 +685,37 @@ class TestVerifyVerb:
     def test_unknown_suite(self):
         code, _, _ = cli("verify", "--suite", "nope")
         assert code == 2
+        with pytest.raises(ValueError, match="^unknown suite\\(s\\): nope$"):
+            run_verify(suites=["nope"])
+
+    def test_bounds_must_be_positive(self):
+        assert cli("verify", "--max-n", "0") == (3, "", "error: bounds must be positive\n")
+
+    def test_text_report(self):
+        code, out, _ = cli("verify", "--max-n", "1")
+        assert code == 0
+        assert re.sub(r"\d+\.\d\ds\b", "T", out) == (
+            "yang-baxter                cases=250     failures=0    T\n"
+            "involutivity               cases=25      failures=0    T\n"
+            "energy-zero-highest        cases=4       failures=0    T\n"
+            "energy-padding             cases=10      failures=0    T\n"
+            "two-letter-reduction       cases=0       failures=0    T\n"
+            "energy-equals-q            cases=153     failures=0    T\n"
+            "round-trip                 cases=39      failures=0    T\n"
+            "removal-order              cases=53      failures=0    T\n"
+            "evolution-linearization    cases=117     failures=0    T\n"
+            "total: 651 cases, 0 failures, T\n"
+        )
+
+    def test_text_report_shows_ten_failures(self, monkeypatch):
+        real = harness.q_l
+        monkeypatch.setattr(harness, "q_l", lambda rc, a, l: real(rc, a, l) + 1)
+        report = run_verify(1, suites=["energy-equals-q"])
+        failures = report.results[0][2]
+        lines = re.sub(r"\d+\.\d\ds\b", "T", report.render()).split("\n")
+        assert lines[0] == "energy-equals-q            cases=153     failures=153  T"
+        assert lines[1:11] == ["    " + msg for msg in failures[:10]]
+        assert lines[11:] == ["    ... 143 more", "total: 153 cases, 153 failures, T"]
 
     def test_defaults_pinned(self):
         payload = run_verify().to_json()
@@ -920,6 +1060,52 @@ class TestCodec:
 
         with pytest.raises(MalformedInput):
             decode_rc({"n": 2, "nu": [[1]], "mu": [{"rows": []}, {"rows": []}]})
+
+
+class TestDecodeRcErrors:
+    """Every error `decode_rc` raises, with its location, read through
+    `rc-validate`: malformed JSON shapes exit 2 and name where they are, a
+    bad rank exits 3."""
+
+    @pytest.mark.parametrize(
+        "doc, location, message",
+        [
+            ([], "$", "expected an object, got an array"),
+            ({}, "$", "missing field 'n'"),
+            ({"n": True}, "$.n", "expected an integer, got a boolean"),
+            ({"n": 1}, "$", "missing field 'nu'"),
+            ({"n": 1, "nu": {}}, "$.nu", "expected an array, got an object"),
+            ({"n": 2, "nu": [[]]}, "$.nu", "expected 2 levels, got 1"),
+            ({"n": 1, "nu": [3]}, "$.nu[0]", "expected an array, got a number"),
+            ({"n": 1, "nu": [[1.5]]}, "$.nu[0][0]", "expected an integer, got a number"),
+            ({"n": 1, "nu": [["x"]]}, "$.nu[0][0]", "expected an integer, got a string"),
+            ({"n": 1, "nu": [[]]}, "$", "missing field 'mu'"),
+            ({"n": 1, "nu": [[]], "mu": "x"}, "$.mu", "expected an array, got a string"),
+            ({"n": 2, "nu": [[], []], "mu": [{"rows": []}]}, "$.mu", "expected 2 levels, got 1"),
+            ({"n": 1, "nu": [[]], "mu": [[]]}, "$.mu[0]", "expected an object, got an array"),
+            ({"n": 1, "nu": [[]], "mu": [{}]}, "$.mu[0]", "missing field 'rows'"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": None}]}, "$.mu[0].rows", "expected an array, got null"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": [1]}]}, "$.mu[0].rows[0]", "expected an array, got a number"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": [[1]]}]}, "$.mu[0].rows[0]", "expected [length, rigging]"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": [[1, 0], [1, 0, 0]]}]}, "$.mu[0].rows[1]", "expected [length, rigging]"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": [[1, 0], ["1", 0]]}]}, "$.mu[0].rows[1][0]", "expected an integer, got a string"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": [[1, None]]}]}, "$.mu[0].rows[0][1]", "expected an integer, got null"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": []}], "origins": {}}, "$.origins", "expected an array, got an object"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": []}], "origins": []}, "$.origins", "expected 1 levels, got 0"),
+            ({"n": 1, "nu": [[]], "mu": [{"rows": []}], "origins": [5]}, "$.origins[0]", "expected an array, got a number"),
+            ({"n": 1, "nu": [[1]], "mu": [{"rows": []}], "origins": [[]]}, "$.origins[0]", "origins must mirror nu"),
+            ({"n": 1, "nu": [[1]], "mu": [{"rows": []}], "origins": [[True]]}, "$.origins[0][0]", "expected an integer, got a boolean"),
+            # the rank is checked before anything that names it
+            ({"n": 0, "nu": [[]]}, None, "rank_n must be an integer >= 1"),
+            ({"n": -1}, None, "rank_n must be an integer >= 1"),
+        ],
+    )
+    def test_error(self, doc, location, message):
+        code, out, err = cli("rc-validate", stdin=json.dumps(doc))
+        if location is None:
+            assert (code, out, err) == (3, "", "error: %s\n" % message)
+        else:
+            assert (code, out, err) == (2, "", "error: %s: %s\n" % (location, message))
 
 
 class TestFuzz:

@@ -92,6 +92,9 @@ class TestConstruction:
                 RiggedConfiguration(1, nu, [[]], origins)
         with pytest.raises(ValueError, match="distinct"):
             RiggedConfiguration(2, [[1], [1]], [[], []], [[2], [2]])
+        for origins in ([[]], [[1, 2]], [[1], []]):
+            with pytest.raises(ValueError, match="^origins must mirror the quantum space$"):
+                RiggedConfiguration(1, [[1]], [[]], origins)
         rc = RiggedConfiguration(2, [[1], [1, 3]], [[], []], [[None], [4, None]])
         assert rc.origins == ((None,), (4, None))
 

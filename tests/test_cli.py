@@ -716,6 +716,10 @@ class TestVerifyVerb:
         assert lines[0] == "energy-equals-q            cases=153     failures=153  T"
         assert lines[1:11] == ["    " + msg for msg in failures[:10]]
         assert lines[11:] == ["    ... 143 more", "total: 153 cases, 153 failures, T"]
+        # the "more" line starts at the eleventh failure
+        for count, more in ((10, []), (11, ["    ... 1 more"])):
+            report = harness.Report([("s", count, ["f"] * count, 0.0)], 0.0)
+            assert report.render().split("\n")[11:-1] == more
 
     def test_defaults_pinned(self):
         payload = run_verify().to_json()
@@ -1076,6 +1080,7 @@ class TestDecodeRcErrors:
             ({"n": 1}, "$", "missing field 'nu'"),
             ({"n": 1, "nu": {}}, "$.nu", "expected an array, got an object"),
             ({"n": 2, "nu": [[]]}, "$.nu", "expected 2 levels, got 1"),
+            ({"n": 1, "nu": [[], []]}, "$.nu", "expected 1 levels, got 2"),
             ({"n": 1, "nu": [3]}, "$.nu[0]", "expected an array, got a number"),
             ({"n": 1, "nu": [[1.5]]}, "$.nu[0][0]", "expected an integer, got a number"),
             ({"n": 1, "nu": [["x"]]}, "$.nu[0][0]", "expected an integer, got a string"),
@@ -1094,6 +1099,7 @@ class TestDecodeRcErrors:
             ({"n": 1, "nu": [[]], "mu": [{"rows": []}], "origins": []}, "$.origins", "expected 1 levels, got 0"),
             ({"n": 1, "nu": [[]], "mu": [{"rows": []}], "origins": [5]}, "$.origins[0]", "expected an array, got a number"),
             ({"n": 1, "nu": [[1]], "mu": [{"rows": []}], "origins": [[]]}, "$.origins[0]", "origins must mirror nu"),
+            ({"n": 1, "nu": [[1]], "mu": [{"rows": []}], "origins": [[1, 2]]}, "$.origins[0]", "origins must mirror nu"),
             ({"n": 1, "nu": [[1]], "mu": [{"rows": []}], "origins": [[True]]}, "$.origins[0][0]", "expected an integer, got a boolean"),
             # the rank is checked before anything that names it
             ({"n": 0, "nu": [[]]}, None, "rank_n must be an integer >= 1"),

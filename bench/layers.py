@@ -1,5 +1,5 @@
-"""Per-suite `verify` times, the carrier sweep layer and end-to-end benchmark
-pairs, written as one BENCH_*.json.
+"""Per-suite `verify` times, the carrier sweep and box removal layers and
+end-to-end benchmark pairs, written as one BENCH_*.json.
 
 Run from the repository root:
 
@@ -19,7 +19,15 @@ rows sweep that `verify` runs (and perfbench's tracer does not see), and
 `evolution.carrier_sweep`, the public one. The first pass starts on an
 empty step cache (cold), the second reuses it (warm).
 
-With --parent REV, the suite rounds also run on a `git archive` copy of REV,
+Box removal layer: per side (this working tree, and REV's copy with
+--parent), each round times `kss.phi_inverse` in a fresh process over the
+phi images of the first set of bounds' `family(...)`, round-trip's inputs,
+and over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
+`Random(3)`, drawn for L = 200 and then 400). Each input set takes the best
+of 5 passes; the file holds the spread over the rounds of the seconds per
+call. Every input is checked to come back as its path first.
+
+With --parent REV, the suite and box removal rounds also run on a `git archive` copy of REV,
 the two sides alternating which runs first, and then 10 alternating pairs
 of `perfbench/run.py --workload W --seed i --seconds S --trace 0` run end
 to end for each --workload, pair i with seed i on both sides, S being
@@ -57,6 +65,10 @@ TIMEOUT_S = 900
 # end-to-end pairs per workload
 PAIRS = 10
 SWEEPS = ("_evolve", "carrier_sweep")
+# box removal's inputs besides the family: B^{1,1} chain lengths, and the
+# passes over each input set of which a round keeps the fastest
+CHAINS = (200, 400)
+PASSES = 5
 
 SUITE_ROUND = """
 import json, resource, sys
@@ -86,6 +98,34 @@ for _ in range(2):
         sweep(*item)
     passes.append(time.perf_counter() - start)
 print(json.dumps({"items": len(items), "cold_s": passes[0], "warm_s": passes[1]}))
+"""
+
+PHI_INVERSE_ROUND = """
+import json, random, sys, time
+from kssbij.cli.harness import family
+from kssbij.evolution import Path
+from kssbij.kss import phi_energy, phi_inverse
+from kssbij.tableaux import Tableau
+max_n, max_l, max_s, passes = map(int, sys.argv[1:5])
+inputs = {"family": list(family(max_n, max_l, max_s).paths)}
+rng = random.Random(3)
+for length in map(int, sys.argv[5:]):
+    inputs["chain_%d" % length] = [
+        Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(length)])]
+out = {}
+for name, paths in inputs.items():
+    rcs = [phi_energy(p) for p in paths]
+    if [phi_inverse(rc) for rc in rcs] != paths:
+        sys.exit("%s: phi_inverse(phi(p)) != p" % name)
+    best = None
+    for _ in range(passes):
+        start = time.perf_counter()
+        for rc in rcs:
+            phi_inverse(rc)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    out[name] = {"inputs": len(rcs), "per_call_s": best / len(rcs)}
+print(json.dumps(out))
 """
 
 
@@ -215,6 +255,26 @@ def sweep_times(copy, bounds, rounds):
     return out
 
 
+def phi_inverse_times(sides, bounds, rounds):
+    """Per side, the spread over the rounds of phi_inverse's seconds per call
+    on each input set, with the number of inputs."""
+    data = {side: [] for side in sides}
+    for r in range(rounds):
+        order = list(sides) if r % 2 == 0 else list(reversed(sides))
+        for side in order:
+            data[side].append(child(sides[side], PHI_INVERSE_ROUND, *bounds, PASSES, *CHAINS))
+    out = {"bounds": list(bounds), "rounds": rounds, "chains": list(CHAINS), "passes": PASSES}
+    for side, results in data.items():
+        out[side] = {
+            name: {
+                "inputs": first["inputs"],
+                "per_call_s": spread([res[name]["per_call_s"] for res in results]),
+            }
+            for name, first in results[0].items()
+        }
+    return out
+
+
 def benchmark_run(source, scratch, workload, seed, seconds):
     """One end-to-end run of perfbench/run.py on a fresh copy of source."""
     if scratch.exists():
@@ -303,6 +363,7 @@ def main(argv=None):
                          "workloads": workloads, "seconds": seconds},
             "suite_times": [suite_times(sides, b, args.rounds) for b in bounds],
             "sweep": sweep_times(sides["change"], bounds[0], args.rounds),
+            "phi_inverse": phi_inverse_times(sides, bounds[0], args.rounds),
             "end_to_end": None,
         }
         if args.parent:

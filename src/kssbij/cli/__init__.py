@@ -109,7 +109,8 @@ def cmd_phi(args):
 
 def cmd_phi_inverse(args):
     rc = codec.decode_rc(_read_json(args))
-    order = _parse_ints(args.order, "--order") if args.order else None
+    # an explicit order, even an empty one, is checked as a permutation
+    order = None if args.order is None else _parse_ints(args.order, "--order")
     p = kss.phi_inverse(rc, order)
     return _emit(args, codec.encode_path(p), lambda: render.render_path(p))
 

@@ -5,19 +5,17 @@ distribution: positive entries are grouped into soliton chains, group lengths
 become configuration rows, riggings come from a closed-form count. phi_inverse
 is the classical box-removal reconstruction; removing a quantum-space row of
 length s at level a produces one path factor in B^{a+1,s}, column by column.
-Box removal works on a mutable copy of the configuration in which the box in
-transport is a length-1 quantum row, so the vacancy formula of rigged gives
-every vacancy number and one driver, _remove_rows, serves phi_inverse,
-remove_row and removal_order_equivalence. Each of these checks the
-configuration and its flat indices once, in _checked_rows; after that box
-removal re-derives nothing it builds. A micro-step holds its chosen rows by
-reference, and _remove_row checks each letter against its neighbours as it
-comes, so the factors and the path are wrapped without being validated
-again.
+phi_inverse, remove_row and removal_order_equivalence each build one working
+state, _State, in one pass: it validates the configuration, reads its
+quantum rows once and checks the flat indices. In the state the box in
+transport is a length-1 quantum row, so rigged's vacancy formula, fed the
+state's level lists, gives every vacancy number. A micro-step holds its
+chosen rows by reference, and _remove_row checks each letter against its
+neighbours as it comes, so the factors and the path are wrapped without
+being validated again.
 """
 
 from collections import namedtuple
-from operator import itemgetter
 
 from kssbij.evolution import Path, local_energy_distribution
 from kssbij.rigged import RiggedConfiguration, _integer, _vacancy, validate
@@ -134,29 +132,59 @@ def linearized_image(rc, a, l):
 
 
 class _State:
-    """Mutable working copy of a rigged configuration during box removal.
+    """Box removal's working copy of a valid rigged configuration, built in
+    one pass: _State(rc, order) validates rc (ValueError), reads
+    rc.quantum_rows() once and takes from that loop each row's flat index
+    (flats mirrors nu), level (levels[flat]) and origin (origins[flat]).
+    order is the removal order: the given flat indices, each checked
+    (ValueError for one that is not an int or names no row), or by default
+    reverse origin order when every row has an origin, else reverse flats.
 
-    It has the fields of a RiggedConfiguration that rigged._vacancy reads, as
-    lists: rank_n, nu (row lengths) and mu ([length, rigging] rows, which a
-    micro-step holds by reference while it moves boxes), so
-    _vacancy(state, a, l) gives every vacancy number. flats mirrors nu with
-    each quantum row's flat index, and origins[flat] is that row's origin.
-    The box in transport is a length-1 row at the end of its level with flat
-    index None, so while present it counts toward the vacancy numbers one
-    level up. A row is deleted when its length reaches 0.
+    rank_n, nu (row lengths) and mu ([length, rigging] rows, which a
+    micro-step holds by reference) are lists, read like a configuration's;
+    padded is mu between two empty levels, so padded[m - 1 : m + 2] are the
+    levels that the vacancy numbers of level m sum. The box in transport is
+    a length-1 row at the end of its level with flat index None, so it
+    counts toward the vacancy numbers one level up. Empty rows are deleted.
     """
 
-    __slots__ = ("rank_n", "nu", "mu", "flats", "origins")
+    __slots__ = ("rank_n", "nu", "mu", "padded", "flats", "levels", "origins", "order")
 
-    def __init__(self, rc, quantum_rows):
+    def __init__(self, rc, order):
+        problems = validate(rc, "unrestricted")
+        if problems:
+            raise ValueError("invalid rigged configuration: " + "; ".join(problems))
         self.rank_n = rc.rank_n
-        self.nu = list(map(list, rc.nu))
-        self.mu = [list(map(list, level)) for level in rc.mu]
         self.flats = flats = [[] for _ in rc.nu]
-        self.origins = []
-        for flat, a, _, _, origin in quantum_rows:
+        self.levels = levels = []
+        self.origins = origins = []
+        for flat, a, _, _, origin in rc.quantum_rows():
             flats[a].append(flat)
-            self.origins.append(origin)
+            levels.append(a)
+            origins.append(origin)
+        if order is None:
+            # origins are pairwise distinct, so a reverse sort leaves no ties
+            order = range(len(levels) - 1, -1, -1)
+            if None not in origins:
+                order = sorted(order, key=origins.__getitem__, reverse=True)
+        else:
+            for flat in order:
+                if not 0 <= _integer(flat, "flat index") < len(levels):
+                    raise ValueError("no quantum row %d" % flat)
+        self.order = order
+        self.nu = list(map(list, rc.nu))
+        self.mu = [[[m, r] for m, r in level] for level in rc.mu]
+        self.padded = [(), *self.mu, ()]
+
+    def copy(self):
+        """A copy that box removal can change apart from this state."""
+        other = object.__new__(_State)
+        other.rank_n, other.levels, other.origins = self.rank_n, self.levels, self.origins
+        other.order = self.order
+        other.nu, other.flats = [level[:] for level in self.nu], [level[:] for level in self.flats]
+        other.mu = [[row[:] for row in level] for level in self.mu]
+        other.padded = [(), *other.mu, ()]
+        return other
 
     def view(self):
         """The state as a RiggedConfiguration; the box in transport has no origin."""
@@ -186,31 +214,32 @@ def _micro_step(state, i, pos):
     the box lands at the end of nu^(i-1) (it leaves at i = 0), and shortened
     rows get their new vacancy number as rigging.
     """
-    mu = state.mu
-    level = state.nu[i]
+    nu = state.nu
+    mu = state.padded
+    level = nu[i]
     col_x = level[pos]
-    n = state.rank_n
     chosen = []
     prev = col_x
     m = i + 1
-    while m <= n:
+    for here in state.mu[i:] if i else state.mu:  # mu^(i+1), mu^(i+2), ...
         best = None
         # nothing moves until every level is chosen, so a candidate as long
         # as the one before reuses its vacancy number (a dict over all
         # lengths saves few more calls and costs small inputs about 4%)
         last = None
-        for row in mu[m - 1]:
+        for row in here:
             length = row[0]
-            if prev <= length and (best is None or length < best[0]):
+            if prev <= length and (best is None or length < best_length):
                 if length != last:
                     last = length
-                    p = _vacancy(state, m, length)
+                    p = _vacancy(nu[m - 1], mu[m - 1], here, mu[m + 1], length)
                 if p == row[1]:
                     best = row
+                    best_length = length
         if best is None:
             break
         chosen.append(best)
-        prev = best[0]
+        prev = best_length
         m += 1
 
     if col_x > 1:
@@ -219,48 +248,53 @@ def _micro_step(state, i, pos):
         del level[pos]
         del state.flats[i][pos]
     if i:
-        state.nu[i - 1].append(1)
+        nu[i - 1].append(1)
         state.flats[i - 1].append(None)
-    # the selection takes no row shorter than the one before, so a column
-    # can only go down here when one row sits at two levels (a corrupt state)
-    prev = col_x
-    for row in chosen:
-        length = row[0]
-        if length < prev:
-            raise AssertionError("removed box columns must weakly increase with level")
-        row[0] = length - 1
-        prev = length
-    # a row of length 0 adds nothing to any Q, and each level holds at most
-    # one chosen row, so deleting one leaves the others' vacancies alone
-    for lev, row in enumerate(chosen, i + 1):
-        if row[0]:
-            row[1] = _vacancy(state, lev, row[0])
-        else:
-            mu[lev - 1].remove(row)
+    if chosen:
+        # the selection takes no row shorter than the one before, so a column
+        # can only go down here when one row sits at two levels (a corrupt state)
+        prev = col_x
+        for row in chosen:
+            length = row[0]
+            if length < prev:
+                raise AssertionError("removed box columns must weakly increase with level")
+            row[0] = length - 1
+            prev = length
+        # a row of length 0 adds nothing to any Q, and each level holds at most
+        # one chosen row, so deleting one leaves the others' vacancies alone
+        lev = i
+        for row in chosen:
+            lev += 1
+            if row[0]:
+                row[1] = _vacancy(nu[lev - 1], mu[lev - 1], mu[lev], mu[lev + 1], row[0])
+            else:
+                mu[lev].remove(row)
     return m
 
 
-def _remove_row(state, a, flat):
-    """Dismantles one quantum row of nu^(a) box by box, right to left, and
-    returns its factor tableau in B^{a+1, s}.
+def _remove_row(state, flat):
+    """Dismantles quantum row flat, of nu^(a), box by box, right to left,
+    and returns its factor tableau in B^{a+1, s}.
 
     The letters of each box form the leftmost empty column, top to bottom.
     Each letter is checked as it comes against the one below it and the one
     to its left, so the factor is semistandard when it is wrapped.
     """
+    a = state.levels[flat]
     flats = state.flats
     pos = flats[a].index(flat)
-    s = state.nu[a][pos]
+    step = _micro_step
+    top = state.rank_n + 2
     # columns bottom to top; the first is checked against a column of zeros
     columns = []
     left = (0,) * (a + 1)
-    for b in range(1, s + 1):
+    for b in range(1, state.nu[a][pos] + 1):
         column = []
-        below = state.rank_n + 2
+        below = top
         p = pos
-        for i, to_left in zip(range(a, -1, -1), left):
-            letter = _micro_step(state, i, p)
-            p = -1
+        i = a
+        for to_left in left:
+            letter = step(state, i, p)
             if letter >= below:
                 raise AssertionError(
                     "reconstructed factor is not semistandard: "
@@ -273,6 +307,8 @@ def _remove_row(state, a, flat):
                 )
             column.append(letter)
             below = letter
+            p = -1
+            i -= 1
         for level in flats:
             if None in level:
                 raise AssertionError("transported box left behind")
@@ -283,37 +319,6 @@ def _remove_row(state, a, flat):
     # valid by construction: letters lie in 1..n+1, and the checks above
     # make the rows weakly and the columns strictly increasing
     return Tableau._trusted(state.rank_n, tuple(zip(*columns))[::-1])
-
-
-def _default_order(rows):
-    # origins are pairwise distinct, so a reverse sort leaves no ties
-    if rows and None not in [row[4] for row in rows]:
-        rows = sorted(rows, key=itemgetter(4), reverse=True)
-    else:
-        rows = reversed(rows)
-    return [row[0] for row in rows]
-
-
-def _checked_rows(rc, flats=()):
-    """rc.quantum_rows() of a valid rc whose quantum rows include every flat
-    index in flats; raises ValueError for an invalid rc and for a flat index
-    that is not an int (a bool or a float) or names no quantum row."""
-    problems = validate(rc, "unrestricted")
-    if problems:
-        raise ValueError("invalid rigged configuration: " + "; ".join(problems))
-    rows = rc.quantum_rows()
-    for flat in flats:
-        if not 0 <= _integer(flat, "flat index") < len(rows):
-            raise ValueError("no quantum row %d" % flat)
-    return rows
-
-
-def _remove_rows(rc, rows, order):
-    """The box-removal driver: removes the quantum rows (rows =
-    _checked_rows(rc, order)) of a valid rc in the given order of flat
-    indices; returns (factors in removal order, remaining state)."""
-    state = _State(rc, rows)
-    return [_remove_row(state, rows[flat][1], flat) for flat in order], state
 
 
 def phi_inverse(rc, order=None):
@@ -327,15 +332,10 @@ def phi_inverse(rc, order=None):
     Raises ValueError when boxes of mu are left once every quantum row is
     removed: such a configuration is not the image of any path.
     """
-    if order is None:
-        rows = _checked_rows(rc)
-        order = _default_order(rows)
-    else:
-        order = list(order)
-        rows = _checked_rows(rc, order)
-        if sorted(order) != list(range(len(rows))):
-            raise ValueError("order must be a permutation of 0..%d" % (len(rows) - 1))
-    produced, state = _remove_rows(rc, rows, order)
+    state = _State(rc, None if order is None else list(order))
+    if order is not None and sorted(state.order) != list(range(len(state.levels))):
+        raise ValueError("order must be a permutation of 0..%d" % (len(state.levels) - 1))
+    produced = [_remove_row(state, flat) for flat in state.order]
     if any(state.mu):
         left = ["level %d: %s" % (a, level) for a, level in enumerate(state.mu, 1) if level]
         raise ValueError(
@@ -348,9 +348,8 @@ def phi_inverse(rc, order=None):
 
 def remove_row(rc, flat_index):
     """Removes a single quantum row; returns (factor tableau, remaining rc)."""
-    rows = _checked_rows(rc, [flat_index])
-    (tab,), state = _remove_rows(rc, rows, [flat_index])
-    return tab, state.view()
+    state = _State(rc, [flat_index])
+    return _remove_row(state, flat_index), state.view()
 
 
 def removal_order_equivalence(rc, row_a, row_b):
@@ -358,9 +357,10 @@ def removal_order_equivalence(rc, row_a, row_b):
     factor pairs correspond under the combinatorial R. The R image of the
     first pair is read as rows from the memoized step (`rmatrix._sweep_step`)
     and compared with the second pair's rows, so no pair is built."""
-    rows = _checked_rows(rc, [row_a, row_b])
+    first = _State(rc, [row_a, row_b])
     if row_a == row_b:
         raise ValueError("rows must be distinct")
-    (a1, b1), _ = _remove_rows(rc, rows, [row_a, row_b])
-    (b2, a2), _ = _remove_rows(rc, rows, [row_b, row_a])
+    second = first.copy()
+    a1, b1 = _remove_row(first, row_a), _remove_row(first, row_b)
+    b2, a2 = _remove_row(second, row_b), _remove_row(second, row_a)
     return _sweep_step(b1.rows, a1.rows)[:2] == (a2.rows, b2.rows)

@@ -166,27 +166,26 @@ def vacancy(rc, a, l):
         raise ValueError("level out of range")
     if _integer(l, "width") < 0:
         raise ValueError("width must be >= 0")
-    return _vacancy(rc, a, l)
+    mu = [(), *rc.mu, ()]
+    return _vacancy(rc.nu[a - 1], mu[a - 1], mu[a], mu[a + 1], l)
 
 
-def _vacancy(rc, a, l):
-    # vacancy without its checks, for validate and box removal (whose
-    # working state serves as rc), where a and l are ints in range by
-    # construction. The Q terms are summed here, not through q_l, which
-    # checks a and l; plain loops, since generators and min() cost 4x
-    n = rc.rank_n
-    mu = rc.mu
+def _vacancy(nu, below, here, above, l):
+    # p_l^(a) without its checks, from the level lists it sums: nu^(a-1)
+    # (row lengths), then mu^(a-1), mu^(a) and mu^(a+1) ((length, rigging)
+    # rows, () off levels 1..n), with l an int >= 0. vacancy, validate and
+    # box removal (whose working state keeps mu between two empty levels, as
+    # they do) pass the lists. The Q terms are summed here, not through q_l,
+    # which checks a and l; plain loops, since generators and min() cost 4x
     p = 0
-    for x in rc.nu[a - 1]:
+    for x in nu:
         p += x if x < l else l
-    for m, _ in mu[a - 1]:
+    for m, _ in below:
+        p += m if m < l else l
+    for m, _ in here:
         p -= 2 * (m if m < l else l)
-    if a > 1:
-        for m, _ in mu[a - 2]:
-            p += m if m < l else l
-    if a < n:
-        for m, _ in mu[a]:
-            p += m if m < l else l
+    for m, _ in above:
+        p += m if m < l else l
     return p
 
 
@@ -199,6 +198,8 @@ def validate(rc, mode="restricted"):
     if mode not in ("restricted", "unrestricted"):
         raise ValueError("mode must be 'restricted' or 'unrestricted'")
     problems = []
+    # mu^(a-1), mu^(a) and mu^(a+1) are mu[a - 1], mu[a] and mu[a + 1]
+    mu = [(), *rc.mu, ()]
     for a in range(1, rc.rank_n + 1):
         if mode == "restricted":
             # p_l^(a) is constant once l reaches every part in sight
@@ -208,11 +209,11 @@ def validate(rc, mode="restricted"):
                 if 1 <= lev <= rc.rank_n:
                     horizon.extend(m for m, _ in rc.mu[lev - 1])
             for l in range(1, max(horizon) + 1):
-                p = _vacancy(rc, a, l)
+                p = _vacancy(rc.nu[a - 1], mu[a - 1], mu[a], mu[a + 1], l)
                 if p < 0:
                     problems.append("vacancy p_%d^(%d) = %d is negative" % (l, a, p))
         for i, (m, r) in enumerate(rc.mu[a - 1]):
-            p = _vacancy(rc, a, m)
+            p = _vacancy(rc.nu[a - 1], mu[a - 1], mu[a], mu[a + 1], m)
             if r > p:
                 problems.append(
                     "rigging %d exceeds vacancy %d at level %d row %d" % (r, p, a, i + 1)

@@ -192,7 +192,7 @@ def test_criterion_04_box_removal_example():
         assert phi_inverse(rc, order=[1, 2, 0]) == EXAMPLE_PATH
         # during the first box removal the transit box raises p_3^(1) to 2,
         # and it reads 1 again once the box has left
-        state = kss._State(rc, rc.quantum_rows())
+        state = kss._State(rc, None)
         kss._micro_step(state, 1, state.flats[1].index(1))
         assert vacancy(state, 1, 3) == 2
         kss._micro_step(state, 0, -1)

@@ -31,8 +31,8 @@ def test_smallest_run_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {
-        "commit", "dirty", "end_to_end", "machine", "parent", "settings", "sources", "suite_times",
-        "sweep",
+        "commit", "dirty", "end_to_end", "machine", "parent", "phi_inverse", "settings", "sources",
+        "suite_times", "sweep",
     }
     assert report["settings"] == {
         "bounds": [[1, 1, 1]], "rounds": 1, "pairs": 10, "workloads": ["verify-default"],
@@ -56,6 +56,13 @@ def test_smallest_run_schema(tmp_path):
     for name in ("_evolve", "carrier_sweep"):
         assert set(sweep[name]) == {"cold_s", "warm_s"}
         assert all(is_spread(v, 1) for v in sweep[name].values())
+    removal = report["phi_inverse"]
+    assert set(removal) == {"bounds", "rounds", "chains", "passes", "change"}
+    assert (removal["bounds"], removal["rounds"], removal["chains"]) == ([1, 1, 1], 1, [200, 400])
+    # round-trip's inputs: one phi image per family path
+    inputs = {"family": change["suites"]["round-trip"]["cases"], "chain_200": 1, "chain_400": 1}
+    assert {name: t["inputs"] for name, t in removal["change"].items()} == inputs
+    assert all(is_spread(t["per_call_s"], 1) for t in removal["change"].values())
 
 
 def test_wins_follow_each_metric_direction():

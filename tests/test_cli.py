@@ -148,6 +148,14 @@ class TestPhiVerbs:
         assert (code, out) == (2, "")
         assert err == "error: --order: expected comma-separated integers\n"
 
+    @pytest.mark.parametrize("order", ["", " "])
+    def test_phi_inverse_empty_order_is_not_the_default(self, order):
+        # an explicit empty order names no row, so it is no permutation of
+        # the three quantum rows; only an omitted --order means the default
+        code, out, err = cli("phi-inverse", str(GOLDEN / "rc_a1.json"), "--order", order)
+        assert (code, out) == (3, "")
+        assert err == "error: order must be a permutation of 0..2\n"
+
     def test_phi_inverse_default_order_uses_origins(self):
         code, out, _ = cli(
             "phi-inverse", str(GOLDEN / "rc_3factor.json"), "--format", "json"

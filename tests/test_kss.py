@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kssbij import kss
+from kssbij import kss, rigged
 from kssbij.cli import run as cli_run
 from kssbij.cli.codec import decode_rc, encode_rc
 from kssbij.cli.harness import Family, check_energy_equals_q, check_removal_order, family
@@ -216,7 +216,7 @@ class TestTrace:
     def test_checkpoints_and_step_invariant(self):
         # the first micro-steps of removing quantum row 1 (flat index 1)
         rc = rc_a1()
-        state = kss._State(rc, rc.quantum_rows())
+        state = kss._State(rc, None)
         assert vacancy(state, 1, 3) == 1
         assert kss._micro_step(state, 1, state.flats[1].index(1)) == 2
         # while the transit box sits at level 0, p_3^(1) reads 2
@@ -277,13 +277,40 @@ class TestRemoveRow:
         calls = []
         vacancy_ = kss._vacancy
 
-        def counted(state, a, l):
-            calls.append((a, l))
-            return vacancy_(state, a, l)
+        def counted(*args):
+            calls.append(args)
+            return vacancy_(*args)
 
         monkeypatch.setattr(kss, "_vacancy", counted)
         assert phi_inverse(rc) == p
         assert len(calls) <= 6696 // 3
+
+    def test_family_costs_no_more(self, monkeypatch):
+        # phi_inverse over the 402 phi images of family(2, 3, 2), which are
+        # round-trip's inputs: the vacancy numbers that validate and box
+        # removal compute and the quantum-row reads stay within the counts
+        # of the two-pass state before the one-pass one (2,815 and 402)
+        rcs = [phi_energy(p) for p in family(2, 3, 2).paths]
+        counts = {"vacancy": 0, "quantum_rows": 0}
+        vacancy_ = rigged._vacancy
+        quantum_rows = RiggedConfiguration.quantum_rows
+
+        def counted_vacancy(*args):
+            counts["vacancy"] += 1
+            return vacancy_(*args)
+
+        def counted_rows(rc):
+            counts["quantum_rows"] += 1
+            return quantum_rows(rc)
+
+        monkeypatch.setattr(rigged, "_vacancy", counted_vacancy)
+        monkeypatch.setattr(kss, "_vacancy", counted_vacancy)
+        monkeypatch.setattr(RiggedConfiguration, "quantum_rows", counted_rows)
+        for rc in rcs:
+            phi_inverse(rc)
+        assert len(rcs) == 402
+        assert 0 < counts["vacancy"] <= 2815
+        assert counts["quantum_rows"] <= 402
 
 
 class TestRemovalOrder:
@@ -385,8 +412,8 @@ class _AliasedState(kss._State):
     rigging that is singular at levels 1 and 2, so a micro-step chooses it
     twice and takes a box from it twice."""
 
-    def __init__(self, rc, quantum_rows):
-        super().__init__(rc, quantum_rows)
+    def __init__(self, rc, order):
+        super().__init__(rc, order)
         row = self.mu[0][0]
         row[1] = 0
         self.mu[1].append(row)

@@ -3,42 +3,39 @@ end-to-end benchmark pairs, written as one BENCH_*.json.
 
 Run from the repository root:
 
-    python3 bench/layers.py --out BENCH_26.json --parent HEAD~1
-    python3 bench/layers.py --out bench.json --bounds 1,1,1 --rounds 1   # smallest size
+    python3 bench/layers.py --out BENCH_<n>.json --parent <rev>
 
-Suite times: each round runs `harness.run_verify` untraced in a fresh
-process, once per set of bounds (by default the `verify` defaults 2,3,2 and
-`--max-n 3`), and reads each suite's elapsed time from `Report.results`,
-with the total time and the process's max RSS. The file holds the median and
-quartiles of each over the rounds.
+A layer is a snippet that prints one JSON object per fresh process. It runs
+ROUNDS (11) times on each side, this working tree and with --parent REV a
+`git archive` copy of REV, the sides alternating which goes first. One rule
+turns the rounds into the record: an integer is a count, the same in every
+round or the run stops naming the layer and key, and a float becomes its
+median and quartiles. The layers:
 
-Sweep layer: on this working tree only, each round times two passes of one
-sweep function over evolution-linearization's (p, a, l) items at the first
-set of bounds, in a fresh process per function: `evolution._evolve`, the
-rows sweep that `verify` runs (and perfbench's tracer does not see), and
-`evolution.carrier_sweep`, the public one. The first pass starts on an
-empty step cache (cold), the second reuses it (warm).
+- Suite times at each of BOUNDS (`verify`'s defaults and `--max-n 3`):
+  `harness.run_verify` untraced, each suite's cases and time from
+  `Report.results`, the total cases, failures and time, and max RSS.
+- Sweep, per function, at the first BOUNDS: two passes over
+  evolution-linearization's (p, a, l) items, cold (empty step cache) then
+  warm, of `evolution._evolve`, the rows sweep that `verify` runs and
+  perfbench's tracer does not see, and of the public `carrier_sweep`.
+- Box removal: `kss.phi_inverse` per call, the best of 5 passes, over the
+  phi images of the first BOUNDS' `family(...)` (round-trip's inputs) and
+  over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
+  `Random(3)`, drawn for L = 200 and then 400); each input must first come
+  back as its path.
 
-Box removal layer: per side (this working tree, and REV's copy with
---parent), each round times `kss.phi_inverse` in a fresh process over the
-phi images of the first set of bounds' `family(...)`, round-trip's inputs,
-and over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
-`Random(3)`, drawn for L = 200 and then 400). Each input set takes the best
-of 5 passes; the file holds the spread over the rounds of the seconds per
-call. Every input is checked to come back as its path first.
-
-With --parent REV, the suite and box removal rounds also run on a `git archive` copy of REV,
-the two sides alternating which runs first, and then 10 alternating pairs
-of `perfbench/run.py --workload W --seed i --seconds S --trace 0` run end
-to end for each --workload, pair i with seed i on both sides, S being
-BENCHMARK.json's run_seconds. Each run gets a fresh copy of `src` and
-`perfbench` (REV's, or this working tree's without `__pycache__`), so
-neither side runs on a warm bytecode cache. Per metric of BENCHMARK.json,
-the file holds each side's median and quartiles and how many pairs the
-working tree won (ties count for neither side).
+With --parent, 10 alternating pairs of `perfbench/run.py --workload W --seed
+i --seconds S --trace 0` then run for every workload W of BENCHMARK.json,
+pair i with seed i, S its run_seconds. Each run gets a fresh copy of `src`
+and `perfbench` (REV's, or this tree's without `__pycache__`), so neither
+side runs on a warm bytecode cache. Per metric of BENCHMARK.json, the file
+holds each side's median and quartiles and how many pairs the working tree
+won (ties count for neither side).
 
 `perfbench/` is read and run, never edited. The copies live in a new
-temporary directory, removed at the end.
+temporary directory, removed at the end. `measure` also takes smaller
+bounds, rounds and workloads, which the tests use for the smallest size.
 """
 
 import argparse
@@ -54,13 +51,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # what perfbench/run.py needs from a checkout
 PARTS = ("src", "perfbench")
-DEFAULT_BOUNDS = ("2,3,2", "3,3,2")
+BOUNDS = ((2, 3, 2), (3, 3, 2))
+ROUNDS = 11
 # left out of every copy: bytecode, which would warm a later run, and
 # perfbench's own records
 SKIP = ("__pycache__", "runs")
-# a suite round or a benchmark run that takes longer than this is stopped
+# a layer round or a benchmark run that takes longer than this is stopped
 TIMEOUT_S = 900
 # end-to-end pairs per workload
 PAIRS = 10
@@ -79,7 +78,8 @@ print(json.dumps({
     "failures": report.total_failures,
     "total_s": report.elapsed,
     "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "suites": [[name, cases, elapsed] for name, cases, _, elapsed in report.results],
+    "suites": {name: {"cases": cases, "seconds": elapsed}
+               for name, cases, _, elapsed in report.results},
 }))
 """
 
@@ -137,6 +137,38 @@ def spread(values):
     else:
         q1 = q3 = values[0]
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summary(layer, rounds, key=""):
+    """One record of a layer's rounds (what its snippet printed, one per
+    round): dicts key by key, a float as its spread, and anything else, a
+    count, as its one value; a count that differs between rounds stops the
+    run with the layer and key."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {k: summary(layer, [r[k] for r in rounds], key + "/" + k) for k in first}
+    if isinstance(first, float):
+        return spread(rounds)
+    if any(r != first for r in rounds):
+        raise SystemExit("%s: %s differs between rounds: %s" % (layer, key[1:], rounds))
+    return first
+
+
+def alternate(sides, rounds):
+    """(round, side) for each round and side, the sides taking turns at
+    going first."""
+    for r in range(rounds):
+        for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
+            yield r, side
+
+
+def layer(sides, rounds, name, script, *args):
+    """Per side, the summary of what script prints in a fresh process on
+    that side's copy, once per round."""
+    results = {side: [] for side in sides}
+    for _, side in alternate(sides, rounds):
+        results[side].append(child(sides[side], script, *args))
+    return {side: summary(name, res) for side, res in results.items()}
 
 
 def compare(runs, metrics):
@@ -213,68 +245,6 @@ def child(copy, script, *args):
     return json.loads(proc.stdout)
 
 
-def suite_times(sides, bounds, rounds):
-    """Per side, the spread of each suite's time, the total time and max RSS
-    over the rounds, with the case count (which must not differ by round)."""
-    data = {side: [] for side in sides}
-    for r in range(rounds):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for side in order:
-            data[side].append(child(sides[side], SUITE_ROUND, *bounds))
-    out = {"bounds": list(bounds), "rounds": rounds}
-    for side, results in data.items():
-        counts = {(res["cases"], res["failures"]) for res in results}
-        if len(counts) != 1:
-            raise SystemExit("%s: case counts differ between rounds: %s" % (side, counts))
-        (cases, failures), = counts
-        names = [name for name, _, _ in results[0]["suites"]]
-        out[side] = {
-            "cases": cases,
-            "failures": failures,
-            "total_s": spread([res["total_s"] for res in results]),
-            "max_rss_mb": spread([res["max_rss_mb"] for res in results]),
-            "suites": {
-                name: {
-                    "cases": results[0]["suites"][i][1],
-                    "seconds": spread([res["suites"][i][2] for res in results]),
-                }
-                for i, name in enumerate(names)
-            },
-        }
-    return out
-
-
-def sweep_times(copy, bounds, rounds):
-    """Per sweep function, the spread of its cold and warm pass over the
-    rounds, with the item count."""
-    out = {"bounds": list(bounds), "rounds": rounds}
-    for name in SWEEPS:
-        results = [child(copy, SWEEP_ROUND, name, *bounds) for _ in range(rounds)]
-        out["items"] = results[0]["items"]
-        out[name] = {key: spread([res[key] for res in results]) for key in ("cold_s", "warm_s")}
-    return out
-
-
-def phi_inverse_times(sides, bounds, rounds):
-    """Per side, the spread over the rounds of phi_inverse's seconds per call
-    on each input set, with the number of inputs."""
-    data = {side: [] for side in sides}
-    for r in range(rounds):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for side in order:
-            data[side].append(child(sides[side], PHI_INVERSE_ROUND, *bounds, PASSES, *CHAINS))
-    out = {"bounds": list(bounds), "rounds": rounds, "chains": list(CHAINS), "passes": PASSES}
-    for side, results in data.items():
-        out[side] = {
-            name: {
-                "inputs": first["inputs"],
-                "per_call_s": spread([res[name]["per_call_s"] for res in results]),
-            }
-            for name, first in results[0].items()
-        }
-    return out
-
-
 def benchmark_run(source, scratch, workload, seed, seconds):
     """One end-to-end run of perfbench/run.py on a fresh copy of source."""
     if scratch.exists():
@@ -299,81 +269,81 @@ def benchmark_run(source, scratch, workload, seed, seconds):
     }
 
 
-def end_to_end(sides, workdir, workload, seconds, metrics):
+def end_to_end(sides, workdir, workload):
+    """PAIRS alternating end-to-end runs of a workload, and their comparison."""
+    seconds = SPEC["run_seconds"]
     runs = []
-    for i in range(1, PAIRS + 1):
-        order = ["parent", "change"] if i % 2 else ["change", "parent"]
-        for side in order:
-            run = benchmark_run(sides[side], workdir / "run", workload, i, seconds)
-            run.update(pair=i, side=side, seed=i)
-            runs.append(run)
-            sys.stderr.write("%s pair %d %s: %s\n" % (workload, i, side, json.dumps(run["metrics"])))
+    for r, side in alternate(sides, PAIRS):
+        run = benchmark_run(sides[side], workdir / "run", workload, r + 1, seconds)
+        run.update(pair=r + 1, side=side, seed=r + 1)
+        runs.append(run)
+        sys.stderr.write("%s pair %d %s: %s\n" % (workload, r + 1, side, json.dumps(run["metrics"])))
     return {
         "workload": workload,
         "seconds": seconds,
         "pairs": PAIRS,
         "runs": runs,
-        "metrics": compare(runs, metrics),
+        "metrics": compare(runs, {m["name"]: m["better"] for m in SPEC["end_to_end"]}),
     }
 
 
-def main(argv=None):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--bounds", action="append", help="max_n,max_l,max_s (repeatable); "
-                        "default %s" % " and ".join(DEFAULT_BOUNDS))
-    parser.add_argument("--rounds", type=int, default=11, help="fresh processes per side and bounds")
-    parser.add_argument("--parent", help="the revision to compare with")
-    parser.add_argument("--workload", action="append",
-                        choices=[w["name"] for w in spec["workloads"]],
-                        help="end-to-end workload (repeatable); default verify-default")
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
-    bounds = []
-    for text in args.bounds or DEFAULT_BOUNDS:
-        try:
-            b = tuple(int(x) for x in text.split(","))
-        except ValueError:
-            b = ()
-        if len(b) != 3 or min(b) < 1:
-            parser.error("--bounds takes three positive integers, as 2,3,2")
-        bounds.append(b)
-
-    workloads = args.workload or ["verify-default"]
-    seconds = spec["run_seconds"]
+def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
+            workloads=tuple(w["name"] for w in SPEC["workloads"])):
+    """The record: every layer on this working tree and, given parent (a
+    revision), on its copy too, then the end-to-end pairs of each workload."""
     workdir = Path(tempfile.mkdtemp(prefix="kssbij-bench-"))
     try:
         sides = {}
-        if args.parent:
-            archive(args.parent, workdir / "parent")
+        if parent:
+            archive(parent, workdir / "parent")
             sides["parent"] = workdir / "parent"
         copy_tree(workdir / "change")
         sides["change"] = workdir / "change"
         status = git("status", "--porcelain", "--", *PARTS)
+        first = bounds[0]
         report = {
             "commit": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status),
-            "parent": git("rev-parse", args.parent) if args.parent else None,
+            "parent": git("rev-parse", parent) if parent else None,
             "sources": {side: digest(copy) for side, copy in sides.items()},
             "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                         "platform": platform.platform()},
-            "settings": {"bounds": bounds, "rounds": args.rounds, "pairs": PAIRS,
-                         "workloads": workloads, "seconds": seconds},
-            "suite_times": [suite_times(sides, b, args.rounds) for b in bounds],
-            "sweep": sweep_times(sides["change"], bounds[0], args.rounds),
-            "phi_inverse": phi_inverse_times(sides, bounds[0], args.rounds),
-            "end_to_end": None,
+            "settings": {"bounds": bounds, "rounds": rounds, "pairs": PAIRS,
+                         "workloads": list(workloads) if parent else [],
+                         "seconds": SPEC["run_seconds"]},
+            "suite_times": [
+                dict(bounds=b, rounds=rounds,
+                     **layer(sides, rounds, "suites at %d,%d,%d" % b, SUITE_ROUND, *b))
+                for b in bounds
+            ],
+            "sweep": dict(bounds=first, rounds=rounds, **{
+                name: layer(sides, rounds, "sweep " + name, SWEEP_ROUND, name, *first)
+                for name in SWEEPS
+            }),
+            "phi_inverse": dict(
+                bounds=first, rounds=rounds, chains=CHAINS, passes=PASSES,
+                **layer(sides, rounds, "phi_inverse", PHI_INVERSE_ROUND, *first, PASSES, *CHAINS),
+            ),
+            "end_to_end": [end_to_end(sides, workdir, w) for w in workloads] if parent else None,
         }
-        if args.parent:
-            metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-            report["end_to_end"] = [
-                end_to_end(sides, workdir, w, seconds, metrics) for w in workloads
-            ]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return report
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--parent", help="the revision to compare with, end to end too")
+    args = parser.parse_args(argv)
+    # both are checked before any round runs, which can take half an hour
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        parser.exit(2, "%s: --out %s: not a file in an existing directory\n" % (parser.prog, out))
+    if args.parent and git("rev-parse", "--verify", "--quiet", args.parent + "^{commit}") is None:
+        parser.exit(2, "%s: --parent %s: no such revision\n" % (parser.prog, args.parent))
+    report = measure(args.parent)
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Per-suite `verify` times, the carrier sweep and box removal layers and
-end-to-end benchmark pairs, written as one BENCH_*.json.
+"""Per-suite `verify` times, the carrier sweep, box removal and forward map
+layers and end-to-end benchmark pairs, written as one BENCH_*.json.
 
 Run from the repository root:
 
@@ -24,6 +24,11 @@ median and quartiles. The layers:
   over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
   `Random(3)`, drawn for L = 200 and then 400); each input must first come
   back as its path.
+- Forward map: per call, the best of 5 passes over the same paths, of the
+  function that the `phi` verb computes with, named in the record: box
+  addition (`kss.phi`), or `kss.phi_energy` on a revision without it. Each
+  result must first come back through `kss.phi_inverse`, so the timed
+  passes run on warm caches.
 
 With --parent, 10 alternating pairs of `perfbench/run.py --workload W --seed
 i --seconds S --trace 0` then run for every workload W of BENCHMARK.json,
@@ -100,7 +105,8 @@ for _ in range(2):
 print(json.dumps({"items": len(items), "cold_s": passes[0], "warm_s": passes[1]}))
 """
 
-PHI_INVERSE_ROUND = """
+# the box layers' inputs by name, and the best of the given passes per call
+BOX_INPUTS = """
 import json, random, sys, time
 from kssbij.cli.harness import family
 from kssbij.evolution import Path
@@ -112,19 +118,38 @@ rng = random.Random(3)
 for length in map(int, sys.argv[5:]):
     inputs["chain_%d" % length] = [
         Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(length)])]
+
+
+def per_call(fn, args):
+    best = None
+    for _ in range(passes):
+        start = time.perf_counter()
+        for arg in args:
+            fn(arg)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return {"inputs": len(args), "per_call_s": best / len(args)}
+"""
+
+PHI_INVERSE_ROUND = BOX_INPUTS + """
 out = {}
 for name, paths in inputs.items():
     rcs = [phi_energy(p) for p in paths]
     if [phi_inverse(rc) for rc in rcs] != paths:
         sys.exit("%s: phi_inverse(phi(p)) != p" % name)
-    best = None
-    for _ in range(passes):
-        start = time.perf_counter()
-        for rc in rcs:
-            phi_inverse(rc)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    out[name] = {"inputs": len(rcs), "per_call_s": best / len(rcs)}
+    out[name] = per_call(phi_inverse, rcs)
+print(json.dumps(out))
+"""
+
+PHI_ROUND = BOX_INPUTS + """
+from kssbij import kss
+# what the phi verb computes with: box addition, or phi_energy before it
+forward = getattr(kss, "phi", phi_energy)
+out = {"function": forward.__name__}
+for name, paths in inputs.items():
+    if [phi_inverse(forward(p)) for p in paths] != paths:
+        sys.exit("%s: phi_inverse(%s(p)) != p" % (name, forward.__name__))
+    out[name] = per_call(forward, paths)
 print(json.dumps(out))
 """
 
@@ -323,6 +348,10 @@ def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
             "phi_inverse": dict(
                 bounds=first, rounds=rounds, chains=CHAINS, passes=PASSES,
                 **layer(sides, rounds, "phi_inverse", PHI_INVERSE_ROUND, *first, PASSES, *CHAINS),
+            ),
+            "phi": dict(
+                bounds=first, rounds=rounds, chains=CHAINS, passes=PASSES,
+                **layer(sides, rounds, "phi", PHI_ROUND, *first, PASSES, *CHAINS),
             ),
             "end_to_end": [end_to_end(sides, workdir, w) for w in workloads] if parent else None,
         }

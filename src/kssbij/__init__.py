@@ -1,6 +1,7 @@
 """Crystal combinatorics for type A: rectangular tableaux, the combinatorial
 R-matrix with energy, box-ball time evolutions, rigged configurations, and the
-KSS correspondence computed both by box removal and from energy functions."""
+KSS correspondence computed by box addition and box removal, and from energy
+functions."""
 
 from kssbij.evolution import (
     LocalEnergyDistribution,
@@ -16,6 +17,7 @@ from kssbij.kss import (
     SolitonGroup,
     compute_rigging,
     extract_groups,
+    phi,
     phi_energy,
     phi_inverse,
     quantum_space_of,
@@ -66,6 +68,7 @@ __all__ = [
     "inverse_insert",
     "linearized_image",
     "local_energy_distribution",
+    "phi",
     "phi_energy",
     "phi_inverse",
     "product_tableau",

@@ -101,7 +101,7 @@ def cmd_bbs(args):
 
 def cmd_phi(args):
     p = codec.decode_path(_read_json(args))
-    rc = kss.phi_energy(p)
+    rc = kss.phi(p)
     if args.check_roundtrip and kss.phi_inverse(rc) != p:
         raise AssertionError("round trip failed: phi_inverse(phi(p)) differs from p")
     return _emit(args, codec.encode_rc(rc), lambda: render.render_rc(rc))

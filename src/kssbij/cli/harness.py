@@ -19,6 +19,7 @@ families A and B:
   check_two_letter_reduction  verify: widths s = s'; gate: widths s, s' <= 3
   check_energy_equals_q, check_round_trip, check_linearization
                               verify: chains and pairs; gate: A and B
+  check_energy_formula        verify: chains and pairs
   check_removal_order         verify: 2-3 factors, i < j; gate: A and B, i != j
 
 Failure messages name their input in the codec's JSON, so it can be fed back
@@ -381,6 +382,24 @@ def check_energy_equals_q(fam):
     return cases, failures
 
 
+def check_energy_formula(fam):
+    """The paper's main theorem: for every path p of the Family fam, phi(p)
+    read from fam (kss.phi_energy, the paper's construction) equals
+    kss.phi(p), KSS's box addition, in nu, in mu with its row order and in
+    origins. A failure names the first field that differs, and p."""
+    cases, failures = 0, []
+    for p in fam.paths:
+        cases += 1
+        energy, boxes = fam.phi(p), kss.phi(p)
+        for field in ("nu", "mu", "origins"):
+            if getattr(energy, field) != getattr(boxes, field):
+                failures.append(
+                    "phi_energy and box addition differ in %s for %s" % (field, _path_json(p))
+                )
+                break
+    return cases, failures
+
+
 def check_round_trip(fam):
     """phi_inverse(phi(p)) = p for every path p of the Family fam, and phi is
     injective on it. phi_inverse validates phi(p) first; its ValueError is a
@@ -514,6 +533,10 @@ def suite_energy_equals_q(max_n, max_l, max_s):
     return check_energy_equals_q(family(max_n, max_l, max_s))
 
 
+def suite_energy_formula(max_n, max_l, max_s):
+    return check_energy_formula(family(max_n, max_l, max_s))
+
+
 def suite_round_trip(max_n, max_l, max_s):
     return check_round_trip(family(max_n, max_l, max_s))
 
@@ -555,6 +578,7 @@ SUITES = [
     ("round-trip", suite_round_trip),
     ("removal-order", suite_removal_order),
     ("evolution-linearization", suite_evolution_linearization),
+    ("energy-formula", suite_energy_formula),
 ]
 
 

@@ -1,18 +1,25 @@
 """The KSS correspondence between paths and rigged configurations, both ways.
 
-phi_energy reads the rigged configuration straight off the local energy
-distribution: positive entries are grouped into soliton chains, group lengths
-become configuration rows, riggings come from a closed-form count. phi_inverse
-is the classical box-removal reconstruction; removing a quantum-space row of
-length s at level a produces one path factor in B^{a+1,s}, column by column.
+Both directions move boxes, as Kirillov-Schilling-Shimozono define the map.
+phi_inverse is box removal: removing a quantum-space row of length s at
+level a produces one path factor in B^{a+1,s}, column by column. phi is box
+addition, box removal undone step by step: the factors go in left to right,
+and each letter is one _add_box, the inverse of box removal's _micro_step.
+phi_energy is the paper's construction of the same map: it reads the rigged
+configuration straight off the local energy distribution, where positive
+entries are grouped into soliton chains, group lengths become configuration
+rows and riggings come from a closed-form count. `verify`'s energy-formula
+suite checks that phi_energy and phi agree, which is the paper's main
+theorem.
+
 phi_inverse, remove_row and removal_order_equivalence each build one working
 state, _State, in one pass: it validates the configuration, reads its
 quantum rows once and checks the flat indices. In the state the box in
 transport is a length-1 quantum row, so rigged's vacancy formula, fed the
-state's level lists, gives every vacancy number. A micro-step holds its
-chosen rows by reference, and _remove_row checks each letter against its
-neighbours as it comes, so the factors and the path are wrapped without
-being validated again.
+state's level lists, gives every vacancy number; box addition keeps the same
+level lists. A micro-step holds its chosen rows by reference, and
+_remove_row checks each letter against its neighbours as it comes, so the
+factors and the path are wrapped without being validated again.
 """
 
 from collections import namedtuple
@@ -270,6 +277,93 @@ def _micro_step(state, i, pos):
             else:
                 mu[lev].remove(row)
     return m
+
+
+def _add_box(nu, mu, i, a, x):
+    """Undoes a _micro_step at level i that gave the letter x, in a factor
+    whose quantum row is the last row of nu^(a); mu is padded as
+    _State.padded, and each of its levels keeps its rows longest first.
+
+    From level x-1 down to i+1, takes the longest singular row that is no
+    longer than the row taken one level up (no bound at x-1), or a new row
+    of length 0 when there is none. Then the box moves up: the box in
+    transport leaves the end of nu^(i-1) (there is none at i = 0) and lands
+    on nu^(i), as a new box in transport at i < a, or on the quantum row at
+    i = a. The taken rows grow together and get their new vacancy number as
+    rigging, so they are singular again, as _micro_step found them.
+    """
+    chosen = []
+    bound = None
+    for m in range(x - 1, i, -1):
+        here = mu[m]
+        # rows longest first: the first singular row in reach is the longest,
+        # and rows of one length are adjacent and share a vacancy number
+        last = None
+        for k, row in enumerate(here):
+            length = row[0]
+            if bound is not None and length > bound:
+                continue
+            if length != last:
+                last = length
+                first = k
+                p = _vacancy(nu[m - 1], mu[m - 1], here, mu[m + 1], length)
+            if p == row[1]:
+                # first in its run, so that it stays in order once it grows
+                here[k], here[first] = here[first], row
+                break
+        else:
+            # a row of length 0 adds nothing to any Q
+            row = [0, 0]
+            here.append(row)
+        chosen.append(row)
+        bound = row[0]
+
+    if i:
+        nu[i - 1].pop()
+    if i < a:
+        nu[i].append(1)
+    else:
+        nu[a][-1] += 1
+    for row in chosen:
+        row[0] += 1
+    m = x
+    for row in chosen:
+        m -= 1
+        row[1] = _vacancy(nu[m - 1], mu[m - 1], mu[m], mu[m + 1], row[0])
+
+
+def phi(p):
+    """KSS's own map: the rigged configuration of a path by box addition,
+    the inverse of box removal (phi_inverse) step by step.
+
+    Starting from the empty configuration, the factors are added left to
+    right, each factor's columns right to left and each column top letter
+    first, one _add_box per letter. The quantum space and origins are
+    quantum_space_of(p), which raises ValueError for a factor with more
+    than n rows; mu's rows sort as phi_energy sorts them. The paper's main
+    theorem says that phi_energy(p) is the same configuration; `verify`'s
+    energy-formula suite checks it.
+    """
+    nu, origins = quantum_space_of(p)
+    work = [[] for _ in nu]
+    mu = [[] for _ in nu]
+    padded = [(), *mu, ()]
+    add = _add_box
+    for b in p.factors:
+        a = b.n_rows - 1
+        work[a].append(0)
+        for column in reversed(list(zip(*b.rows))):
+            for i, x in enumerate(column):
+                add(work, padded, i, a, x)
+    # valid by construction: every row of mu has grown from length 0, each
+    # rigging is an int from rigged._vacancy, and nu and origins are
+    # quantum_space_of's
+    return RiggedConfiguration._trusted(
+        p.rank_n,
+        tuple(map(tuple, nu)),
+        tuple(tuple(sorted(map(tuple, level), reverse=True)) for level in mu),
+        tuple(map(tuple, origins)),
+    )
 
 
 def _remove_row(state, flat):

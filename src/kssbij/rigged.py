@@ -39,13 +39,15 @@ class RiggedConfiguration:
     rank_n, row lengths, riggings and origins must be ints; a bool or a float
     raises ValueError.
 
-    Three configurations the library derives from checked data skip these
+    Four configurations the library derives from checked data skip these
     checks through `_trusted`, since every field holds by construction: the
-    result of `kss.phi_energy` (read off a validated path), of
-    `kss.linearized_image` (a configuration plus checked a and l) and
-    `kss._State.view` (box removal's working copy of a validated
-    configuration). `verify` builds one for nearly every case it checks, and
-    the checks cost more than the rest of `linearized_image`.
+    result of `kss.phi_energy` (read off a validated path), of `kss.phi`
+    (box addition on a validated path, whose rows grow from length 0 and
+    whose riggings are vacancy numbers), of `kss.linearized_image` (a
+    configuration plus checked a and l) and `kss._State.view` (box removal's
+    working copy of a validated configuration). `verify` builds one for
+    nearly every case it checks, and the checks cost more than the rest of
+    `linearized_image`; `phi` is the `phi` verb's whole computation.
     """
 
     __slots__ = ("rank_n", "nu", "mu", "origins")
@@ -173,9 +175,9 @@ def vacancy(rc, a, l):
 def _vacancy(nu, below, here, above, l):
     # p_l^(a) without its checks, from the level lists it sums: nu^(a-1)
     # (row lengths), then mu^(a-1), mu^(a) and mu^(a+1) ((length, rigging)
-    # rows, () off levels 1..n), with l an int >= 0. vacancy, validate and
-    # box removal (whose working state keeps mu between two empty levels, as
-    # they do) pass the lists. The Q terms are summed here, not through q_l,
+    # rows, () off levels 1..n), with l an int >= 0. vacancy, validate, box
+    # removal and box addition (whose working lists keep mu between two empty
+    # levels, as they do) pass the lists. The Q terms are summed here, not through q_l,
     # which checks a and l; plain loops, since generators and min() cost 4x
     p = 0
     for x in nu:

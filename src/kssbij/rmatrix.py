@@ -39,7 +39,8 @@ from kssbij.tableaux import Tableau, insert_word, row_word
 # family in order, so a cache smaller than the working set evicts each entry
 # before it comes round again. `verify` at its defaults touches 473 distinct
 # steps and 516 distinct last moves, which 1024 holds (each misses once); at
-# --max-n 3 it touches 4,738 and 5,674, and misses 42,365 and 14,705 times.
+# --max-n 3 both working sets outgrow it, so entries are evicted and missed
+# again.
 # A step entry costs about 0.7-0.8 KB, and the bound keeps memory flat on
 # workloads whose pairs rarely repeat (carrier sweeps over random paths): the
 # second cache added 0.3-0.35 MB (+1.5%) to the peak RSS of the path-to-rc

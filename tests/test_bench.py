@@ -36,8 +36,8 @@ def check_layers(report, sides):
     """The keys and counts of every layer of a one-round record at SMALLEST,
     recorded on each of sides."""
     assert set(report) == {
-        "commit", "dirty", "end_to_end", "machine", "parent", "phi_inverse", "settings", "sources",
-        "suite_times", "sweep",
+        "commit", "dirty", "end_to_end", "machine", "parent", "phi", "phi_inverse", "settings",
+        "sources", "suite_times", "sweep",
     }
     assert set(report["machine"]) == {"cores", "platform", "python"}
     assert set(report["sources"]) == set(sides)
@@ -48,19 +48,20 @@ def check_layers(report, sides):
     sweep = report["sweep"]
     assert set(sweep) == {"bounds", "rounds", "_evolve", "carrier_sweep"}
     assert (sweep["bounds"], sweep["rounds"]) == ([1, 1, 1], 1)
-    removal = report["phi_inverse"]
-    assert set(removal) == {"bounds", "rounds", "chains", "passes", *sides}
-    assert (removal["bounds"], removal["rounds"], removal["chains"]) == ([1, 1, 1], 1, [200, 400])
+    removal, forward = report["phi_inverse"], report["phi"]
+    for box in (removal, forward):
+        assert set(box) == {"bounds", "rounds", "chains", "passes", *sides}
+        assert (box["bounds"], box["rounds"], box["chains"]) == ([1, 1, 1], 1, [200, 400])
     # equal counts on every side: each suite's cases, and through them the
     # sweep's items and box removal's inputs
     per_suite = [{k: s["cases"] for k, s in times[side]["suites"].items()} for side in sides]
     assert all(cases == per_suite[0] for cases in per_suite)
     for side in sides:
         suites = times[side]
-        assert (suites["cases"], suites["failures"]) == (55, 0)
+        assert (suites["cases"], suites["failures"]) == (61, 0)
         assert is_spread(suites["total_s"], 1) and is_spread(suites["max_rss_mb"], 1)
         assert sorted(suites["suites"]) == sorted(suite_names())
-        assert sum(s["cases"] for s in suites["suites"].values()) == 55
+        assert sum(s["cases"] for s in suites["suites"].values()) == 61
         assert all(is_spread(s["seconds"], 1) for s in suites["suites"].values())
         for name in ("_evolve", "carrier_sweep"):
             assert set(sweep[name]) == set(sides)
@@ -72,6 +73,11 @@ def check_layers(report, sides):
         inputs = {"family": suites["suites"]["round-trip"]["cases"], "chain_200": 1, "chain_400": 1}
         assert {name: t["inputs"] for name, t in removal[side].items()} == inputs
         assert all(is_spread(t["per_call_s"], 1) for t in removal[side].values())
+        # the forward map on the same paths, by the function the phi verb calls
+        timed = dict(forward[side])
+        assert timed.pop("function") == "phi"
+        assert {name: t["inputs"] for name, t in timed.items()} == inputs
+        assert all(is_spread(t["per_call_s"], 1) for t in timed.values())
 
 
 def test_smallest_run_schema():

@@ -187,6 +187,12 @@ class TestPhiVerbs:
         assert (code, out) == (3, "")
         assert err.startswith("error:")
 
+    def test_factor_too_tall_for_the_rank(self):
+        # a factor with n + 1 rows decodes, but it lies in no B^{r,s} of rank
+        # n; phi names it as quantum_space_of does, before any box moves
+        code, out, err = cli("phi", stdin='{"n":1,"factors":[[[1],[2]]]}')
+        assert (code, out, err) == (3, "", "error: factor 1 has too many rows for rank 1\n")
+
     def test_out_of_image_rc_is_semantic_error(self):
         # valid as an unrestricted configuration, but a box of mu outlives
         # every quantum row, so no path maps to it
@@ -452,7 +458,9 @@ class TestReplayableFailures:
 
 
 class TestBrokenPhiReports:
-    @pytest.mark.parametrize("suite", ["round-trip", "removal-order", "evolution-linearization"])
+    @pytest.mark.parametrize(
+        "suite", ["round-trip", "removal-order", "evolution-linearization", "energy-formula"]
+    )
     def test_invalid_phi_is_a_failure_not_an_abort(self, monkeypatch, suite):
         # phi with every rigging raised by 5: each phi suite reports its
         # failures and exits 1, naming paths the codec reads back
@@ -570,6 +578,19 @@ class TestPhiCheckFailures:
         assert (cases, len(failures)) == (1, 1)
         assert failures[0].startswith("T_1^(1) did not linearize for ")
         assert _named_paths(failures[0]) == [self.CLEAN]
+
+    def test_energy_formula_differs(self):
+        # phi_energy's value for CLEAN replaced by LOADED's: the message
+        # names CLEAN, and the phi verb replays it to box addition's value
+        fam = harness.Family([self.CLEAN])
+        fam.phis[self.CLEAN] = phi_energy(self.LOADED)
+        cases, failures = harness.check_energy_formula(fam)
+        assert (cases, len(failures)) == (1, 1)
+        assert failures[0].startswith("phi_energy and box addition differ in mu for ")
+        (named,) = _named_paths(failures[0])
+        assert named == self.CLEAN
+        code, out, _ = cli("phi", "--format", "json", stdin=failures[0].split(" for ", 1)[1])
+        assert (code, decode_rc(json.loads(out))) == (0, phi_energy(self.CLEAN))
 
     def test_evolved_path_outside_the_family(self):
         fam = harness.Family([self.CLEAN])
@@ -712,7 +733,8 @@ class TestVerifyVerb:
             "round-trip                 cases=39      failures=0    T\n"
             "removal-order              cases=53      failures=0    T\n"
             "evolution-linearization    cases=117     failures=0    T\n"
-            "total: 651 cases, 0 failures, T\n"
+            "energy-formula             cases=39      failures=0    T\n"
+            "total: 690 cases, 0 failures, T\n"
         )
 
     def test_text_report_shows_ten_failures(self, monkeypatch):
@@ -746,8 +768,9 @@ class TestVerifyVerb:
             "round-trip": 402,
             "removal-order": 467,
             "evolution-linearization": 2295,
+            "energy-formula": 402,
         }
-        assert payload["total_cases"] == 18800
+        assert payload["total_cases"] == 19202
 
 
 def _untimed(out):
@@ -946,9 +969,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("verb", ["phi", "led"])
     def test_out_of_memory_is_a_clear_error(self, verb):
-        # the LED's per-level lists of a rank-10^8 path need far more than
-        # the 512 MB address space the child gets, so the allocation fails
-        # at once; the child never runs without the limit
+        # the per-level lists of a rank-10^8 path (the LED's for led, the
+        # quantum space's for phi) need far more than the 512 MB address
+        # space the child gets, so the allocation fails at once; the child
+        # never runs without the limit
         resource = pytest.importorskip("resource")
         limit = 512 * 2**20
 
@@ -973,7 +997,7 @@ class TestErrorPaths:
         def broken(p):
             raise AssertionError("malformed complement")
 
-        monkeypatch.setattr(kss, "phi_energy", broken)
+        monkeypatch.setattr(kss, "phi", broken)
         code, out, err = cli("phi", str(GOLDEN / "path_3factor.json"))
         assert code == 4
         assert out == ""

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from kssbij import kss, rigged
 from kssbij.cli import run as cli_run
 from kssbij.cli.codec import decode_rc, encode_rc
-from kssbij.cli.harness import Family, check_energy_equals_q, check_removal_order, family
+from kssbij.cli.harness import (
+    Family,
+    check_energy_equals_q,
+    check_energy_formula,
+    check_removal_order,
+    family,
+)
 from kssbij.evolution import LocalEnergyDistribution, Path, local_energy_distribution
 from kssbij.kss import (
     compute_rigging,
@@ -175,6 +181,57 @@ class TestPhi:
         cases, failures = check_energy_equals_q(Family([EXAMPLE]))
         assert failures == []
         assert cases == 4 * 11  # a <= 4, l <= 10 columns + 1
+
+
+def fields(rc):
+    return rc.nu, rc.mu, rc.origins
+
+
+class TestBoxAddition:
+    """kss.phi, KSS's box addition, against phi_energy, the paper's
+    construction, field by field."""
+
+    @pytest.mark.parametrize("p", [EXAMPLE, NON_HIGHEST])
+    def test_examples(self, p):
+        rc = kss.phi(p)
+        assert fields(rc) == fields(phi_energy(p))
+        assert phi_inverse(rc) == p
+
+    def test_family_at_max_n_3(self):
+        # the paper's main theorem on every path of verify's --max-n 3 family
+        assert check_energy_formula(family(3, 3, 2)) == (3402, [])
+
+    def test_factor_too_tall_is_quantum_space_of_error(self, monkeypatch):
+        p = Path(1, [Tableau(1, [[1], [2]])])
+        with pytest.raises(ValueError, match="^factor 1 has too many rows for rank 1$"):
+            kss.phi(p)
+
+        def refused(q):
+            raise ValueError("refused")
+
+        # the check is quantum_space_of's own, made before any box moves
+        monkeypatch.setattr(kss, "quantum_space_of", refused)
+        with pytest.raises(ValueError, match="^refused$"):
+            kss.phi(EXAMPLE)
+
+    def test_longest_singular_row_comes_first(self, monkeypatch):
+        # a 200-box chain of B^{1,1}, n = 3: with each level's rows in
+        # storage order, box addition asked for 2,438 vacancy numbers; kept
+        # longest first, a level's scan stops at its first singular row
+        rng = random.Random(3)
+        p = Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(200)])
+        calls = []
+        vacancy_ = kss._vacancy
+
+        def counted(*args):
+            calls.append(args)
+            return vacancy_(*args)
+
+        monkeypatch.setattr(kss, "_vacancy", counted)
+        rc = kss.phi(p)
+        assert len(calls) <= 1037
+        monkeypatch.undo()
+        assert fields(rc) == fields(phi_energy(p))
 
 
 class TestPhiInverse:
@@ -513,6 +570,7 @@ class TestTrustedResults:
         for p in family(2, 3, 2).paths:
             rc = phi_energy(p)
             assert_constructor_agrees(rc)
+            assert_constructor_agrees(kss.phi(p))
             for a in range(1, p.rank_n + 1):
                 for l in range(1, 4):
                     assert_constructor_agrees(linearized_image(rc, a, l))
@@ -542,6 +600,7 @@ class TestRoundTrip:
         rc = phi_energy(p)
         assert validate(rc, "unrestricted") == []
         assert phi_inverse(rc) == p
+        assert fields(kss.phi(p)) == fields(rc)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -562,7 +621,7 @@ class TestRoundTrip:
             p = phi_inverse(rc)
         except ValueError:
             return
-        assert phi_energy(p) == rc
+        assert phi_energy(p) == kss.phi(p) == rc
 
     def test_benchmark_configurations(self, monkeypatch):
         # highest-weight configurations drawn as the benchmark draws them,

@@ -1,5 +1,5 @@
-"""Per-suite `verify` times, the carrier sweep, box removal and forward map
-layers and end-to-end benchmark pairs, written as one BENCH_*.json.
+"""Per-suite `verify` times, the carrier sweep, box removal, forward map and
+CLI layers and end-to-end benchmark pairs, written as one BENCH_*.json.
 
 Run from the repository root:
 
@@ -15,10 +15,12 @@ median and quartiles. The layers:
 - Suite times at each of BOUNDS (`verify`'s defaults and `--max-n 3`):
   `harness.run_verify` untraced, each suite's cases and time from
   `Report.results`, the total cases, failures and time, and max RSS.
-- Sweep, per function, at the first BOUNDS: two passes over
-  evolution-linearization's (p, a, l) items, cold (empty step cache) then
-  warm, of `evolution._evolve`, the rows sweep that `verify` runs and
-  perfbench's tracer does not see, and of the public `carrier_sweep`.
+- Sweep, per function, at the first BOUNDS: seconds per pass over
+  evolution-linearization's (p, a, l) items, cold (each pass starting with
+  empty step and pad caches) then warm, of `evolution._evolve`, the rows
+  sweep that `verify` runs and perfbench's tracer does not see, and of the
+  public `carrier_sweep`. Each is repeated until its passes last SWEEP_S
+  (0.2 s) together; the pass count varies, so it is not recorded.
 - Box removal: `kss.phi_inverse` per call, the best of 5 passes, over the
   phi images of the first BOUNDS' `family(...)` (round-trip's inputs) and
   over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
@@ -29,6 +31,12 @@ median and quartiles. The layers:
   addition (`kss.phi`), or `kss.phi_energy` on a revision without it. Each
   result must first come back through `kss.phi_inverse`, so the timed
   passes run on warm caches.
+- CLI: per call, the best of 5 passes of CALLS (20) calls, `cli.run` of
+  `phi --format json` on `tests/golden/path_3factor.json` (whose output
+  must first match `rc_3factor.json`) and of `phi-inverse --format json`
+  on `rc_a1.json`, each required to exit 0, and `cli.build_parser` for
+  `phi` and with no verb. On a revision whose `build_parser` takes no verb
+  (recorded as `build_parser_takes_verb`), both builds are the whole parser.
 
 With --parent, 10 alternating pairs of `perfbench/run.py --workload W --seed
 i --seconds S --trace 0` then run for every workload W of BENCHMARK.json,
@@ -73,6 +81,11 @@ SWEEPS = ("_evolve", "carrier_sweep")
 # passes over each input set of which a round keeps the fastest
 CHAINS = (200, 400)
 PASSES = 5
+# the CLI layer's calls per pass, and the golden files it runs on
+CALLS = 20
+GOLDEN = ROOT / "tests" / "golden"
+# the sweep layer repeats each pass until its passes last this long together
+SWEEP_S = 0.2
 
 SUITE_ROUND = """
 import json, resource, sys
@@ -90,37 +103,42 @@ print(json.dumps({
 
 SWEEP_ROUND = """
 import json, sys, time
-from kssbij import evolution
+from kssbij import evolution, rmatrix
 from kssbij.cli.harness import family
 sweep = getattr(evolution, sys.argv[1])
 max_n, max_l, max_s = map(int, sys.argv[2:5])
+least_s = float(sys.argv[5])
 items = [(p, a, l) for p in family(max_n, max_l, max_s).paths
          for a in range(1, p.rank_n + 1) for l in range(1, max_l + 1)]
-passes = []
-for _ in range(2):
-    start = time.perf_counter()
-    for item in items:
-        sweep(*item)
-    passes.append(time.perf_counter() - start)
-print(json.dumps({"items": len(items), "cold_s": passes[0], "warm_s": passes[1]}))
+caches = [f for module in (evolution, rmatrix) for f in vars(module).values()
+          if hasattr(f, "cache_clear")]
+
+
+def per_pass(cold):
+    # seconds per pass, over as many passes as last least_s together; a
+    # cold pass starts with the step and pad caches empty
+    total = passes = 0
+    while total < least_s:
+        if cold:
+            for cache in caches:
+                cache.cache_clear()
+        start = time.perf_counter()
+        for item in items:
+            sweep(*item)
+        total += time.perf_counter() - start
+        passes += 1
+    return total / passes
+
+
+print(json.dumps({"items": len(items), "cold_s": per_pass(True), "warm_s": per_pass(False)}))
 """
 
-# the box layers' inputs by name, and the best of the given passes per call
-BOX_INPUTS = """
-import json, random, sys, time
-from kssbij.cli.harness import family
-from kssbij.evolution import Path
-from kssbij.kss import phi_energy, phi_inverse
-from kssbij.tableaux import Tableau
-max_n, max_l, max_s, passes = map(int, sys.argv[1:5])
-inputs = {"family": list(family(max_n, max_l, max_s).paths)}
-rng = random.Random(3)
-for length in map(int, sys.argv[5:]):
-    inputs["chain_%d" % length] = [
-        Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(length)])]
+# the best of the given passes over args, per call of fn
+PER_CALL = """
+import json, sys, time
 
 
-def per_call(fn, args):
+def per_call(fn, args, passes):
     best = None
     for _ in range(passes):
         start = time.perf_counter()
@@ -131,13 +149,28 @@ def per_call(fn, args):
     return {"inputs": len(args), "per_call_s": best / len(args)}
 """
 
+# the box layers' inputs by name
+BOX_INPUTS = PER_CALL + """
+import random
+from kssbij.cli.harness import family
+from kssbij.evolution import Path
+from kssbij.kss import phi_energy, phi_inverse
+from kssbij.tableaux import Tableau
+max_n, max_l, max_s, passes = map(int, sys.argv[1:5])
+inputs = {"family": list(family(max_n, max_l, max_s).paths)}
+rng = random.Random(3)
+for length in map(int, sys.argv[5:]):
+    inputs["chain_%d" % length] = [
+        Path(3, [Tableau(3, [[rng.randint(1, 4)]]) for _ in range(length)])]
+"""
+
 PHI_INVERSE_ROUND = BOX_INPUTS + """
 out = {}
 for name, paths in inputs.items():
     rcs = [phi_energy(p) for p in paths]
     if [phi_inverse(rc) for rc in rcs] != paths:
         sys.exit("%s: phi_inverse(phi(p)) != p" % name)
-    out[name] = per_call(phi_inverse, rcs)
+    out[name] = per_call(phi_inverse, rcs, passes)
 print(json.dumps(out))
 """
 
@@ -149,7 +182,39 @@ out = {"function": forward.__name__}
 for name, paths in inputs.items():
     if [phi_inverse(forward(p)) for p in paths] != paths:
         sys.exit("%s: phi_inverse(%s(p)) != p" % (name, forward.__name__))
-    out[name] = per_call(forward, paths)
+    out[name] = per_call(forward, paths, passes)
+print(json.dumps(out))
+"""
+
+CLI_ROUND = PER_CALL + """
+import contextlib, inspect, io
+from pathlib import Path
+from kssbij import cli
+golden = Path(sys.argv[1])
+passes, calls = map(int, sys.argv[2:4])
+phi = ["phi", str(golden / "path_3factor.json"), "--format", "json"]
+phi_inverse = ["phi-inverse", str(golden / "rc_a1.json"), "--format", "json"]
+
+
+def run(argv):
+    code = cli.run(argv)
+    if code != 0:
+        sys.exit("%s exited %s" % (" ".join(argv), code))
+
+
+# a revision whose build_parser takes no verb builds every verb's arguments
+takes_verb = "verb" in inspect.signature(cli.build_parser).parameters
+build = cli.build_parser if takes_verb else lambda verb: cli.build_parser()
+out = {"build_parser_takes_verb": takes_verb}
+with contextlib.redirect_stdout(io.StringIO()) as sink:
+    run(phi)
+if sink.getvalue() != (golden / "rc_3factor.json").read_text():
+    sys.exit("phi differs from rc_3factor.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    out["run_phi"] = per_call(run, [phi] * calls, passes)
+    out["run_phi_inverse"] = per_call(run, [phi_inverse] * calls, passes)
+out["build_parser_phi"] = per_call(build, ["phi"] * calls, passes)
+out["build_parser_all"] = per_call(build, [None] * calls, passes)
 print(json.dumps(out))
 """
 
@@ -341,8 +406,8 @@ def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
                      **layer(sides, rounds, "suites at %d,%d,%d" % b, SUITE_ROUND, *b))
                 for b in bounds
             ],
-            "sweep": dict(bounds=first, rounds=rounds, **{
-                name: layer(sides, rounds, "sweep " + name, SWEEP_ROUND, name, *first)
+            "sweep": dict(bounds=first, rounds=rounds, least_s=SWEEP_S, **{
+                name: layer(sides, rounds, "sweep " + name, SWEEP_ROUND, name, *first, SWEEP_S)
                 for name in SWEEPS
             }),
             "phi_inverse": dict(
@@ -352,6 +417,10 @@ def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
             "phi": dict(
                 bounds=first, rounds=rounds, chains=CHAINS, passes=PASSES,
                 **layer(sides, rounds, "phi", PHI_ROUND, *first, PASSES, *CHAINS),
+            ),
+            "cli": dict(
+                rounds=rounds, passes=PASSES, calls=CALLS,
+                **layer(sides, rounds, "cli", CLI_ROUND, GOLDEN, PASSES, CALLS),
             ),
             "end_to_end": [end_to_end(sides, workdir, w) for w in workloads] if parent else None,
         }

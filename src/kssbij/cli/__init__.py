@@ -143,96 +143,82 @@ def cmd_enumerate(args):
     return _emit(args, payload, render_text)
 
 
-def _add_common(sub, with_input=True):
-    if with_input:
-        sub.add_argument(
-            "input",
-            nargs="?",
-            default="-",
-            help="JSON input file; - or omitted reads stdin",
-        )
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="text", help="output form"
-    )
+# One row per verb: its name, help, handler, whether it reads a JSON input
+# (a file, or stdin), and its own arguments as (flag, add_argument keywords).
+VERBS = (
+    ("tableau-insert", "row-insert letters into a tableau", cmd_tableau_insert, True, (
+        ("--letters", dict(required=True, help="comma-separated letters")),
+    )),
+    ("rmatrix", "apply the combinatorial R to a pair", cmd_rmatrix, True, ()),
+    ("energy", "energy H of a pair", cmd_energy, True, ()),
+    ("led", "local energy distribution of a path", cmd_led, True, ()),
+    ("bbs", "box-ball time evolution", cmd_bbs, True, (
+        ("--a", dict(type=int, required=True, help="carrier level")),
+        ("--l", dict(type=int, required=True, help="carrier width")),
+        ("--steps", dict(type=int, default=1, help="number of updates")),
+    )),
+    ("phi", "path to rigged configuration", cmd_phi, True, (
+        ("--check-roundtrip",
+         dict(action="store_true", help="also reconstruct the path and compare")),
+    )),
+    ("phi-inverse", "rigged configuration to path", cmd_phi_inverse, True, (
+        ("--order", dict(help="comma-separated quantum row indices")),
+    )),
+    ("rc-validate", "validate a rigged configuration", cmd_rc_validate, True, (
+        ("--mode", dict(choices=("unrestricted", "restricted"), default="unrestricted")),
+    )),
+    ("verify", "run the exhaustive invariant suites", cmd_verify, False, (
+        ("--max-n", dict(type=int, default=2, help="largest rank")),
+        ("--max-l", dict(type=int, default=3, help="longest chain path")),
+        ("--max-s", dict(type=int, default=2, help="widest factor")),
+        ("--suite", dict(action="append", choices=harness.suite_names(),
+                         help="run one suite (repeatable); default all")),
+    )),
+    ("enumerate", "list the elements of one KR crystal", cmd_enumerate, False, (
+        ("--r", dict(type=int, required=True, help="rows")),
+        ("--s", dict(type=int, required=True, help="columns")),
+        ("--n", dict(type=int, required=True, help="rank")),
+    )),
+)
 
 
-def build_parser():
+def build_parser(verb=None):
+    """The argument parser, with the arguments of `verb` only, or of every
+    verb when it is None. Every verb keeps its sub-parser either way, since
+    the top-level help, usage line and invalid-choice error list them all;
+    a sub-parser without its arguments is never the one that parses."""
     parser = argparse.ArgumentParser(
         prog="kssbij",
         description="KSS bijection, combinatorial R, energies and box-ball evolution",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    s = subs.add_parser("tableau-insert", help="row-insert letters into a tableau")
-    _add_common(s)
-    s.add_argument("--letters", required=True, help="comma-separated letters")
-    s.set_defaults(func=cmd_tableau_insert)
-
-    s = subs.add_parser("rmatrix", help="apply the combinatorial R to a pair")
-    _add_common(s)
-    s.set_defaults(func=cmd_rmatrix)
-
-    s = subs.add_parser("energy", help="energy H of a pair")
-    _add_common(s)
-    s.set_defaults(func=cmd_energy)
-
-    s = subs.add_parser("led", help="local energy distribution of a path")
-    _add_common(s)
-    s.set_defaults(func=cmd_led)
-
-    s = subs.add_parser("bbs", help="box-ball time evolution")
-    _add_common(s)
-    s.add_argument("--a", type=int, required=True, help="carrier level")
-    s.add_argument("--l", type=int, required=True, help="carrier width")
-    s.add_argument("--steps", type=int, default=1, help="number of updates")
-    s.set_defaults(func=cmd_bbs)
-
-    s = subs.add_parser("phi", help="path to rigged configuration")
-    _add_common(s)
-    s.add_argument(
-        "--check-roundtrip",
-        action="store_true",
-        help="also reconstruct the path and compare",
-    )
-    s.set_defaults(func=cmd_phi)
-
-    s = subs.add_parser("phi-inverse", help="rigged configuration to path")
-    _add_common(s)
-    s.add_argument("--order", help="comma-separated quantum row indices")
-    s.set_defaults(func=cmd_phi_inverse)
-
-    s = subs.add_parser("rc-validate", help="validate a rigged configuration")
-    _add_common(s)
-    s.add_argument(
-        "--mode", choices=("unrestricted", "restricted"), default="unrestricted"
-    )
-    s.set_defaults(func=cmd_rc_validate)
-
-    s = subs.add_parser("verify", help="run the exhaustive invariant suites")
-    _add_common(s, with_input=False)
-    s.add_argument("--max-n", type=int, default=2, help="largest rank")
-    s.add_argument("--max-l", type=int, default=3, help="longest chain path")
-    s.add_argument("--max-s", type=int, default=2, help="widest factor")
-    s.add_argument(
-        "--suite",
-        action="append",
-        choices=harness.suite_names(),
-        help="run one suite (repeatable); default all",
-    )
-    s.set_defaults(func=cmd_verify)
-
-    s = subs.add_parser("enumerate", help="list the elements of one KR crystal")
-    _add_common(s, with_input=False)
-    s.add_argument("--r", type=int, required=True, help="rows")
-    s.add_argument("--s", type=int, required=True, help="columns")
-    s.add_argument("--n", type=int, required=True, help="rank")
-    s.set_defaults(func=cmd_enumerate)
-
+    for name, help_text, func, reads_input, arguments in VERBS:
+        s = subs.add_parser(name, help=help_text)
+        if verb is not None and name != verb:
+            continue
+        if reads_input:
+            s.add_argument(
+                "input",
+                nargs="?",
+                default="-",
+                help="JSON input file; - or omitted reads stdin",
+            )
+        s.add_argument(
+            "--format", choices=("json", "text"), default="text", help="output form"
+        )
+        for flag, kwargs in arguments:
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(func=func)
     return parser
 
 
 def run(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so argparse
+    # dispatches on the first argument that does not start with "-"
+    verb = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(verb)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -102,8 +102,9 @@ class Path:
 
 # The two pad helpers keep one entry per level and run length, and an entry
 # of level a holds a rows: a rank-n path can reach n levels, so unbounded
-# caches would grow as n^2 (`phi` of the one-box path 2001 at n = 2000 peaks
-# at 193 MB with an unbounded `_vacuum`, 146 MB with these bounds).
+# caches would grow as n^2. `local_energy_distribution` (so `led` and
+# `phi_energy`) of the one-box path 2001 at n = 2000 fills 2,000 `_vacuum`
+# entries and peaks at 192 MB with unbounded caches, 144 MB with these bounds.
 @lru_cache(maxsize=256)
 def _vacuum(a, m):
     # the rows of m columns V = (1, ..., a), m at most the widest factor or

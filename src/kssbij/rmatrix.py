@@ -41,11 +41,13 @@ from kssbij.tableaux import Tableau, insert_word, row_word
 # steps and 516 distinct last moves, which 1024 holds (each misses once); at
 # --max-n 3 both working sets outgrow it, so entries are evicted and missed
 # again.
-# A step entry costs about 0.7-0.8 KB, and the bound keeps memory flat on
-# workloads whose pairs rarely repeat (carrier sweeps over random paths): the
-# second cache added 0.3-0.35 MB (+1.5%) to the peak RSS of the path-to-rc
-# and rc-to-path benchmarks (about 22 MB), and none to verify-default
-# (18.1 MB); a single cache of 2048 added 1.4 MB (+6.6%) to rc-to-path.
+# The bound keeps memory flat where pairs rarely repeat, as in carrier sweeps
+# over random paths: after `local_energy_distribution` of perfbench's first
+# 320 path-to-rc inputs (seed 1; 11,027 step misses against 12,910 hits),
+# the full step cache held 0.65 MB and the energy cache 0.37 MB (tracemalloc).
+# Since `phi` moved to box addition, verify-default is the one benchmark
+# workload that uses these caches; the `led`, `bbs`, `energy` and `rmatrix`
+# verbs use them too.
 CACHE_SIZE = 1024
 
 

@@ -3,7 +3,9 @@ its times. The script is loaded by path; its layers run as child processes."""
 
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,12 +34,26 @@ def smallest(*args, **kwargs):
     return json.loads(json.dumps(report))
 
 
-def check_layers(report, sides):
-    """The keys and counts of every layer of a one-round record at SMALLEST,
-    recorded on each of sides."""
+def verify_counts(src):
+    """Per suite, the cases of the `verify` in a source tree at SMALLEST."""
+    bounds = [str(b) for b in SMALLEST[0]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kssbij", "verify", "--max-n", bounds[0], "--max-l", bounds[1],
+         "--max-s", bounds[2], "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {s["name"]: s["cases"] for s in json.loads(proc.stdout)["suites"]}
+
+
+def check_layers(report, counts):
+    """The keys and counts of every layer of a one-round record at SMALLEST.
+    counts holds, per side recorded, the cases per suite of that side's own
+    `verify` at SMALLEST."""
+    sides = list(counts)
     assert set(report) == {
-        "commit", "dirty", "end_to_end", "machine", "parent", "phi", "phi_inverse", "settings",
-        "sources", "suite_times", "sweep",
+        "cli", "commit", "dirty", "end_to_end", "machine", "parent", "phi", "phi_inverse",
+        "settings", "sources", "suite_times", "sweep",
     }
     assert set(report["machine"]) == {"cores", "platform", "python"}
     assert set(report["sources"]) == set(sides)
@@ -46,22 +62,22 @@ def check_layers(report, sides):
     assert set(times) == {"bounds", "rounds", *sides}
     assert (times["bounds"], times["rounds"]) == ([1, 1, 1], 1)
     sweep = report["sweep"]
-    assert set(sweep) == {"bounds", "rounds", "_evolve", "carrier_sweep"}
-    assert (sweep["bounds"], sweep["rounds"]) == ([1, 1, 1], 1)
+    assert set(sweep) == {"bounds", "rounds", "least_s", "_evolve", "carrier_sweep"}
+    assert (sweep["bounds"], sweep["rounds"], sweep["least_s"]) == ([1, 1, 1], 1, 0.2)
     removal, forward = report["phi_inverse"], report["phi"]
     for box in (removal, forward):
         assert set(box) == {"bounds", "rounds", "chains", "passes", *sides}
         assert (box["bounds"], box["rounds"], box["chains"]) == ([1, 1, 1], 1, [200, 400])
-    # equal counts on every side: each suite's cases, and through them the
+    cli = report["cli"]
+    assert set(cli) == {"rounds", "passes", "calls", *sides}
+    assert (cli["rounds"], cli["passes"], cli["calls"]) == (1, 5, 20)
+    # each side's suite cases are its own verify's, and through them the
     # sweep's items and box removal's inputs
-    per_suite = [{k: s["cases"] for k, s in times[side]["suites"].items()} for side in sides]
-    assert all(cases == per_suite[0] for cases in per_suite)
     for side in sides:
         suites = times[side]
-        assert (suites["cases"], suites["failures"]) == (61, 0)
+        assert {name: s["cases"] for name, s in suites["suites"].items()} == counts[side]
+        assert (suites["cases"], suites["failures"]) == (sum(counts[side].values()), 0)
         assert is_spread(suites["total_s"], 1) and is_spread(suites["max_rss_mb"], 1)
-        assert sorted(suites["suites"]) == sorted(suite_names())
-        assert sum(s["cases"] for s in suites["suites"].values()) == 61
         assert all(is_spread(s["seconds"], 1) for s in suites["suites"].values())
         for name in ("_evolve", "carrier_sweep"):
             assert set(sweep[name]) == set(sides)
@@ -78,11 +94,19 @@ def check_layers(report, sides):
         assert timed.pop("function") == "phi"
         assert {name: t["inputs"] for name, t in timed.items()} == inputs
         assert all(is_spread(t["per_call_s"], 1) for t in timed.values())
+        # the CLI per call; a side whose build_parser takes no verb builds it whole
+        timed = dict(cli[side])
+        assert isinstance(timed.pop("build_parser_takes_verb"), bool)
+        assert set(timed) == {"run_phi", "run_phi_inverse", "build_parser_phi", "build_parser_all"}
+        assert all(t["inputs"] == 20 and is_spread(t["per_call_s"], 1) for t in timed.values())
 
 
 def test_smallest_run_schema():
     report = smallest()
-    check_layers(report, ["change"])
+    counts = verify_counts(ROOT / "src")
+    assert sorted(counts) == sorted(suite_names()) and sum(counts.values()) == 61
+    check_layers(report, {"change": counts})
+    assert report["cli"]["change"]["build_parser_takes_verb"] is True
     assert report["settings"] == {
         "bounds": [[1, 1, 1]], "rounds": 1, "pairs": 10, "workloads": [],
         "seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
@@ -90,13 +114,20 @@ def test_smallest_run_schema():
     assert report["end_to_end"] is None and report["parent"] is None
 
 
-def test_smallest_run_on_both_sides():
+def test_smallest_run_on_both_sides(tmp_path):
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     if head.returncode != 0:
         pytest.skip("not a git checkout")
     report = smallest("HEAD", workloads=())
-    check_layers(report, ["parent", "change"])
+    layers = load_layers()
+    layers.archive("HEAD", tmp_path / "head")
+    counts = {"parent": verify_counts(tmp_path / "head" / "src"), "change": verify_counts(ROOT / "src")}
+    check_layers(report, counts)
     assert report["parent"] == head.stdout.strip() and report["end_to_end"] == []
+    # a side that records a count its own verify does not give fails
+    report["suite_times"][0]["parent"]["suites"]["round-trip"]["cases"] += 1
+    with pytest.raises(AssertionError):
+        check_layers(report, counts)
 
 
 def test_summary_keeps_counts_and_spreads_floats():

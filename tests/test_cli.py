@@ -21,6 +21,7 @@ from kssbij.cli.codec import (
     encode_rc,
     encode_tableau,
 )
+from kssbij import cli as cli_module
 from kssbij.cli import harness
 from kssbij.cli.harness import run_verify
 from kssbij.evolution import Path, local_energy_distribution
@@ -810,6 +811,62 @@ class TestVerbSequence:
         # the text verbs keep their own default format
         assert outputs[3] == "valid (restricted)\n"
         assert outputs[4].startswith("t=0:\n")
+
+
+class TestNarrowedParser:
+    """`run` builds only the arguments of the verb that argparse will
+    dispatch on; on every argv below it behaves as with the whole parser."""
+
+    # each verb's smallest complete arguments (verify kept fast), and a verb
+    # that does not exist; None is no verb at all
+    ARGS = {
+        None: [],
+        "frobnicate": [],
+        "tableau-insert": ["--letters", "1"],
+        "rmatrix": [],
+        "energy": [],
+        "led": [],
+        "bbs": ["--a", "1", "--l", "1"],
+        "phi": [],
+        "phi-inverse": [],
+        "rc-validate": [],
+        "verify": ["--max-n", "1", "--suite", "round-trip"],
+        "enumerate": ["--r", "1", "--s", "1", "--n", "1"],
+    }
+
+    def argvs(self):
+        shapes = {("--bogus", "phi", "--format", "json")}
+        for verb, args in self.ARGS.items():
+            head = [verb] if verb else []
+            shapes.add((*head, *args))
+            shapes.add((*head, *args, "--format", "json"))
+            # a required argument missing, or fewer arguments for verify
+            shapes.add((*head, *args[:-2]))
+            for token in ("-h", "--help", "--bogus", "--", "-"):
+                shapes.add((token, *head, *args))
+                shapes.add((*head, token, *args))
+                shapes.add((*head, *args, token))
+        return sorted(shapes)
+
+    def outcome(self, argv):
+        code, out, err = cli(*argv, stdin=golden("path_3factor.json"))
+        if "verify" in argv:
+            out = re.sub(r"\d+\.\d+", "#", out)
+        return code, out, err
+
+    def test_same_as_whole_parser(self, monkeypatch):
+        argvs = self.argvs()
+        narrowed = [self.outcome(argv) for argv in argvs]
+        whole = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser", lambda verb=None: whole())
+        assert [self.outcome(argv) for argv in argvs] == narrowed
+        # both parse errors and complete runs are among them
+        assert {code for code, _, _ in narrowed} >= {0, 2}
+
+    def test_other_verbs_have_no_arguments(self):
+        assert not hasattr(cli_module.build_parser("phi").parse_args(["led"]), "func")
+        args = cli_module.build_parser().parse_args(["led"])
+        assert (args.func, args.format) == (cli_module.cmd_led, "text")
 
 
 class TestPhiMemo:

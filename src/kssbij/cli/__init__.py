@@ -212,6 +212,19 @@ def build_parser(verb=None):
     return parser
 
 
+def _release(parser):
+    # argparse points every argument back at the parser or group holding it,
+    # so a parser is a reference cycle that lingers until the cycle collector
+    # runs, and one that outlives a collection waits for a full one. Cutting
+    # those links frees the parser, sub-parsers included, as soon as `run`
+    # drops it, so no call leaves its parser behind for the next.
+    for action in parser._actions:
+        action.container = None
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _release(sub)
+
+
 def run(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -223,6 +236,8 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    finally:
+        _release(parser)
     try:
         return args.func(args)
     except codec.MalformedInput as exc:

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -862,6 +864,31 @@ class TestNarrowedParser:
         assert [self.outcome(argv) for argv in argvs] == narrowed
         # both parse errors and complete runs are among them
         assert {code for code, _, _ in narrowed} >= {0, 2}
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("phi", "--format", "json"), "path_3factor.json"),
+            (("phi-inverse",), "rc_a1.json"),
+            (("enumerate", "--r", "1", "--s", "1", "--n", "1"), "path_3factor.json"),
+        ],
+    )
+    def test_run_leaves_no_parser_to_the_cycle_collector(self, argv, stdin):
+        # argparse's actions point back at their parser; run must cut those
+        # cycles, or every call leaves its parser to the cycle collector
+        stdin = golden(stdin)
+        assert cli(*argv, stdin=stdin)[0] == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                assert cli(*argv, stdin=stdin)[0] == 0
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, (argparse.ArgumentParser, argparse.Action))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
 
     def test_other_verbs_have_no_arguments(self):
         assert not hasattr(cli_module.build_parser("phi").parse_args(["led"]), "func")

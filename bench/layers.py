@@ -1,5 +1,6 @@
-"""Per-suite `verify` times, the carrier sweep, box removal, forward map and
-CLI layers and end-to-end benchmark pairs, written as one BENCH_*.json.
+"""Per-suite `verify` times and work counts, the carrier sweep, box removal,
+forward map, `phi_energy` and CLI layers and end-to-end benchmark pairs,
+written as one BENCH_*.json.
 
 Run from the repository root:
 
@@ -14,7 +15,11 @@ median and quartiles. The layers:
 
 - Suite times at each of BOUNDS (`verify`'s defaults and `--max-n 3`):
   `harness.run_verify` untraced, each suite's cases and time from
-  `Report.results`, the total cases, failures and time, and max RSS.
+  `Report.results`, the total cases, failures and time, and max RSS. Then
+  one count pass per side, a cold `run_verify` in a fresh process: its
+  `rmatrix._product` calls (the product passes) and the `cache_info` of each
+  cache in `rmatrix`. Counts need no rounds: the same source gives the same
+  counts.
 - Sweep, per function, at the first BOUNDS: seconds per pass over
   evolution-linearization's (p, a, l) items, cold (each pass starting with
   empty step and pad caches) then warm, of `evolution._evolve`, the rows
@@ -31,6 +36,13 @@ median and quartiles. The layers:
   addition (`kss.phi`), or `kss.phi_energy` on a revision without it. Each
   result must first come back through `kss.phi_inverse`, so the timed
   passes run on warm caches.
+- phi_energy: `kss.phi_energy` per call, cold (the step and pad caches
+  emptied before each call, outside the timed span), the best of 5 passes
+  over perfbench's path-to-rc inputs (`inputs.path_round` of
+  `Random(PATH_SEED)`, PATH_ROUNDS rounds of 16 paths), each required to
+  come back through `kss.phi_inverse` first. Then, under tracemalloc, the
+  MB that one warm pass over them leaves allocated, which is mostly the
+  step cache.
 - CLI: per call, the best of 5 passes of CALLS (20) calls, `cli.run` of
   `phi --format json` on `tests/golden/path_3factor.json` (whose output
   must first match `rc_3factor.json`) and of `phi-inverse --format json`
@@ -48,7 +60,8 @@ won (ties count for neither side).
 
 `perfbench/` is read and run, never edited. The copies live in a new
 temporary directory, removed at the end. `measure` also takes smaller
-bounds, rounds and workloads, which the tests use for the smallest size.
+bounds, rounds, workloads and path rounds, which the tests use for the
+smallest size.
 """
 
 import argparse
@@ -86,6 +99,9 @@ CALLS = 20
 GOLDEN = ROOT / "tests" / "golden"
 # the sweep layer repeats each pass until its passes last this long together
 SWEEP_S = 0.2
+# the phi_energy layer's inputs: path-to-rc rounds of one seed
+PATH_SEED = 1
+PATH_ROUNDS = 20
 
 SUITE_ROUND = """
 import json, resource, sys
@@ -101,17 +117,42 @@ print(json.dumps({
 }))
 """
 
-SWEEP_ROUND = """
-import json, sys, time
+COUNT_ROUND = """
+import json, sys
+from kssbij import rmatrix
+from kssbij.cli.harness import run_verify
+calls = []
+product_pass = rmatrix._product
+rmatrix._product = lambda u, b: calls.append(u) or product_pass(u, b)
+report = run_verify(*map(int, sys.argv[1:4]))
+print(json.dumps({
+    "cases": report.total_cases,
+    "product_calls": len(calls),
+    "caches": {name: f.cache_info()._asdict() for name, f in vars(rmatrix).items()
+               if hasattr(f, "cache_info")},
+}))
+"""
+
+# the step and pad caches, and a function that empties them
+CLEAR_CACHES = """
 from kssbij import evolution, rmatrix
+caches = [f for module in (evolution, rmatrix) for f in vars(module).values()
+          if hasattr(f, "cache_clear")]
+
+
+def clear_caches():
+    for cache in caches:
+        cache.cache_clear()
+"""
+
+SWEEP_ROUND = CLEAR_CACHES + """
+import json, sys, time
 from kssbij.cli.harness import family
 sweep = getattr(evolution, sys.argv[1])
 max_n, max_l, max_s = map(int, sys.argv[2:5])
 least_s = float(sys.argv[5])
 items = [(p, a, l) for p in family(max_n, max_l, max_s).paths
          for a in range(1, p.rank_n + 1) for l in range(1, max_l + 1)]
-caches = [f for module in (evolution, rmatrix) for f in vars(module).values()
-          if hasattr(f, "cache_clear")]
 
 
 def per_pass(cold):
@@ -120,8 +161,7 @@ def per_pass(cold):
     total = passes = 0
     while total < least_s:
         if cold:
-            for cache in caches:
-                cache.cache_clear()
+            clear_caches()
         start = time.perf_counter()
         for item in items:
             sweep(*item)
@@ -184,6 +224,39 @@ for name, paths in inputs.items():
         sys.exit("%s: phi_inverse(%s(p)) != p" % (name, forward.__name__))
     out[name] = per_call(forward, paths, passes)
 print(json.dumps(out))
+"""
+
+PHI_ENERGY_ROUND = CLEAR_CACHES + """
+import json, random, sys, time, tracemalloc
+sys.path.insert(0, "perfbench")
+import inputs
+from kssbij.evolution import Path
+from kssbij.kss import phi_energy, phi_inverse
+from kssbij.tableaux import Tableau
+seed, rounds, passes = map(int, sys.argv[1:4])
+rng, distinct = random.Random(seed), inputs.Distinct()
+paths = [Path(d["n"], [Tableau(d["n"], rows) for rows in d["factors"]])
+         for i in range(rounds) for _, d in inputs.path_round(rng, distinct, i)]
+if [phi_inverse(phi_energy(p)) for p in paths] != paths:
+    sys.exit("phi_inverse(phi_energy(p)) != p")
+best = None
+for _ in range(passes):
+    elapsed = 0.0
+    for p in paths:
+        clear_caches()
+        start = time.perf_counter()
+        phi_energy(p)
+        elapsed += time.perf_counter() - start
+    best = elapsed if best is None else min(best, elapsed)
+clear_caches()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for p in paths:
+    phi_energy(p)
+kept = tracemalloc.get_traced_memory()[0] - before
+tracemalloc.stop()
+print(json.dumps({"inputs": len(paths), "per_call_s": best / len(paths),
+                  "kept_mb": kept / 2 ** 20}))
 """
 
 CLI_ROUND = PER_CALL + """
@@ -378,7 +451,7 @@ def end_to_end(sides, workdir, workload):
 
 
 def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
-            workloads=tuple(w["name"] for w in SPEC["workloads"])):
+            workloads=tuple(w["name"] for w in SPEC["workloads"]), path_rounds=PATH_ROUNDS):
     """The record: every layer on this working tree and, given parent (a
     revision), on its copy too, then the end-to-end pairs of each workload."""
     workdir = Path(tempfile.mkdtemp(prefix="kssbij-bench-"))
@@ -403,6 +476,7 @@ def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
                          "seconds": SPEC["run_seconds"]},
             "suite_times": [
                 dict(bounds=b, rounds=rounds,
+                     counts=layer(sides, 1, "counts at %d,%d,%d" % b, COUNT_ROUND, *b),
                      **layer(sides, rounds, "suites at %d,%d,%d" % b, SUITE_ROUND, *b))
                 for b in bounds
             ],
@@ -417,6 +491,11 @@ def measure(parent=None, bounds=BOUNDS, rounds=ROUNDS,
             "phi": dict(
                 bounds=first, rounds=rounds, chains=CHAINS, passes=PASSES,
                 **layer(sides, rounds, "phi", PHI_ROUND, *first, PASSES, *CHAINS),
+            ),
+            "phi_energy": dict(
+                seed=PATH_SEED, path_rounds=path_rounds, rounds=rounds, passes=PASSES,
+                **layer(sides, rounds, "phi_energy", PHI_ENERGY_ROUND,
+                        PATH_SEED, path_rounds, PASSES),
             ),
             "cli": dict(
                 rounds=rounds, passes=PASSES, calls=CALLS,

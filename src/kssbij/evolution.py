@@ -13,10 +13,9 @@ Every sweep is one `_sweep_rows` through `rmatrix._sweep_step`, the
 memoized step (an LRU cache of `rmatrix.CACHE_SIZE` entries) that also
 serves `apply_R`, `energy_H` and the affine R: each carrier move u (x) b
 gives the R image b' (x) u' and the energies of u against every column
-prefix of b together. The sweeps that read only energies (`total_energy`,
-`energy_matrix`, `local_energy_distribution`) take their last move from
-`rmatrix._move_energies`, a cache of the energies alone, since nothing
-reads its R image. The sweep keeps each carrier compressed, with
+prefix of b together, so the sweeps that read only energies (`total_energy`,
+`energy_matrix`, `local_energy_distribution`) and those that read images
+share every entry. The sweep keeps each carrier compressed, with
 its spare vacuum columns V = (1, ..., a) set aside in front and its spare
 top columns A = (n-a+2, ..., n+1) behind, and gives the step only as many
 of each as b is wide, which changes nothing (the two lemmas are in
@@ -34,7 +33,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from kssbij.rigged import check_rank
-from kssbij.rmatrix import _move_energies, _sweep_step
+from kssbij.rmatrix import _sweep_step
 from kssbij.tableaux import Tableau, check_kr
 
 
@@ -130,7 +129,7 @@ def _expand(n, a, carrier):
     return tuple(u)
 
 
-def _sweep_rows(p, a, l, last_image=True):
+def _sweep_rows(p, a, l):
     """One pass of the carrier u_l^(a), on compressed carriers.
 
     Returns (out, carriers, energies): out[j] holds the rows of the R image
@@ -138,10 +137,7 @@ def _sweep_rows(p, a, l, last_image=True):
     and carriers[j] is the carrier after j factors (carriers[0] = u_l^(a)),
     kept as (k, u, t): k columns V = (1, ..., a) set aside in front of the
     rows u, and t columns A = (n-a+2, ..., n+1), the highest column of
-    height a, set aside behind them (`_expand` gives the full rows). With
-    last_image false, the last move computes its energies alone
-    (`rmatrix._move_energies`), peeling no R image, and out and carriers
-    stop before it: for the sweeps that read only energies.
+    height a, set aside behind them (`_expand` gives the full rows).
 
     Before the move against a factor b of width s, the carrier's columns V
     and its columns A are each split so that u holds min(total, s) of them:
@@ -179,12 +175,11 @@ def _sweep_rows(p, a, l, last_image=True):
     < x of each row above, which in u's run lies at some position j >= 0,
     so in the other run it lies at j + 1 and the added column is never
     entered. The ejected letters, hence b', are the same, and the rows left
-    are V (+) u'. By (iii), _move_energies(V (+) u, b) = hs as well.
+    are V (+) u'.
 
     Mirror lemma. If u in B^{a,l} ends with m >= s columns A and b is a
-    rectangle of width s, then _sweep_step(u (+) A, b) = (b', u' (+) A, hs)
-    and _move_energies(u (+) A, b) = hs, where (b', u', hs) =
-    _sweep_step(u, b).
+    rectangle of width s, then _sweep_step(u (+) A, b) = (b', u' (+) A, hs),
+    where (b', u', hs) = _sweep_step(u, b).
 
     Proof. Letters move left to right, so columns 1..l evolve alike in both
     runs; it remains to show that in the run of u (+) A the added column
@@ -231,9 +226,7 @@ def _sweep_rows(p, a, l, last_image=True):
     top = n - a + 2
     k, u, t = carrier = (l, ((),) * a, 0)
     out, carriers, energies = [], [carrier], []
-    # the index of the move that peels nothing, or -1 for none
-    last = -1 if last_image else len(p.factors) - 1
-    for j, b in enumerate(p.factors):
+    for b in p.factors:
         b = b.rows
         s = len(b[0])
         # a column of u is V exactly when its bottom letter is a, and A
@@ -257,9 +250,6 @@ def _sweep_rows(p, a, l, last_image=True):
                 m = s - w if t > s - w else t
                 u = tuple(map(tuple.__add__, u, _top(n, a, m)))
                 t -= m
-        if j == last:
-            energies.append(_move_energies(u, b))
-            break
         b2, u, hs = _sweep_step(u, b)
         out.append(b2)
         carriers.append((k, u, t))
@@ -311,7 +301,7 @@ def energy_matrix(p, a, l_max):
     k = 1..beta_j: lists over l and j of tuples over k.
     """
     check_kr(a, l_max, p.rank_n)
-    return [_sweep_rows(p, a, l, False)[2] for l in range(1, l_max + 1)]
+    return [_sweep_rows(p, a, l)[2] for l in range(1, l_max + 1)]
 
 
 # Double differences of carrier energies, one table per level a = 1..n:
@@ -361,7 +351,7 @@ def local_energy_distribution(p):
         while total < weight:
             l += 1
             # differences in k first (E[l][j][0] = 0), flattened in column order
-            e_cur = _sweep_rows(p, a, l, False)[2]
+            e_cur = _sweep_rows(p, a, l)[2]
             d_cur = [e - prev for es in e_cur for prev, e in zip((0,) + es, es)]
             row = [x - y for x, y in zip(d_cur, d_prev)]  # then in l
             if min(row) < 0:
@@ -383,4 +373,4 @@ def local_energy_distribution(p):
 def total_energy(p, a, l):
     """E_l^(a): summed full-factor carrier energies along the path."""
     check_kr(a, l, p.rank_n)
-    return sum([hs[-1] for hs in _sweep_rows(p, a, l, False)[2]])
+    return sum([hs[-1] for hs in _sweep_rows(p, a, l)[2]])

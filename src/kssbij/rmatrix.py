@@ -14,13 +14,12 @@ each ejected column. It serves every caller: the carrier sweeps of
 `evolution` use every prefix energy, and hand it carriers cut down to as
 many leading vacuum columns and trailing top columns as b is wide, so
 sweeps at every carrier width share entries; `apply_R`, `energy_H` and
-`apply_affine_R` use R and the last energy. A second cache,
-`_move_energies`, keeps the product pass's energies alone: the sweeps that
-read only energies (`total_energy`, `energy_matrix`,
-`local_energy_distribution`) use it for their last move, whose R image
-nothing reads. Both caches hold CACHE_SIZE entries (sized
-below). `apply_R` wraps the cached image in tableaux without re-validating
-its rows: they come from factors that were checked when they were built.
+`apply_affine_R` use R and the last energy. Every move of every sweep goes
+through it, so a move computed once serves the sweeps that read only
+energies and those that read images alike. The cache holds CACHE_SIZE
+entries (sized below). `apply_R` wraps the cached image in tableaux without
+re-validating its rows: they come from factors that were checked when they
+were built.
 `apply_affine_R` works on row tuples with modes and builds no tableau or
 pair. `product_tableau` builds the product by row insertion instead,
 through `tableaux.insert_word`, the one checked entry into row insertion;
@@ -34,21 +33,23 @@ from operator import le, lt
 from kssbij import kernels
 from kssbij.tableaux import Tableau, insert_word, row_word
 
-# Entries kept by each of the two caches behind R and H: the full steps and
-# the energies of the sweeps' last moves. Each `verify` suite walks its finite
-# family in order, so a cache smaller than the working set evicts each entry
-# before it comes round again. `verify` at its defaults touches 473 distinct
-# steps and 516 distinct last moves, which 1024 holds (each misses once); at
-# --max-n 3 both working sets outgrow it, so entries are evicted and missed
-# again.
-# The bound keeps memory flat where pairs rarely repeat, as in carrier sweeps
-# over random paths: after `local_energy_distribution` of perfbench's first
-# 320 path-to-rc inputs (seed 1; 11,027 step misses against 12,910 hits),
-# the full step cache held 0.65 MB and the energy cache 0.37 MB (tracemalloc).
-# Since `phi` moved to box addition, verify-default is the one benchmark
-# workload that uses these caches; the `led`, `bbs`, `energy` and `rmatrix`
-# verbs use them too.
-CACHE_SIZE = 1024
+# Entries kept by `_sweep_step`, the one cache behind R and H. Each `verify`
+# suite walks its finite family in order, so a cache smaller than the working
+# set evicts each entry before it comes round again. The count passes of
+# `BENCH_33.json` (`suite_times`) give the sizes: `verify` at its defaults
+# touches 545 distinct moves, which fit, so each misses once; at --max-n 3
+# the working set outgrows the cache and the step misses 48,476 times.
+# The bound keeps memory flat where moves rarely repeat, as in carrier sweeps
+# over random paths. 1,536 entries hold about the bytes that two caches of
+# 1,024 held, one of full steps and one of the energies alone of the sweeps'
+# last moves, which R and H used before: BENCH_33's `phi_energy` layer reads
+# what one pass over perfbench's path-to-rc inputs leaves allocated.
+# In the benchmark it is rc-to-path's untimed check (`RcToPath._phi` calls
+# `phi_energy`) that fills this cache, so the number of entries moves that
+# workload's peak_rss_mb. verify-default fits at any size of at least 545,
+# and path-to-rc (box addition) never reaches the cache. The `led`, `bbs`,
+# `energy` and `rmatrix` verbs use it too.
+CACHE_SIZE = 1536
 
 
 class TensorPair:
@@ -191,15 +192,6 @@ def _sweep_step(u, b):
     rows = [[col[i] for col in cols[:w]] for i, w in enumerate(lengths)]
     b_new, u_new = _peel(rows, len(u), len(u[0]), len(b), len(b[0]))
     return b_new, u_new, energies
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _move_energies(u, b):
-    """The energies (H_1, ..., H_beta) of `_sweep_step(u, b)` alone, with no
-    R image peeled: the last move of a sweep that reads only energies."""
-    if not u or not b:
-        return (0,)
-    return _product(u, b)[2]
 
 
 def apply_R(p):

@@ -15,6 +15,8 @@ from kssbij.cli.harness import suite_names
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "bench" / "layers.py"
 SMALLEST = ((1, 1, 1),)
+# one path-to-rc round: 16 paths
+PATH_ROUNDS = 1
 
 
 def load_layers():
@@ -30,7 +32,9 @@ def is_spread(d, n):
 
 def smallest(*args, **kwargs):
     """The record that measure gives at SMALLEST in one round, as written."""
-    report = load_layers().measure(*args, bounds=SMALLEST, rounds=1, **kwargs)
+    report = load_layers().measure(
+        *args, bounds=SMALLEST, rounds=1, path_rounds=PATH_ROUNDS, **kwargs
+    )
     return json.loads(json.dumps(report))
 
 
@@ -52,15 +56,19 @@ def check_layers(report, counts):
     `verify` at SMALLEST."""
     sides = list(counts)
     assert set(report) == {
-        "cli", "commit", "dirty", "end_to_end", "machine", "parent", "phi", "phi_inverse",
-        "settings", "sources", "suite_times", "sweep",
+        "cli", "commit", "dirty", "end_to_end", "machine", "parent", "phi", "phi_energy",
+        "phi_inverse", "settings", "sources", "suite_times", "sweep",
     }
     assert set(report["machine"]) == {"cores", "platform", "python"}
     assert set(report["sources"]) == set(sides)
     assert all(len(h) == 64 for h in report["sources"].values())
     (times,) = report["suite_times"]
-    assert set(times) == {"bounds", "rounds", *sides}
+    assert set(times) == {"bounds", "rounds", "counts", *sides}
     assert (times["bounds"], times["rounds"]) == ([1, 1, 1], 1)
+    assert set(times["counts"]) == set(sides)
+    energy = report["phi_energy"]
+    assert set(energy) == {"seed", "path_rounds", "rounds", "passes", *sides}
+    assert (energy["seed"], energy["path_rounds"], energy["passes"]) == (1, PATH_ROUNDS, 5)
     sweep = report["sweep"]
     assert set(sweep) == {"bounds", "rounds", "least_s", "_evolve", "carrier_sweep"}
     assert (sweep["bounds"], sweep["rounds"], sweep["least_s"]) == ([1, 1, 1], 1, 0.2)
@@ -79,6 +87,15 @@ def check_layers(report, counts):
         assert (suites["cases"], suites["failures"]) == (sum(counts[side].values()), 0)
         assert is_spread(suites["total_s"], 1) and is_spread(suites["max_rss_mb"], 1)
         assert all(is_spread(s["seconds"], 1) for s in suites["suites"].values())
+        # the count pass: every step miss is one product pass
+        counts_pass = times["counts"][side]
+        assert counts_pass["cases"] == suites["cases"]
+        step = counts_pass["caches"]["_sweep_step"]
+        assert set(step) == {"hits", "misses", "maxsize", "currsize"}
+        misses = sum(c["misses"] for c in counts_pass["caches"].values())
+        assert counts_pass["product_calls"] == misses > 0
+        assert energy[side]["inputs"] == 16 * PATH_ROUNDS
+        assert is_spread(energy[side]["per_call_s"], 1) and is_spread(energy[side]["kept_mb"], 1)
         for name in ("_evolve", "carrier_sweep"):
             assert set(sweep[name]) == set(sides)
             assert set(sweep[name][side]) == {"items", "cold_s", "warm_s"}

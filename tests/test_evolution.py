@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kssbij import evolution, rmatrix
+from kssbij import evolution
 from kssbij.cli.harness import check_energy_padding, family
 from kssbij.evolution import (
     Path,
@@ -360,10 +360,8 @@ class TestVacuumLemma:
 class TestMirrorLemma:
     def test_trailing_column_commutes_with_the_step(self):
         # u with m >= s trailing columns A against every b of width s:
-        # step(u + A, b) = (b', u' + A, hs) where step(u, b) = (b', u', hs),
-        # and the energies alone are hs
+        # step(u + A, b) = (b', u' + A, hs) where step(u, b) = (b', u', hs)
         step = _sweep_step.__wrapped__
-        energies = rmatrix._move_energies.__wrapped__
         checked = 0
         for n in (1, 2, 3):
             for a, l, r, s in product(range(1, n + 1), range(1, 6), range(1, n + 1), range(1, 4)):
@@ -371,7 +369,6 @@ class TestMirrorLemma:
                 for u, b in product(us, [b.rows for b in enumerate_kr(r, s, n)]):
                     b2, u2, hs = step(u, b)
                     assert step(append_top(n, u), b) == (b2, append_top(n, u2), hs)
-                    assert energies(append_top(n, u), b) == hs
                     checked += 1
         assert checked == 16902
 
@@ -414,8 +411,7 @@ class TestCompressedSweep:
         assert [f.rows for f in factors] == out
         assert [t.rows for t in tableaux] == carriers
         assert evolution._evolve(p, a, l) == (tuple(out), carriers[-1] == carriers[0])
-        # the energy sweeps, whose last move peels no image, against sweeps
-        # that peel every image
+        # the energy sweeps against the full-row reference
         assert total_energy(p, a, l) == sum(hs[-1] for hs in energies)
         em = energy_matrix(p, a, l)
         columns = [(j, k) for j, b in enumerate(p.factors, 1) for k in range(1, b.width() + 1)]
@@ -424,29 +420,19 @@ class TestCompressedSweep:
         ]
         assert local_energy_distribution(p).tables == reference_tables(p)
 
-    def test_energy_sweeps_never_peel_the_last_move(self, monkeypatch):
-        # the factor shapes differ, so only a peel of the last move gives an
-        # image of shape (1, 3); the steps must miss, or no peel runs at all
+    def test_evolution_reuses_the_energy_sweeps_steps(self):
+        # every move of an energy sweep is a full step, its last one too, so
+        # evolving at each (a, l) that the LED swept (level a sweeps every
+        # width but that of its closing zero row) misses no step
         p = path(2, [[1], [2]], [[1, 2]], [[2, 2, 3]])
-        peel = rmatrix._peel
-        shapes = set()
-
-        def recording(rows, r, s, rp, sp):
-            shapes.add((rp, sp))
-            return peel(rows, r, s, rp, sp)
-
-        def sweep(fn, *args):
-            shapes.clear()
-            _sweep_step.cache_clear()
-            rmatrix._move_energies.cache_clear()
-            fn(p, *args)
-            return set(shapes)
-
-        monkeypatch.setattr(rmatrix, "_peel", recording)
-        assert sweep(local_energy_distribution) == {(2, 1), (1, 2)}
-        assert sweep(total_energy, 2, 3) == {(2, 1), (1, 2)}
-        assert sweep(energy_matrix, 1, 4) == {(2, 1), (1, 2)}
-        assert sweep(carrier_sweep, 1, 4) == {(2, 1), (1, 2), (1, 3)}
+        _sweep_step.cache_clear()
+        tables = local_energy_distribution(p).tables
+        misses = _sweep_step.cache_info().misses
+        swept = [(a, l) for a, rows in enumerate(tables, 1) for l in range(1, len(rows))]
+        assert len(swept) == 4
+        for a, l in swept:
+            evolution._evolve(p, a, l)
+        assert _sweep_step.cache_info().misses == misses
 
     def test_widths_share_step_entries(self, monkeypatch):
         p = path(2, [[2]], [[1, 1]], [[1, 2], [2, 3]], [[1]], [[1]])
@@ -515,8 +501,8 @@ class TestHeavyPaths:
         spare = []
         sweep = evolution._sweep_rows
 
-        def recording(p, a, l, last_image=True):
-            out = sweep(p, a, l, last_image)
+        def recording(p, a, l):
+            out = sweep(p, a, l)
             spare.extend((k > 0, t > 0) for k, _, t in out[1][1:])
             return out
 

@@ -102,6 +102,12 @@ class TestConstruction:
         rc = RiggedConfiguration(2, [[], []], [[], []])
         assert validate(rc, "restricted") == []
 
+    def test_immutable(self):
+        rc = rc_a1()
+        with pytest.raises(AttributeError, match="immutable"):
+            rc.mu = []
+        assert rc == rc_a1()
+
 
 class TestQ:
     def test_column_counts(self):

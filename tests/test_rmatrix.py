@@ -119,6 +119,22 @@ class TestApplyR:
             TensorPair(Tableau(1, [[1]]), Tableau(2, [[1]]))
 
 
+class TestTensorPair:
+    def test_immutable(self):
+        p = TensorPair(Tableau(2, [[1, 2]]), Tableau(2, [[3]]))
+        with pytest.raises(AttributeError, match="immutable"):
+            p.left = p.right
+        assert p.left == Tableau(2, [[1, 2]])
+
+    def test_hash_agrees_with_eq_and_repr_names_both_factors(self):
+        u, v = Tableau(2, [[1, 2]]), Tableau(2, [[1], [3]])
+        p = TensorPair(u, v)
+        same = TensorPair(Tableau(2, [[1, 2]]), Tableau(2, [[1], [3]]))
+        assert p == same and hash(p) == hash(same)
+        assert len({p, same, TensorPair(v, u)}) == 2
+        assert repr(p) == "TensorPair(%r, %r)" % (u, v)
+
+
 class TestAffine:
     """The affine R on (rows, mode) pairs: (u, m) (x) (v, k) -> (v', k - h) (x)
     (u', m + h) with v' (x) u' the R image and h = H(u (x) v). The worked
@@ -388,8 +404,7 @@ class TestPeelChecks:
 
 
 class TestProductPass:
-    """`rmatrix._product`, the uncached product pass of the step, and
-    `_move_energies`, the cached energies it gives alone."""
+    """`rmatrix._product`, the uncached product pass of the step."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -408,18 +423,6 @@ class TestProductPass:
         rows = product_tableau(TensorPair(u, b)).rows
         assert cols == [[row[j] for row in rows if len(row) > j] for j in range(len(rows[0]))]
         assert lengths == [len(row) for row in rows]
-
-    def test_move_energies_equal_step_energies(self):
-        # every pair on the shape menu for n <= 3, s <= 2, and every pair
-        # with an empty factor
-        for n in (1, 2, 3):
-            elements = [()] + [
-                t.rows for r, s in shape_menu(n, 2) for t in enumerate_kr(r, s, n)
-            ]
-            for u, b in itertools.product(elements, repeat=2):
-                assert rmatrix._move_energies.__wrapped__(u, b) == (
-                    rmatrix._sweep_step.__wrapped__(u, b)[2]
-                )
 
 
 class TestEmptyFactors:
@@ -457,25 +460,22 @@ class TestCaches:
         assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
         assert info.misses > rmatrix.CACHE_SIZE
 
-    def test_bounded_after_verify(self):
-        # the full steps and the energies of the sweeps' last moves; the phi of
-        # a kept family would skip the steps of the phi suites
-        caches = (rmatrix._sweep_step, rmatrix._move_energies)
-
-        def run_cold(*bounds):
-            for cache in caches:
-                cache.cache_clear()
-            family.cache_clear()
-            run_verify(*bounds)
-            return [cache.cache_info() for cache in caches]
-
-        for info in run_cold(1, 2, 1):
-            assert info.misses > 0
-            assert isinstance(info.maxsize, int)
-            assert info.currsize <= info.maxsize
-        # verify at its defaults fits in both caches: every entry misses once
-        for info in run_cold(2, 3, 2):
-            assert info.misses == info.currsize <= rmatrix.CACHE_SIZE
+    def test_bounded_after_verify(self, monkeypatch):
+        # verify at its defaults fits in the one step cache: each of its 545
+        # distinct moves misses once and runs the one product pass of its
+        # miss. The phi of a kept family would skip the steps of the phi suites
+        products = []
+        product_pass = rmatrix._product
+        monkeypatch.setattr(
+            rmatrix, "_product", lambda u, b: products.append(u) or product_pass(u, b)
+        )
+        step = rmatrix._sweep_step
+        step.cache_clear()
+        family.cache_clear()
+        run_verify(2, 3, 2)
+        info = step.cache_info()
+        assert info.misses == info.currsize == len(products) == 545
+        assert info.maxsize == rmatrix.CACHE_SIZE
 
 
 def _cells_outside(p):

@@ -94,6 +94,7 @@ def check_layers(report, counts):
         assert set(step) == {"hits", "misses", "maxsize", "currsize"}
         misses = sum(c["misses"] for c in counts_pass["caches"].values())
         assert counts_pass["product_calls"] == misses > 0
+        # phi_energy per call, cold, over one path-to-rc round
         assert energy[side]["inputs"] == 16 * PATH_ROUNDS
         assert is_spread(energy[side]["per_call_s"], 1) and is_spread(energy[side]["kept_mb"], 1)
         for name in ("_evolve", "carrier_sweep"):

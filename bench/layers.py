@@ -22,7 +22,7 @@ median and quartiles. The layers:
   counts.
 - Sweep, per function, at the first BOUNDS: seconds per pass over
   evolution-linearization's (p, a, l) items, cold (each pass starting with
-  empty step and pad caches) then warm, of `evolution._evolve`, the rows
+  empty step and row caches) then warm, of `evolution._evolve`, the rows
   sweep that `verify` runs and perfbench's tracer does not see, and of the
   public `carrier_sweep`. Each is repeated until its passes last SWEEP_S
   (0.2 s) together; the pass count varies, so it is not recorded.
@@ -31,12 +31,11 @@ median and quartiles. The layers:
   over ROADMAP's Baseline B^{1,1} chains (n = 3, letters from one
   `Random(3)`, drawn for L = 200 and then 400); each input must first come
   back as its path.
-- Forward map: per call, the best of 5 passes over the same paths, of the
-  function that the `phi` verb computes with, named in the record: box
-  addition (`kss.phi`), or `kss.phi_energy` on a revision without it. Each
-  result must first come back through `kss.phi_inverse`, so the timed
+- Forward map: per call, the best of 5 passes over the same paths, of box
+  addition (`kss.phi`), the function that the `phi` verb computes with.
+  Each result must first come back through `kss.phi_inverse`, so the timed
   passes run on warm caches.
-- phi_energy: `kss.phi_energy` per call, cold (the step and pad caches
+- phi_energy: `kss.phi_energy` per call, cold (the step and row caches
   emptied before each call, outside the timed span), the best of 5 passes
   over perfbench's path-to-rc inputs (`inputs.path_round` of
   `Random(PATH_SEED)`, PATH_ROUNDS rounds of 16 paths), each required to
@@ -47,8 +46,10 @@ median and quartiles. The layers:
   `phi --format json` on `tests/golden/path_3factor.json` (whose output
   must first match `rc_3factor.json`) and of `phi-inverse --format json`
   on `rc_a1.json`, each required to exit 0, and `cli.build_parser` for
-  `phi` and with no verb. On a revision whose `build_parser` takes no verb
-  (recorded as `build_parser_takes_verb`), both builds are the whole parser.
+  `phi` and with no verb.
+
+REV must have box addition (`kss.phi`) and a `cli.build_parser` that takes
+the verb, as the layers call both.
 
 With --parent, 10 alternating pairs of `perfbench/run.py --workload W --seed
 i --seconds S --trace 0` then run for every workload W of BENCHMARK.json,
@@ -133,7 +134,9 @@ print(json.dumps({
 }))
 """
 
-# the step and pad caches, and a function that empties them
+# the step and row caches, and a function that empties them: every cache
+# that `evolution` or `rmatrix` holds by name, which takes in the row builder
+# `tableaux._constant_rows` that `evolution` imports
 CLEAR_CACHES = """
 from kssbij import evolution, rmatrix
 caches = [f for module in (evolution, rmatrix) for f in vars(module).values()
@@ -157,7 +160,7 @@ items = [(p, a, l) for p in family(max_n, max_l, max_s).paths
 
 def per_pass(cold):
     # seconds per pass, over as many passes as last least_s together; a
-    # cold pass starts with the step and pad caches empty
+    # cold pass starts with the step and row caches empty
     total = passes = 0
     while total < least_s:
         if cold:
@@ -215,14 +218,12 @@ print(json.dumps(out))
 """
 
 PHI_ROUND = BOX_INPUTS + """
-from kssbij import kss
-# what the phi verb computes with: box addition, or phi_energy before it
-forward = getattr(kss, "phi", phi_energy)
-out = {"function": forward.__name__}
+from kssbij.kss import phi
+out = {}
 for name, paths in inputs.items():
-    if [phi_inverse(forward(p)) for p in paths] != paths:
-        sys.exit("%s: phi_inverse(%s(p)) != p" % (name, forward.__name__))
-    out[name] = per_call(forward, paths, passes)
+    if [phi_inverse(phi(p)) for p in paths] != paths:
+        sys.exit("%s: phi_inverse(phi(p)) != p" % name)
+    out[name] = per_call(phi, paths, passes)
 print(json.dumps(out))
 """
 
@@ -260,7 +261,7 @@ print(json.dumps({"inputs": len(paths), "per_call_s": best / len(paths),
 """
 
 CLI_ROUND = PER_CALL + """
-import contextlib, inspect, io
+import contextlib, io
 from pathlib import Path
 from kssbij import cli
 golden = Path(sys.argv[1])
@@ -275,10 +276,7 @@ def run(argv):
         sys.exit("%s exited %s" % (" ".join(argv), code))
 
 
-# a revision whose build_parser takes no verb builds every verb's arguments
-takes_verb = "verb" in inspect.signature(cli.build_parser).parameters
-build = cli.build_parser if takes_verb else lambda verb: cli.build_parser()
-out = {"build_parser_takes_verb": takes_verb}
+out = {}
 with contextlib.redirect_stdout(io.StringIO()) as sink:
     run(phi)
 if sink.getvalue() != (golden / "rc_3factor.json").read_text():
@@ -286,8 +284,8 @@ if sink.getvalue() != (golden / "rc_3factor.json").read_text():
 with contextlib.redirect_stdout(io.StringIO()):
     out["run_phi"] = per_call(run, [phi] * calls, passes)
     out["run_phi_inverse"] = per_call(run, [phi_inverse] * calls, passes)
-out["build_parser_phi"] = per_call(build, ["phi"] * calls, passes)
-out["build_parser_all"] = per_call(build, [None] * calls, passes)
+out["build_parser_phi"] = per_call(cli.build_parser, ["phi"] * calls, passes)
+out["build_parser_all"] = per_call(cli.build_parser, [None] * calls, passes)
 print(json.dumps(out))
 """
 

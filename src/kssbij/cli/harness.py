@@ -43,7 +43,7 @@ from kssbij.evolution import Path, _evolve, total_energy
 from kssbij.kss import linearized_image, phi_inverse, removal_order_equivalence
 from kssbij.rigged import q_l, validate
 from kssbij.rmatrix import TensorPair, apply_R, apply_affine_R, energy_H
-from kssbij.tableaux import Tableau, enumerate_kr, highest_element
+from kssbij.tableaux import Tableau, _constant_rows, enumerate_kr, highest_element
 
 class Report:
     """Per-suite case and failure counts and wall times, plus the total time.
@@ -183,9 +183,9 @@ def highest_pairs(n, menu):
 def two_letter(n, a, s):
     """Elements of B^{a+1,s} whose top a rows are highest and whose bottom row
     uses only the letters a+1 and a+2."""
-    top = [[i] * s for i in range(1, a + 1)]
-    bottoms = ([a + 1] * c + [a + 2] * (s - c) for c in range(s, -1, -1))
-    return [Tableau(n, top + [bottom]) for bottom in bottoms]
+    top = _constant_rows(1, a, s)
+    bottoms = ((a + 1,) * c + (a + 2,) * (s - c) for c in range(s, -1, -1))
+    return [Tableau(n, top + (bottom,)) for bottom in bottoms]
 
 
 def _bottom_row(v):
@@ -418,9 +418,10 @@ def check_round_trip(fam):
         if (back.rank_n, back.factors) != (p.rank_n, p.factors):
             failures.append("round trip failed for %s" % _path_json(p))
             continue
-        # configurations compare by rank, quantum space and riggings; the
-        # paths of a Family are distinct objects with distinct factors
-        first = seen.setdefault((tuple(p.shapes()), rc), p)
+        # configurations compare by rank, quantum space and riggings, which
+        # with the origins fix every factor's shape; the paths of a Family
+        # are distinct objects with distinct factors
+        first = seen.setdefault((rc.origins, rc), p)
         if first is not p:
             failures.append(
                 "phi not injective: %s and %s collide" % (_path_json(first), _path_json(p))

@@ -15,26 +15,26 @@ serves `apply_R`, `energy_H` and the affine R: each carrier move u (x) b
 gives the R image b' (x) u' and the energies of u against every column
 prefix of b together, so the sweeps that read only energies (`total_energy`,
 `energy_matrix`, `local_energy_distribution`) and those that read images
-share every entry. The sweep keeps each carrier compressed, with
-its spare vacuum columns V = (1, ..., a) set aside in front and its spare
-top columns A = (n-a+2, ..., n+1) behind, and gives the step only as many
-of each as b is wide, which changes nothing (the two lemmas are in
-`_sweep_rows`); so carriers of every width l, and carriers that have taken
-up different numbers of top letters, share cache entries. Only
-`carrier_sweep` expands carriers to full rows; `_evolve` gives T's factor
-rows and reads off the last compressed carrier whether it came back as
-u_l^(a), for `time_evolution` and for verify's linearization check, which
+share every entry. The sweep keeps each carrier compressed, with its spare
+vacuum columns V = (1, ..., a) set aside in front and its spare top columns
+A = (n-a+2, ..., n+1) behind (the rows of both come from
+`tableaux._constant_rows`, which also builds the highest element), and gives
+the step only as many of each as b is wide, which changes nothing (the two
+lemmas are in `_sweep_rows`); so carriers of every width l, and carriers
+that have taken up different numbers of top letters, share cache entries.
+Only `carrier_sweep` expands carriers to full rows; `_evolve` gives T's
+factor rows and reads off the last compressed carrier whether it came back
+as u_l^(a), for `time_evolution` and for verify's linearization check, which
 builds no tableau. Carriers and R images become tableaux without
 re-validation, since their rows come from the validated path.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import accumulate
 
 from kssbij.rigged import check_rank
 from kssbij.rmatrix import _sweep_step
-from kssbij.tableaux import Tableau, check_kr
+from kssbij.tableaux import Tableau, _constant_rows, check_kr
 
 
 class Path:
@@ -99,33 +99,14 @@ class Path:
         )
 
 
-# The two pad helpers keep one entry per level and run length, and an entry
-# of level a holds a rows: a rank-n path can reach n levels, so unbounded
-# caches would grow as n^2. `local_energy_distribution` (so `led` and
-# `phi_energy`) of the one-box path 2001 at n = 2000 fills 2,000 `_vacuum`
-# entries and peaks at 192 MB with unbounded caches, 144 MB with these bounds.
-@lru_cache(maxsize=256)
-def _vacuum(a, m):
-    # the rows of m columns V = (1, ..., a), m at most the widest factor or
-    # the carrier's width
-    return tuple((i,) * m for i in range(1, a + 1))
-
-
-@lru_cache(maxsize=256)
-def _top(n, a, m):
-    # the rows of m columns A = (n - a + 2, ..., n + 1), the highest column
-    # of height a, m at most the widest factor or the carrier's width
-    return tuple((i,) * m for i in range(n - a + 2, n + 2))
-
-
 def _expand(n, a, carrier):
     """The rows of a compressed carrier (k, u, t): k columns V, then u, then
     t columns A."""
     k, u, t = carrier
     if t:
-        u = map(tuple.__add__, u, _top(n, a, t))
+        u = map(tuple.__add__, u, _constant_rows(n - a + 2, a, t))
     if k:
-        u = map(tuple.__add__, _vacuum(a, k), u)
+        u = map(tuple.__add__, _constant_rows(1, a, k), u)
     return tuple(u)
 
 
@@ -238,7 +219,7 @@ def _sweep_rows(p, a, l):
         elif v < s and k:
             # min(k, s - v) without the call, which is slow next to a cache hit
             m = s - v if k > s - v else k
-            u = tuple(map(tuple.__add__, _vacuum(a, m), u))
+            u = tuple(map(tuple.__add__, _constant_rows(1, a, m), u))
             k -= m
         # with no spare A columns, u has some only if its last column is A
         if t or u[0][-1] == top:
@@ -248,7 +229,7 @@ def _sweep_rows(p, a, l):
                 t += w - s
             elif w < s and t:
                 m = s - w if t > s - w else t
-                u = tuple(map(tuple.__add__, u, _top(n, a, m)))
+                u = tuple(map(tuple.__add__, u, _constant_rows(top, a, m)))
                 t -= m
         b2, u, hs = _sweep_step(u, b)
         out.append(b2)

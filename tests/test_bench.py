@@ -107,14 +107,11 @@ def check_layers(report, counts):
         inputs = {"family": suites["suites"]["round-trip"]["cases"], "chain_200": 1, "chain_400": 1}
         assert {name: t["inputs"] for name, t in removal[side].items()} == inputs
         assert all(is_spread(t["per_call_s"], 1) for t in removal[side].values())
-        # the forward map on the same paths, by the function the phi verb calls
-        timed = dict(forward[side])
-        assert timed.pop("function") == "phi"
-        assert {name: t["inputs"] for name, t in timed.items()} == inputs
-        assert all(is_spread(t["per_call_s"], 1) for t in timed.values())
-        # the CLI per call; a side whose build_parser takes no verb builds it whole
-        timed = dict(cli[side])
-        assert isinstance(timed.pop("build_parser_takes_verb"), bool)
+        # box addition, the phi verb's forward map, on the same paths
+        assert {name: t["inputs"] for name, t in forward[side].items()} == inputs
+        assert all(is_spread(t["per_call_s"], 1) for t in forward[side].values())
+        # the CLI per call
+        timed = cli[side]
         assert set(timed) == {"run_phi", "run_phi_inverse", "build_parser_phi", "build_parser_all"}
         assert all(t["inputs"] == 20 and is_spread(t["per_call_s"], 1) for t in timed.values())
 
@@ -124,7 +121,6 @@ def test_smallest_run_schema():
     counts = verify_counts(ROOT / "src")
     assert sorted(counts) == sorted(suite_names()) and sum(counts.values()) == 61
     check_layers(report, {"change": counts})
-    assert report["cli"]["change"]["build_parser_takes_verb"] is True
     assert report["settings"] == {
         "bounds": [[1, 1, 1]], "rounds": 1, "pairs": 10, "workloads": [],
         "seconds": json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from kssbij import kss
+from kssbij import evolution, kss
 from kssbij.cli import run
 from kssbij.cli.codec import (
     decode_path,
@@ -31,6 +31,8 @@ from kssbij.kss import phi_energy
 from kssbij.rigged import RiggedConfiguration
 from kssbij.rmatrix import TensorPair
 from kssbij.tableaux import Tableau, enumerate_kr
+
+import pins
 
 GOLDEN = FsPath(__file__).parent / "golden"
 README = FsPath(__file__).parent.parent / "README.md"
@@ -534,6 +536,19 @@ class TestPhiCheckFailures:
         assert failures[0].startswith("phi not injective: ")
         assert _named_paths(failures[0]) == [self.CLEAN, self.LOADED]
 
+    def test_round_trip_never_reads_shapes(self, monkeypatch):
+        # the injectivity key is the configuration's origins, which with its
+        # rank and quantum space fix every factor's shape
+        fam = harness.family(2, 3, 2)
+        for p in fam.paths:
+            fam.phi(p)
+
+        def shapes(p):
+            raise AssertionError("Path.shapes called")
+
+        monkeypatch.setattr(Path, "shapes", shapes)
+        assert harness.check_round_trip(fam) == (402, [])
+
     def test_removal_order_fails(self, monkeypatch):
         # no configuration that phis could hold makes the real equivalence
         # false: valid ones satisfy it, and invalid ones raise ValueError
@@ -755,25 +770,40 @@ class TestVerifyVerb:
             assert report.render().split("\n")[11:-1] == more
 
     def test_defaults_pinned(self):
-        payload = run_verify().to_json()
+        # the row of tests/pins.py for the defaults, which CI checks at the
+        # larger bounds, through the same in-process run
+        code, payload, passes, misses = pins.run(pins.DEFAULT)
         top = {"suites", "total_cases", "total_failures", "elapsed_seconds"}
         assert set(payload) == top
         for suite in payload["suites"]:
             assert set(suite) == {"name", "cases", "failures", "elapsed_seconds"}
-        assert payload["total_failures"] == 0
-        assert {s["name"]: s["cases"] for s in payload["suites"]} == {
-            "yang-baxter": 11914,
-            "involutivity": 349,
-            "energy-zero-highest": 20,
-            "energy-padding": 82,
-            "two-letter-reduction": 28,
-            "energy-equals-q": 3243,
-            "round-trip": 402,
-            "removal-order": 467,
-            "evolution-linearization": 2295,
-            "energy-formula": 402,
+        assert pins.differences(pins.DEFAULT, code, payload, passes, misses) == []
+
+    def test_pins_catch_any_moved_count(self):
+        # a run that matches its row fails once any one pin moves by one,
+        # and once any suite reports a failure
+        row = pins.PINS[pins.DEFAULT]
+        report = {
+            "suites": [{"name": name, "cases": cases, "failures": []}
+                       for name, cases in row["suites"].items()],
+            "total_cases": row["total"],
+            "total_failures": 0,
         }
-        assert payload["total_cases"] == 19202
+        passes = row["product_passes"]
+        assert pins.differences(pins.DEFAULT, 0, report, passes, passes) == []
+        moved = []
+        for name in row["suites"]:
+            for step in (-1, 1):
+                suites = dict(row["suites"], **{name: row["suites"][name] + step})
+                moved.append(dict(row, suites=suites))
+        moved += [dict(row, total=row["total"] + step) for step in (-1, 1)]
+        moved.append(dict(row, product_passes=passes - 1))
+        for pinned in moved:
+            assert pins.differences(pins.DEFAULT, 0, report, passes, passes,
+                                    {pins.DEFAULT: pinned}) != []
+        report["suites"][0]["failures"] = ["f"]
+        report["total_failures"] = 1
+        assert len(pins.differences(pins.DEFAULT, 1, report, passes, passes)) == 3
 
 
 def _untimed(out):
@@ -1087,6 +1117,22 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("internal error: malformed complement")
         assert "Traceback" not in err
+
+    def test_negative_local_energy_is_internal_error(self, monkeypatch):
+        # carrier energies that fall as the width l grows give a negative
+        # double difference, which the LED refuses
+        real = evolution._sweep_rows
+
+        def falling(p, a, l):
+            out, carriers, energies = real(p, a, 1)
+            return out, carriers, [
+                tuple(e - (l - 1) * k for k, e in enumerate(hs, 1)) for hs in energies
+            ]
+
+        monkeypatch.setattr(evolution, "_sweep_rows", falling)
+        code, out, err = cli("led", str(GOLDEN / "path_3factor.json"))
+        assert (code, out) == (4, "")
+        assert err == "internal error: negative local energy entry\n"
 
     def test_failed_round_trip_is_internal_error(self, monkeypatch):
         other = decode_path(json.loads((GOLDEN / "path_6factor.json").read_text()))

@@ -271,6 +271,12 @@ class TestPathType:
         assert p == path(2, [[1, 2]], [[2]])
         assert p.shapes() == [(1, 2), (1, 1)]
 
+    def test_not_equal_to_other_types(self):
+        p = path(2, [[1, 2]], [[2]])
+        for other in (1, "x"):
+            assert p.__eq__(other) is NotImplemented
+            assert p != other
+
     def test_hash_is_cached_and_agrees_across_constructors(self):
         p = path(2, [[1, 2]], [[2]])
         trusted = Path._trusted(2, tuple(Tableau._trusted(2, b.rows) for b in p.factors))

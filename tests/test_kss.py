@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kssbij import kss, rigged
+from kssbij import kss, rigged, rmatrix
 from kssbij.cli import run as cli_run
 from kssbij.cli.codec import decode_rc, encode_rc
 from kssbij.cli.harness import (
@@ -33,7 +33,7 @@ from kssbij.kss import (
 )
 from kssbij.rigged import RiggedConfiguration, vacancy, validate
 from kssbij.rmatrix import TensorPair, apply_R
-from kssbij.tableaux import Tableau, enumerate_kr, highest_element
+from kssbij.tableaux import Tableau, _constant_rows, enumerate_kr, highest_element
 
 
 def path(n, *factor_rows):
@@ -368,6 +368,51 @@ class TestRemoveRow:
         assert len(rcs) == 402
         assert 0 < counts["vacancy"] <= 2815
         assert counts["quantum_rows"] <= 402
+
+
+class TestWorkCounts:
+    """Ceilings on deterministic work counts of the forward and inverse maps
+    on scaling inputs, so that a cost regression fails here rather than
+    hiding in timing noise."""
+
+    @staticmethod
+    def chain_400():
+        # the L = 400 B^{1,1} chain at n = 3: the second draw from one
+        # Random(3), taken after the L = 200 chain
+        rng = random.Random(3)
+        chains = [[rng.randint(1, 4) for _ in range(length)] for length in (200, 400)]
+        return Path(3, [Tableau(3, [[x]]) for x in chains[1]])
+
+    def test_vacancy_calls_on_the_long_chain(self, monkeypatch):
+        p = self.chain_400()
+        calls = []
+        vacancy_ = kss._vacancy
+
+        def counted(*args):
+            calls.append(args)
+            return vacancy_(*args)
+
+        monkeypatch.setattr(kss, "_vacancy", counted)
+        rc = kss.phi(p)
+        assert len(calls) <= 2370
+        calls.clear()
+        assert phi_inverse(rc) == p
+        assert len(calls) <= 4916
+
+    def test_soliton_energy_takes_three_product_passes(self, monkeypatch):
+        # one soliton of 200: by the two compression lemmas every carrier
+        # of every width meets the same few compressed moves
+        passes = []
+        product_pass = rmatrix._product
+        monkeypatch.setattr(
+            rmatrix, "_product", lambda u, b: passes.append(u) or product_pass(u, b)
+        )
+        rmatrix._sweep_step.cache_clear()
+        _constant_rows.cache_clear()
+        p = Path(1, [Tableau(1, [[2]])] * 200)
+        rc = phi_energy(p)
+        assert len(passes) <= 3
+        assert rc == kss.phi(p) and rc.mu == (((200, -200),),)
 
 
 class TestRemovalOrder:

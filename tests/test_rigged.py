@@ -255,3 +255,14 @@ class TestEquality:
         a = RiggedConfiguration(1, [[2]], [[(1, 0)]])
         b = RiggedConfiguration(1, [[2]], [[(1, 1)]])
         assert a != b
+
+    def test_not_equal_to_other_types(self):
+        rc = rc_a1()
+        for other in (1, "x"):
+            assert rc.__eq__(other) is NotImplemented
+            assert rc != other
+
+    def test_repr(self):
+        assert repr(RiggedConfiguration(2, [[2], [1]], [[(1, 0)], []])) == (
+            "RiggedConfiguration(n=2, nu=[[2], [1]], mu=[[(1, 0)], []])"
+        )

@@ -17,7 +17,6 @@ from kssbij.cli.harness import (
     check_swapping_pairs,
     check_yang_baxter,
     elements,
-    family,
     run_verify,
     shape_menu,
 )
@@ -30,6 +29,8 @@ from kssbij.rmatrix import (
     product_tableau,
 )
 from kssbij.tableaux import Tableau, enumerate_kr, highest_element, row_word
+
+import pins
 
 
 def pair(n, left_rows, right_rows):
@@ -125,6 +126,12 @@ class TestTensorPair:
         with pytest.raises(AttributeError, match="immutable"):
             p.left = p.right
         assert p.left == Tableau(2, [[1, 2]])
+
+    def test_not_equal_to_other_types(self):
+        p = TensorPair(Tableau(2, [[1, 2]]), Tableau(2, [[3]]))
+        for other in (1, "x"):
+            assert p.__eq__(other) is NotImplemented
+            assert p != other
 
     def test_hash_agrees_with_eq_and_repr_names_both_factors(self):
         u, v = Tableau(2, [[1, 2]]), Tableau(2, [[1], [3]])
@@ -460,21 +467,16 @@ class TestCaches:
         assert info.currsize == info.maxsize == rmatrix.CACHE_SIZE
         assert info.misses > rmatrix.CACHE_SIZE
 
-    def test_bounded_after_verify(self, monkeypatch):
-        # verify at its defaults fits in the one step cache: each of its 545
+    def test_bounded_after_verify(self):
+        # verify at its defaults fits in the one step cache: each of its
         # distinct moves misses once and runs the one product pass of its
-        # miss. The phi of a kept family would skip the steps of the phi suites
-        products = []
-        product_pass = rmatrix._product
-        monkeypatch.setattr(
-            rmatrix, "_product", lambda u, b: products.append(u) or product_pass(u, b)
-        )
-        step = rmatrix._sweep_step
-        step.cache_clear()
-        family.cache_clear()
-        run_verify(2, 3, 2)
-        info = step.cache_info()
-        assert info.misses == info.currsize == len(products) == 545
+        # miss, as many as the defaults' row of tests/pins.py allows. The run
+        # empties the step cache and the kept family first
+        code, report, passes, misses = pins.run(pins.DEFAULT)
+        assert (code, report["total_failures"]) == (0, 0)
+        info = rmatrix._sweep_step.cache_info()
+        assert info.misses == info.currsize == passes == misses == 545
+        assert passes == pins.PINS[pins.DEFAULT]["product_passes"]
         assert info.maxsize == rmatrix.CACHE_SIZE
 
 

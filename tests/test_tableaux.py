@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from kssbij.tableaux import (
     Tableau,
+    _constant_rows,
     enumerate_kr,
     highest_element,
     insert,
@@ -57,6 +58,16 @@ class TestValidation:
         assert t != Tableau(3, [[1, 2]])
         with pytest.raises(AttributeError):
             t.rows = ()
+
+    def test_not_equal_to_other_types(self):
+        t = Tableau(2, [[1, 2]])
+        for other in (1, "x"):
+            assert t.__eq__(other) is NotImplemented
+            assert t != other
+
+    def test_repr(self):
+        assert repr(Tableau(2, [[1, 2], [3]])) == "Tableau(n=2, 1 2|3)"
+        assert repr(Tableau(2, ())) == "Tableau(n=2, empty)"
 
 
 class TestInsertion:
@@ -170,6 +181,13 @@ class TestHighestElements:
         with pytest.raises(ValueError):
             highest_element(3, 1, 2)
 
+    def test_rows_from_the_row_builder(self):
+        # one bounded cache builds the highest element's rows and the
+        # carrier sweeps' spare columns V = (1..a) and A = (n-a+2..n+1)
+        assert highest_element(3, 4, 4).rows is _constant_rows(1, 3, 4)
+        assert _constant_rows(3, 2, 2) == ((3, 3), (4, 4))
+        assert _constant_rows.cache_info().maxsize == 256
+
 
 class TestEnumeration:
     # cardinalities frozen from the hook content formula
@@ -207,6 +225,28 @@ class TestEnumeration:
         for t in seen:
             assert t.shape == (2, 2)
             assert t.rank_n == 3
+
+    def test_yields_before_building_the_rest(self, monkeypatch):
+        # the first element of B^{1,40} at n = 3 is built alone, not after
+        # all 12,341 elements have been built and sorted
+        built = []
+        trusted = Tableau._trusted.__func__
+
+        def counted(cls, rank_n, rows):
+            built.append(rows)
+            return trusted(cls, rank_n, rows)
+
+        monkeypatch.setattr(Tableau, "_trusted", classmethod(counted))
+        first = next(enumerate_kr(1, 40, 3))
+        assert first.rows == ((1,) * 40,)
+        assert len(built) == 1
+
+    def test_order_is_sorted_row_words(self):
+        for n in (1, 2, 3):
+            for r in range(1, n + 1):
+                for s in (1, 2, 3):
+                    words = [row_word(t) for t in enumerate_kr(r, s, n)]
+                    assert words == sorted(set(words)), (r, s, n)
 
     def test_contains_highest(self):
         assert highest_element(2, 2, 3) in set(enumerate_kr(2, 2, 3))

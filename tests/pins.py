@@ -83,17 +83,25 @@ def run(max_n):
     """(exit code, JSON report, product passes, step misses) of a cold
     `verify --max-n max_n --format json` through `cli.run` in this process:
     the step cache and the kept family are emptied first."""
-    passes = []
+    passes = 0
     product_pass = rmatrix._product
+
+    def counted(u, b):
+        # a count, not a list of the carriers, which would keep every
+        # evicted one alive
+        nonlocal passes
+        passes += 1
+        return product_pass(u, b)
+
     rmatrix._sweep_step.cache_clear()
     harness.family.cache_clear()
-    rmatrix._product = lambda u, b: passes.append(u) or product_pass(u, b)
+    rmatrix._product = counted
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.run(["verify", "--max-n", str(max_n), "--format", "json"])
     finally:
         rmatrix._product = product_pass
-    return code, json.loads(out.getvalue()), len(passes), rmatrix._sweep_step.cache_info().misses
+    return code, json.loads(out.getvalue()), passes, rmatrix._sweep_step.cache_info().misses
 
 
 def differences(max_n, code, report, passes, misses, pins=PINS):

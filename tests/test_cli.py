@@ -780,8 +780,9 @@ class TestVerifyVerb:
         assert pins.differences(pins.DEFAULT, code, payload, passes, misses) == []
 
     def test_pins_catch_any_moved_count(self):
-        # a run that matches its row fails once any one pin moves by one,
-        # and once any suite reports a failure
+        # a run that matches its row fails once any case count moves by one
+        # either way or the ceiling falls by one, and once any suite reports
+        # a failure
         row = pins.PINS[pins.DEFAULT]
         report = {
             "suites": [{"name": name, "cases": cases, "failures": []}
